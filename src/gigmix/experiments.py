@@ -206,21 +206,35 @@ class RunManifest:
                 )
 
     def auc_table(self) -> dict:
-        """scenario -> model -> AUC vector over repeats, ordered by repeat."""
-        table = {}
-        for r in sorted(self.rows, key=lambda r: (r.scenario_id, r.model_id, r.run_id)):
-            table.setdefault(r.scenario_id, {}).setdefault(r.model_id, []).append(
+        """scenario -> model -> AUC vector over the repeats that every model
+        has in that scenario, ordered by repeat index."""
+        by_repeat = {}
+        for r in self.rows:
+            by_repeat.setdefault(r.scenario_id, {}).setdefault(r.model_id, {})[r.run_id] = (
                 r.auc_restricted
             )
-        return {
-            sc: {m: np.asarray(v) for m, v in by_model.items()}
-            for sc, by_model in table.items()
-        }
+        table = {}
+        for sc, by_model in by_repeat.items():
+            runs = [by_model.get(m, {}) for m in self.models]
+            shared = sorted(set.intersection(*(set(v) for v in runs)))
+            table[sc] = {
+                m: np.asarray([v[rep] for rep in shared]) for m, v in zip(self.models, runs)
+            }
+        return table
 
     def write_wins_csv(self, path, alpha: float = 0.01) -> None:
-        table = win_matrix(self.auc_table(), alpha=alpha)
+        """Pairwise wins over the scenarios with >= 2 repeats shared by every
+        model; only the header when no scenario has them."""
+        paired = {
+            sc: by_model
+            for sc, by_model in self.auc_table().items()
+            if all(v.size >= 2 for v in by_model.values())
+        }
+        table = win_matrix(paired, alpha=alpha) if paired else None
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("model_a,model_b,scenarios_won,scenarios_total,win_pct\n")
+            if table is None:
+                return
             total = len(table.scenarios)
             for ma in table.models:
                 for mb in table.models:

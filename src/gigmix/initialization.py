@@ -9,6 +9,7 @@ with those parameters yields the initial responsibilities.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -37,8 +38,9 @@ class KMeansResult:
 def _kmeanspp_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = np.empty(k)
     centers[0] = x[rng.integers(x.size)]
+    d2 = np.full(x.size, np.inf)
     for j in range(1, k):
-        d2 = np.min((x[:, None] - centers[None, :j]) ** 2, axis=1)
+        np.minimum(d2, (x - centers[j - 1]) ** 2, out=d2)
         total = d2.sum()
         if total > 0:
             centers[j] = x[rng.choice(x.size, p=d2 / total)]
@@ -47,12 +49,78 @@ def _kmeanspp_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
+def _nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the nearest center per point, ties to the lowest index."""
+    best = np.abs(x - centers[0])
+    labels = np.zeros(x.size, dtype=int)
+    for j in range(1, centers.size):
+        d = np.abs(x - centers[j])
+        labels[d < best] = j
+        np.minimum(best, d, out=best)
+    return labels
+
+
+def _sorted_runs(xs: np.ndarray, centers: np.ndarray):
+    """Nearest-center labels of sorted data as runs ``(starts, labels)``.
+
+    Both are tuples of ints. Run ``r`` covers ``xs[starts[r]:starts[r + 1]]``;
+    runs are non-empty and neighbouring runs carry different labels, so equal
+    labelings give equal runs. The labels are exactly those of ``_nearest``
+    (float distances, ties to the lowest index). Between two neighbouring
+    distinct centers the rounded distance comparison is monotone in x, so
+    each boundary is a binary search. A farther center can only tie the
+    nearest one when two centers are equal or within rounding of the largest
+    distance; then clusters need not be contiguous and every point is
+    labelled.
+    """
+    order = np.argsort(centers, kind="stable")
+    values, labels = centers[order].tolist(), order.tolist()
+    span = max(abs(xs.item(-1) - values[0]), abs(values[-1] - xs.item(0)))
+    if not all(b - a > 2.0 * math.ulp(span) for a, b in zip(values, values[1:])):
+        point_labels = _nearest(xs, centers)
+        starts = np.flatnonzero(np.concatenate(([True], point_labels[1:] != point_labels[:-1])))
+        return tuple(starts.tolist()), tuple(point_labels[starts].tolist())
+    los = xs.searchsorted(values[:-1], side="right").tolist()
+    his = xs.searchsorted(values[1:], side="left").tolist()
+    bounds = [0]
+    for i, (lo, hi) in enumerate(zip(los, his)):
+        left, right = values[i], values[i + 1]
+        right_wins_ties = labels[i + 1] < labels[i]
+        # First point that goes to the right center.
+        while lo < hi:
+            mid = (lo + hi) // 2
+            x = xs.item(mid)
+            d_left, d_right = abs(x - left), abs(x - right)
+            if d_right < d_left or (d_right == d_left and right_wins_ties):
+                hi = mid
+            else:
+                lo = mid + 1
+        bounds.append(lo)
+    bounds.append(xs.size)
+    starts, labels = zip(*((lo, j) for lo, hi, j in zip(bounds, bounds[1:], labels) if lo < hi))
+    return starts, labels
+
+
+def _assign(x: np.ndarray, xs: np.ndarray, starts, labels) -> np.ndarray:
+    """Per-point labels of ``x`` from the runs of its sorted copy ``xs``."""
+    return np.asarray(labels)[np.searchsorted(xs[list(starts[1:])], x, side="right")]
+
+
 def kmeans_1d(data, k: int = 3, seed: int = 0) -> KMeansResult:
     """Lloyd's algorithm on scalars with k-means++ seeding.
 
     Deterministic given ``seed``; clusters are returned sorted by center
     ascending. Degenerate all-equal data collapses to a single cluster
     duplicated ``k`` times with a floored variance.
+
+    In 1-D every cluster is a contiguous run of the sorted data, so the data
+    are sorted once and each Lloyd step finds the cluster boundaries by
+    binary search and the new centers as slice means. Each step assigns
+    every point to its nearest center, ties to the lowest cluster index.
+    The slice means can differ from means over the points in input order by
+    rounding, so a point that ties two centers to the last bit can fall the
+    other way; the final cluster statistics are taken over the points in
+    input order.
     """
     x = np.asarray(data, dtype=float).ravel()
     if x.size < k:
@@ -76,25 +144,33 @@ def kmeans_1d(data, k: int = 3, seed: int = 0) -> KMeansResult:
 
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_seed(x, k, rng)
-    assignments = np.full(x.size, -1, dtype=int)
+    xs = np.sort(x)
+    runs = None
     for _ in range(_MAX_LLOYD_ITER):
-        new_assignments = np.argmin(np.abs(x[:, None] - centers[None, :]), axis=1)
-        if np.array_equal(new_assignments, assignments):
+        starts, labels = _sorted_runs(xs, centers)
+        if (starts, labels) == runs:
             break
-        assignments = new_assignments
+        runs = starts, labels
+        sums = [0.0] * k
+        counts = [0] * k
+        for lo, hi, j in zip(starts, starts[1:] + (xs.size,), labels):
+            sums[j] += float(xs[lo:hi].sum())
+            counts[j] += hi - lo
+        assignments = None
         for j in range(k):
-            member = assignments == j
-            if member.any():
-                centers[j] = x[member].mean()
+            if counts[j]:
+                centers[j] = sums[j] / counts[j]
             else:
                 # Reseed an empty cluster at the point farthest from its center.
+                if assignments is None:
+                    assignments = _assign(x, xs, starts, labels)
                 centers[j] = x[np.argmax(np.abs(x - centers[assignments]))]
 
     order = np.argsort(centers, kind="stable")
     centers = centers[order]
     remap = np.empty(k, dtype=int)
     remap[order] = np.arange(k)
-    assignments = remap[assignments]
+    assignments = remap[_assign(x, xs, *runs)]
 
     means = np.empty(k)
     variances = np.empty(k)

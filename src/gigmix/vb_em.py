@@ -329,11 +329,13 @@ def update_responsibilities(data, expectations: ExpectationCache, families):
 
 def sufficient_stats(data, gamma: np.ndarray) -> SufficientStats:
     """Soft-count statistics of an arbitrary responsibility matrix."""
-    x = np.asarray(data, dtype=float).ravel()
-    cache = _DataCache(x)
+    return _gamma_stats(_DataCache(np.asarray(data, dtype=float).ravel()), gamma)
+
+
+def _gamma_stats(cache: _DataCache, gamma: np.ndarray) -> SufficientStats:
     return SufficientStats(
         n=gamma.sum(axis=0),
-        xbar=gamma.T @ x,
+        xbar=gamma.T @ cache.x,
         sxx1=float(gamma[:, 0] @ cache.sq),
         log_x=np.array(
             [gamma[cache.pos, 1] @ cache.log_xp, gamma[cache.neg, 2] @ cache.log_xn]
@@ -570,7 +572,7 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
     km = kmeans_1d(x, 3, cfg.seed)
     init_params, gamma0 = init_mixture(x, km, families)
     cache = _DataCache(x)
-    stats = sufficient_stats(x, gamma0)
+    stats = _gamma_stats(cache, gamma0)
     state = _update_state(
         stats,
         priors,

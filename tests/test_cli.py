@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import gigmix.experiments as experiments
 from gigmix.cli import main
 from gigmix.io import write_values_f64le, write_values_txt
 
@@ -173,6 +174,35 @@ def test_bench_small_grid(tmp_path):
     assert manifest["models"] == ["bggm", "gim"]
     assert len(manifest["rows"]) == 4
     assert (outdir / "wins.csv").exists()
+
+
+def _bench_argv(outdir, repeats):
+    return ["bench", "--grid", "1:5:1", "--models", "bggm,gim", "--repeats", str(repeats),
+            "--n", "2000", "--outdir", str(outdir)]
+
+
+def test_bench_single_repeat_writes_header_only_wins(tmp_path):
+    assert main(_bench_argv(tmp_path, 1)) == 0
+    assert len((tmp_path / "runs.csv").read_text().splitlines()) == 1 + 2
+    wins = (tmp_path / "wins.csv").read_text()
+    assert wins == "model_a,model_b,scenarios_won,scenarios_total,win_pct\n"
+
+
+def test_bench_survives_failed_fits(tmp_path, monkeypatch, capsys):
+    real = experiments.fit_model
+    calls = []
+
+    def flaky(model, data, seed):
+        calls.append(model)
+        if model == "gim" and calls.count("gim") == 1:
+            raise RuntimeError("synthetic failure")
+        return real(model, data, seed)
+
+    monkeypatch.setattr(experiments, "fit_model", flaky)
+    assert main(_bench_argv(tmp_path, 3)) == 0
+    assert "1 fit(s) failed" in capsys.readouterr().err
+    # gim lost repeat 0, so the two models are compared on repeats 1 and 2.
+    assert len((tmp_path / "wins.csv").read_text().splitlines()) == 1 + 2
 
 
 def test_bench_bad_grid_is_runtime_error(tmp_path):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import gigmix.experiments as experiments
+from gigmix.evaluation import EvalReport
 from gigmix.experiments import (
     RUNS_CSV_COLUMNS,
+    RunManifest,
     SyntheticSpec,
     default_grid,
     fit_model,
@@ -107,6 +109,36 @@ def test_run_benchmark_auc_table_order():
     table = manifest.auc_table()
     assert list(table) == [spec.scenario_id]
     assert table[spec.scenario_id]["gim"].shape == (3,)
+
+
+def _manifest_with_rows(runs):
+    """A manifest holding one row per (scenario, model, repeat, auc) tuple."""
+    rows = [EvalReport(sc, m, rep, auc, 0.0, 0.0, 0.0, 1, True) for sc, m, rep, auc in runs]
+    return RunManifest(specs=[], models=["a", "b"], timing="off", rows=rows, failures=[])
+
+
+def test_auc_table_pairs_by_repeat_index():
+    # Model "a" lost repeat 1 and model "b" lost repeat 0.
+    manifest = _manifest_with_rows(
+        [("s", "a", 0, 0.10), ("s", "a", 2, 0.12), ("s", "a", 3, 0.13),
+         ("s", "b", 3, 0.23), ("s", "b", 1, 0.21), ("s", "b", 2, 0.22)]
+    )
+    table = manifest.auc_table()["s"]
+    assert table["a"].tolist() == [0.12, 0.13]
+    assert table["b"].tolist() == [0.22, 0.23]
+
+
+def test_wins_csv_leaves_out_scenarios_without_two_paired_repeats(tmp_path):
+    runs = [("s1", m, rep, auc + rep / 100) for m, auc in (("a", 0.9), ("b", 0.1)) for rep in range(3)]
+    runs += [("s2", "a", 0, 0.5), ("s2", "a", 1, 0.5), ("s2", "b", 0, 0.5)]
+    _manifest_with_rows(runs).write_wins_csv(tmp_path / "wins.csv")
+    lines = (tmp_path / "wins.csv").read_text().splitlines()
+    assert lines[1:] == ["a,b,1,1,100.0", "b,a,0,1,0.0"]
+
+    _manifest_with_rows(runs[6:]).write_wins_csv(tmp_path / "header_only.csv")
+    assert (tmp_path / "header_only.csv").read_text() == (
+        "model_a,model_b,scenarios_won,scenarios_total,win_pct\n"
+    )
 
 
 def test_run_benchmark_records_failures(monkeypatch):
