@@ -20,26 +20,21 @@ from . import __version__
 from .evaluation import restricted_auc, standardize
 from .experiments import (
     MODEL_NAMES,
-    SNR_LEVELS,
     SyntheticSpec,
     default_grid,
+    fit,
     generate,
     run_benchmark,
 )
 from .io import (
-    ml_result_to_dict,
     read_labels_txt,
     read_values,
     read_values_txt,
-    vb_result_to_dict,
+    result_to_dict,
     write_gamma_csv,
     write_json,
     write_labeled_csv,
 )
-from .ml_em import MLFitConfig, fit_ggm, fit_gim
-from .initialization import init_mixture, kmeans_1d
-from .distributions import GAMMA_NEG, GAMMA_POS, INVGAMMA_NEG, INVGAMMA_POS
-from .vb_em import VBFitConfig, fit_bggm, fit_bgim
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,30 +97,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_FITTERS = {
-    "bggm": lambda data, seed: fit_bggm(data, VBFitConfig(seed=seed)),
-    "bgim": lambda data, seed: fit_bgim(data, VBFitConfig(seed=seed)),
-}
-
-
-def _fit_ml_cli(model: str, data, seed: int):
-    families = (GAMMA_POS, GAMMA_NEG) if model == "ggm" else (INVGAMMA_POS, INVGAMMA_NEG)
-    km = kmeans_1d(data, 3, seed)
-    init, _ = init_mixture(data, km, families)
-    fitter = fit_ggm if model == "ggm" else fit_gim
-    return fitter(data, init, MLFitConfig(seed=seed))
-
-
 def _cmd_fit(args) -> int:
     data = read_values(args.input, args.format)
     if args.standardize:
         data = standardize(data)
-    if args.model in _FITTERS:
-        result = _FITTERS[args.model](data, args.seed)
-        doc = vb_result_to_dict(result, args.model, args.seed, include_timing=args.timing)
-    else:
-        result = _fit_ml_cli(args.model, data, args.seed)
-        doc = ml_result_to_dict(result, args.model, args.seed, include_timing=args.timing)
+    result = fit(args.model, data, args.seed)
+    doc = result_to_dict(result, args.model, args.seed, include_timing=args.timing)
     doc["n"] = int(data.size)
     doc["standardized"] = bool(args.standardize)
     write_json(args.output, doc)

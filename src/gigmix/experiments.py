@@ -16,15 +16,12 @@ default CSV output byte-reproducible.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .distributions import GAMMA_NEG, GAMMA_POS, INVGAMMA_NEG, INVGAMMA_POS
 from .evaluation import EvalReport, activation_map, restricted_auc, win_matrix
-from .initialization import init_mixture, kmeans_1d
 from .io import write_json
 from .ml_em import MLFitConfig, fit_ggm, fit_gim
 from .vb_em import VBFitConfig, fit_bggm, fit_bgim
@@ -119,26 +116,22 @@ def generate(spec: SyntheticSpec, repeat_index: int, scenario_index: int = 0) ->
     return LabeledDataset(values=values, truth=labels)
 
 
-_ML_FAMILIES = {"ggm": (GAMMA_POS, GAMMA_NEG), "gim": (INVGAMMA_POS, INVGAMMA_NEG)}
+def fit(model: str, data, seed: int):
+    """Fit one model by name from its seeded k-means start; returns the fit result."""
+    if model == "bggm":
+        return fit_bggm(data, VBFitConfig(seed=seed))
+    if model == "bgim":
+        return fit_bgim(data, VBFitConfig(seed=seed))
+    if model == "ggm":
+        return fit_ggm(data, None, MLFitConfig(seed=seed))
+    if model == "gim":
+        return fit_gim(data, None, MLFitConfig(seed=seed))
+    raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
 
 
 def fit_model(model: str, data: np.ndarray, seed: int):
     """Fit one model by name; returns (responsibilities, iterations, converged, seconds)."""
-    if model == "bggm":
-        r = fit_bggm(data, VBFitConfig(seed=seed))
-    elif model == "bgim":
-        r = fit_bgim(data, VBFitConfig(seed=seed))
-    elif model in _ML_FAMILIES:
-        start = time.perf_counter()
-        km = kmeans_1d(data, 3, seed)
-        init, _ = init_mixture(data, km, _ML_FAMILIES[model])
-        r = fit_ggm(data, init, MLFitConfig(seed=seed)) if model == "ggm" else fit_gim(
-            data, init, MLFitConfig(seed=seed)
-        )
-        # Fold the shared k-means initialization into the measured cost.
-        r.wall_time_seconds = time.perf_counter() - start
-    else:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
+    r = fit(model, data, seed)
     return r.responsibilities, r.iterations, r.converged, r.wall_time_seconds
 
 

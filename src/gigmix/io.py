@@ -109,18 +109,31 @@ def _floats(seq):
     return [float(v) for v in np.asarray(seq, dtype=float).ravel()]
 
 
-def ml_result_to_dict(result, model: str, seed: int, include_timing: bool = False) -> dict:
-    p = result.params
+def _plain(obj) -> dict:
+    """A dataclass of floats and float arrays as a dict of floats and lists."""
+    return {k: float(v) if np.ndim(v) == 0 else _floats(v) for k, v in vars(obj).items()}
+
+
+def result_to_dict(result, model: str, seed: int, include_timing: bool = False) -> dict:
+    """JSON document of an ML (``params``) or VB (``state``) fit result."""
     doc = {
         "schema_version": RESULT_SCHEMA_VERSION,
-        "kind": "ml",
         "model": model,
         "seed": int(seed),
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "degenerate_rows": int(result.degenerate_rows),
-        "loglik_trace": _floats(result.loglik_trace),
-        "params": {
+    }
+    if hasattr(result, "state"):
+        doc["kind"] = "vb"
+        doc["nfe_trace"] = _floats(result.nfe_trace)
+        doc["state"] = _plain(result.state)
+        doc["expectations"] = _plain(result.expectations)
+    else:
+        p = result.params
+        doc["kind"] = "ml"
+        doc["loglik_trace"] = _floats(result.loglik_trace)
+        doc["params"] = {
             "pi": _floats(p.pi),
             "gaussian": {"mu": float(p.comp1.mu), "tau": float(p.comp1.tau)},
             "positive": {
@@ -133,50 +146,7 @@ def ml_result_to_dict(result, model: str, seed: int, include_timing: bool = Fals
                 "shape": float(p.comp3.shape),
                 "rate": float(p.comp3.rate),
             },
-        },
-    }
-    if include_timing:
-        doc["wall_time_seconds"] = float(result.wall_time_seconds)
-    return doc
-
-
-def vb_result_to_dict(result, model: str, seed: int, include_timing: bool = False) -> dict:
-    s = result.state
-    e = result.expectations
-    doc = {
-        "schema_version": RESULT_SCHEMA_VERSION,
-        "kind": "vb",
-        "model": model,
-        "seed": int(seed),
-        "converged": bool(result.converged),
-        "iterations": int(result.iterations),
-        "degenerate_rows": int(result.degenerate_rows),
-        "nfe_trace": _floats(result.nfe_trace),
-        "state": {
-            "lambda_hat": _floats(s.lambda_hat),
-            "m_hat": float(s.m_hat),
-            "tau_hat": float(s.tau_hat),
-            "c_hat": float(s.c_hat),
-            "b_hat": float(s.b_hat),
-            "d_hat": _floats(s.d_hat),
-            "e_hat": _floats(s.e_hat),
-            "log_a_hat": _floats(s.log_a_hat),
-            "b_hat_s": _floats(s.b_hat_s),
-            "c_hat_s": _floats(s.c_hat_s),
-        },
-        "expectations": {
-            "pi": _floats(e.pi),
-            "log_pi": _floats(e.log_pi),
-            "mu": float(e.mu),
-            "mu2": float(e.mu2),
-            "tau": float(e.tau),
-            "log_tau": float(e.log_tau),
-            "r": _floats(e.r),
-            "log_r": _floats(e.log_r),
-            "s": _floats(e.s),
-            "log_gamma_s": _floats(e.log_gamma_s),
-        },
-    }
+        }
     if include_timing:
         doc["wall_time_seconds"] = float(result.wall_time_seconds)
     return doc

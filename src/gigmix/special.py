@@ -1,26 +1,19 @@
 """Scalar special functions: log-gamma, the digamma family, and inverse digamma.
 
-All functions take a single positive float. Values are computed by shifting
-the argument upward with the standard recurrences until it is large enough
-for the Bernoulli-number asymptotic series, which keeps the relative error
-near 1e-14 across the whole domain without lookup tables.
+Checked scalar wrappers over ``scipy.special``. Trigamma and tetragamma use
+the Hurwitz zeta function, psi'(x) = zeta(2, x) and psi''(x) = -2 zeta(3, x),
+which costs far less per scalar call than ``polygamma``.
 """
 
-from __future__ import annotations
-
 import math
+
+from scipy.special import gammaln, psi, zeta
 
 EULER_GAMMA = 0.5772156649015329
 
 # Below this, arguments are treated as a collapsed upstream computation
 # rather than silently yielding +/-inf.
 _MIN_ARG = 1e-300
-
-# Asymptotic series are applied for arguments >= this; smaller arguments are
-# shifted up by recurrence first.
-_SHIFT = 10.0
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _checked(x, name: str) -> float:
@@ -32,117 +25,22 @@ def _checked(x, name: str) -> float:
 
 def log_gamma(x: float) -> float:
     """Natural log of the Gamma function for x > 0."""
-    x = _checked(x, "x")
-    shift = 0.0
-    while x < _SHIFT:
-        shift -= math.log(x)
-        x += 1.0
-    t = 1.0 / (x * x)
-    # Stirling series: sum B_2n / (2n (2n-1) x^(2n-1)), n = 1..6.
-    series = (
-        1.0 / 12.0
-        + t
-        * (
-            -1.0 / 360.0
-            + t
-            * (
-                1.0 / 1260.0
-                + t * (-1.0 / 1680.0 + t * (1.0 / 1188.0 + t * (-691.0 / 360360.0)))
-            )
-        )
-    ) / x
-    return shift + (x - 0.5) * math.log(x) - x + _HALF_LOG_2PI + series
+    return float(gammaln(_checked(x, "x")))
 
 
 def digamma(x: float) -> float:
     """Digamma function, the derivative of ``log_gamma``, for x > 0."""
-    x = _checked(x, "x")
-    acc = 0.0
-    while x < _SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    t = 1.0 / (x * x)
-    series = t * (
-        1.0 / 12.0
-        + t
-        * (
-            -1.0 / 120.0
-            + t
-            * (
-                1.0 / 252.0
-                + t
-                * (
-                    -1.0 / 240.0
-                    + t * (1.0 / 132.0 + t * (-691.0 / 32760.0 + t * (1.0 / 12.0)))
-                )
-            )
-        )
-    )
-    return acc + math.log(x) - 0.5 / x - series
+    return float(psi(_checked(x, "x")))
 
 
 def trigamma(x: float) -> float:
     """First derivative of digamma; strictly positive on x > 0."""
-    x = _checked(x, "x")
-    acc = 0.0
-    while x < _SHIFT:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    t = 1.0 / (x * x)
-    series = (
-        1.0
-        + 0.5 / x
-        + t
-        * (
-            1.0 / 6.0
-            + t
-            * (
-                -1.0 / 30.0
-                + t
-                * (
-                    1.0 / 42.0
-                    + t
-                    * (
-                        -1.0 / 30.0
-                        + t * (5.0 / 66.0 + t * (-691.0 / 2730.0 + t * (7.0 / 6.0)))
-                    )
-                )
-            )
-        )
-    ) / x
-    return acc + series
+    return float(zeta(2.0, _checked(x, "x")))
 
 
 def tetragamma(x: float) -> float:
     """Second derivative of digamma; strictly negative on x > 0."""
-    x = _checked(x, "x")
-    acc = 0.0
-    while x < _SHIFT:
-        acc -= 2.0 / (x * x * x)
-        x += 1.0
-    t = 1.0 / (x * x)
-    series = -t * (
-        1.0
-        + 1.0 / x
-        + t
-        * (
-            0.5
-            + t
-            * (
-                -1.0 / 6.0
-                + t
-                * (
-                    1.0 / 6.0
-                    + t
-                    * (
-                        -3.0 / 10.0
-                        + t * (5.0 / 6.0 + t * (-691.0 / 210.0 + t * (35.0 / 2.0)))
-                    )
-                )
-            )
-        )
-    )
-    return acc + series
+    return -2.0 * float(zeta(3.0, _checked(x, "x")))
 
 
 def inv_digamma(y: float, tol: float = 1e-12, max_iter: int = 50) -> float:

@@ -313,18 +313,13 @@ def _log_rho(cache: _DataCache, expectations: ExpectationCache, families) -> np.
 
 
 def update_responsibilities(data, expectations: ExpectationCache, families):
-    """Responsibilities and sufficient statistics for one pass over the data.
-
-    The third return value counts rows with zero density under every
-    component; the Gaussian has full support, so it stays zero for any
-    finite expectation cache and is reported for interface completeness.
-    """
+    """Responsibilities and sufficient statistics for one pass over the data."""
     x = np.asarray(data, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise ValueError("data must be finite")
     cache = _DataCache(x)
     g2, g3, stats, _ = _responsibility_pass(cache, expectations, families)
-    return _assemble_gamma(cache, g2, g3), stats, 0
+    return _assemble_gamma(cache, g2, g3), stats
 
 
 def sufficient_stats(data, gamma: np.ndarray) -> SufficientStats:

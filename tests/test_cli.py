@@ -48,14 +48,15 @@ def test_fit_writes_versioned_json(tmp_path, value_file):
     assert len(lines) == 3001
 
 
-def test_fit_deterministic_json(tmp_path, value_file):
+@pytest.mark.parametrize("model", ["bggm", "bgim", "ggm", "gim"])
+def test_fit_deterministic_json(tmp_path, value_file, model):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
     for out in (out1, out2):
         args = [
             "fit",
             "--model",
-            "ggm",
+            model,
             "--input",
             str(value_file),
             "--seed",
@@ -65,6 +66,32 @@ def test_fit_deterministic_json(tmp_path, value_file):
         ]
         assert main(args) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+_COMMON_KEYS = {
+    "schema_version", "kind", "model", "seed", "converged", "iterations",
+    "degenerate_rows", "n", "standardized",
+}
+_VB_SCALARS = {"m_hat", "tau_hat", "c_hat", "b_hat", "mu", "mu2", "tau", "log_tau"}
+
+
+@pytest.mark.parametrize("model", ["bggm", "bgim", "ggm", "gim"])
+def test_fit_json_layout(tmp_path, value_file, model):
+    out = tmp_path / "r.json"
+    assert main(["fit", "--model", model, "--input", str(value_file), "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    if model.startswith("b"):
+        assert set(doc) == _COMMON_KEYS | {"nfe_trace", "state", "expectations"}
+        assert doc["kind"] == "vb"
+        assert len(doc["state"]) == len(doc["expectations"]) == 10
+        for section in (doc["state"], doc["expectations"]):
+            for key, value in section.items():
+                assert isinstance(value, float if key in _VB_SCALARS else list), key
+    else:
+        assert set(doc) == _COMMON_KEYS | {"loglik_trace", "params"}
+        assert doc["kind"] == "ml"
+        assert set(doc["params"]) == {"pi", "gaussian", "positive", "negative"}
+        assert doc["params"]["positive"]["family"] == ("gamma" if model == "ggm" else "invgamma")
 
 
 def test_fit_f64le_and_standardize(tmp_path):

@@ -1,0 +1,108 @@
+"""Property tests: every model fitted by name through ``experiments.fit``.
+
+The inputs are hostile: three samples, tied values, exact zeros, one-sided
+data, scales of 1e+-150 and Cauchy tails. On each input every model must
+return finite responsibilities on the probability simplex that obey the
+support rule (no positive-activation mass at x <= 0, no negative-activation
+mass at x >= 0), and a repeat fit with the same seed must reproduce the first
+one exactly.
+
+At the 1e+150 scale the suite draws only mixture data with at least 100
+samples. On smaller, tied, one-sided or Cauchy-tailed data at that scale the
+fitters raise instead of fitting: a k-means cluster whose variance sits at the
+absolute floor of ``initialization`` gives a method-of-moments shape of
+mean**2 / 1e-6, which overflows. ``test_large_scale_small_cluster_is_refused``
+pins one such input as a known failure.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gigmix.experiments import MODEL_NAMES, fit
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+_SCALES = (1.0, 1e-150)
+
+
+@st.composite
+def tied_data(draw):
+    """Small integers (zeros and duplicates included), n from 3, scaled."""
+    values = draw(st.lists(st.integers(-4, 4), min_size=3, max_size=40))
+    return np.asarray(values, dtype=float) * draw(st.sampled_from(_SCALES))
+
+
+@st.composite
+def drawn_data(draw):
+    """Continuous draws, some of them one-sided or heavy-tailed, with a share
+    of exact zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 300))
+    kind = draw(st.sampled_from(("mixture", "cauchy", "positive", "negative")))
+    if kind == "mixture":
+        x = rng.normal(rng.choice([-3.0, 0.0, 3.0], n, p=[0.1, 0.8, 0.1]), 1.0)
+    elif kind == "cauchy":
+        x = rng.standard_cauchy(n)
+    elif kind == "positive":
+        x = rng.lognormal(0.0, 1.5, n)
+    else:
+        x = -rng.exponential(1.0, n)
+    x[: draw(st.integers(0, n // 4))] = 0.0
+    return x * draw(st.sampled_from(_SCALES))
+
+
+@st.composite
+def large_scale_data(draw):
+    """Three-cluster mixture data at the 1e+150 scale, with exact zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(100, 300))
+    x = rng.normal(rng.choice([-3.0, 0.0, 3.0], n, p=[0.1, 0.8, 0.1]), 1.0)
+    x[: draw(st.integers(0, n // 4))] = 0.0
+    return x * 1e150
+
+
+def _fit_quietly(model, x, seed):
+    # Constant input makes k-means warn that it duplicates one cluster.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fit(model, x, seed)
+
+
+def check_fit(model, x, seed):
+    r = _fit_quietly(model, x, seed)
+    g = r.responsibilities
+    assert g.shape == (x.size, 3)
+    assert np.all(np.isfinite(g))
+    assert np.all(g >= 0.0)
+    assert np.allclose(g.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.all(g[x <= 0, 1] == 0.0)
+    assert np.all(g[x >= 0, 2] == 0.0)
+    again = _fit_quietly(model, x, seed)
+    assert np.array_equal(again.responsibilities, g)
+    assert again.iterations == r.iterations
+    assert again.converged == r.converged
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+@SETTINGS
+@given(
+    x=st.one_of(tied_data(), drawn_data(), large_scale_data()),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(x=np.array([-1.0, 0.0, 2.0]), seed=0)
+@example(x=np.zeros(5), seed=1)
+@example(x=np.full(7, 3.0), seed=2)
+@example(x=np.array([0.5, 0.5, 0.5, 4.0, 4.0]), seed=3)
+@example(x=-np.array([0.5, 1.0, 2.0, 8.0]), seed=4)
+def test_fit_is_finite_on_simplex_supported_and_deterministic(model, x, seed):
+    check_fit(model, x, seed)
+
+
+@pytest.mark.xfail(raises=ValueError, strict=True, reason="shape overflow at 1e+150 scale")
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_large_scale_small_cluster_is_refused(model):
+    check_fit(model, np.array([0.6, 8.3, 37.7]) * 1e150, 0)

@@ -162,6 +162,25 @@ def test_fit_deterministic_given_seed(model):
     assert a.params.comp2 == b.params.comp2
 
 
+@pytest.mark.parametrize("model", ["ggm", "gim"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fit_without_init_equals_explicit_kmeans_init(model, seed):
+    # At SNR 3 the k-means clusters of this draw differ between seeds 0, 1, 2.
+    x, _ = synthetic(seed=11, n=4000, pi=(0.9, 0.07, 0.03), snr=3.0)
+    fitter = fit_ggm if model == "ggm" else fit_gim
+    own = fitter(x, None, MLFitConfig(seed=seed))
+    explicit = fit_with_init(x, model, seed=seed)
+    assert np.array_equal(own.responsibilities, explicit.responsibilities)
+    assert np.array_equal(own.loglik_trace, explicit.loglik_trace)
+    assert np.array_equal(own.params.pi, explicit.params.pi)
+    assert (own.params.comp1, own.params.comp2, own.params.comp3) == (
+        explicit.params.comp1,
+        explicit.params.comp2,
+        explicit.params.comp3,
+    )
+    assert own.iterations == explicit.iterations
+
+
 def test_fit_family_mismatch_rejected():
     x, _ = synthetic(seed=9, n=1000)
     km = kmeans_1d(x, 3, 0)

@@ -255,10 +255,9 @@ def test_update_shape_prior_recovery_and_log_accumulation():
 
 def test_update_responsibilities_support_rule():
     e = make_cache()
-    gamma, stats, ndeg = update_responsibilities(
+    gamma, stats = update_responsibilities(
         np.array([-2.0, -0.1, 0.0, 0.4, 3.0]), e, GAMMA_FAMS
     )
-    assert ndeg == 0
     assert np.all(gamma[:2, 1] == 0.0)
     assert np.all(gamma[3:, 2] == 0.0)
     assert gamma[2, 0] == 1.0
@@ -302,7 +301,7 @@ def _log_rho_reference(x, e, families):
 def test_update_responsibilities_matches_stated_formulas(families):
     e = make_cache(families)
     data = np.array([0.8, -1.3, 2.4])
-    gamma, _, _ = update_responsibilities(data, e, families)
+    gamma, _ = update_responsibilities(data, e, families)
     for i, x in enumerate(data):
         lr = _log_rho_reference(float(x), e, families)
         rho = np.exp(lr - lr.max())
@@ -312,7 +311,7 @@ def test_update_responsibilities_matches_stated_formulas(families):
 
 def test_update_responsibilities_gaussian_dominates_near_zero():
     e = make_cache(s=np.array([8.0, 11.0]))
-    gamma, _, _ = update_responsibilities(np.array([1e-6, -1e-6]), e, GAMMA_FAMS)
+    gamma, _ = update_responsibilities(np.array([1e-6, -1e-6]), e, GAMMA_FAMS)
     assert gamma[0, 0] > 1.0 - 1e-12
     assert gamma[1, 0] > 1.0 - 1e-12
 
@@ -320,7 +319,7 @@ def test_update_responsibilities_gaussian_dominates_near_zero():
 def test_update_responsibilities_stats_match_direct_sums():
     e = make_cache()
     data = synthetic(seed=8, n=50)
-    gamma, stats, _ = update_responsibilities(data, e, GAMMA_FAMS)
+    gamma, stats = update_responsibilities(data, e, GAMMA_FAMS)
     pos, neg = data > 0, data < 0
     assert np.allclose(stats.n, gamma.sum(axis=0), atol=1e-12)
     assert np.allclose(stats.xbar, gamma.T @ data, atol=1e-10)
@@ -449,7 +448,7 @@ def test_nfe_kl_terms_vanish_at_prior():
         st = prior_state(pr)
         e = expectations(st, pr)
         data = np.array([0.4, -0.7, 1.2, 2.0])
-        gamma, _, _ = update_responsibilities(data, e, fams)
+        gamma, _ = update_responsibilities(data, e, fams)
         nfe = negative_free_energy(data, gamma, st, pr, e)
         coupled = 0.0
         for i, x in enumerate(data):
@@ -542,7 +541,7 @@ def test_nfe_matches_term_by_term_oracle(fams):
         [0.6, -0.4, 1.8, 2.3, -1.1, 0.2, 3.4, -2.2, 0.9, -0.5, 1.2, 4.0]
     )
     e0 = make_cache(fams)
-    gamma, stats, _ = update_responsibilities(data, e0, fams)
+    gamma, stats = update_responsibilities(data, e0, fams)
     lam = update_pi(stats, pr)
     m_hat, tau_hat = update_mu(stats, pr, e_tau=e0.tau)
     c_hat, b_hat = update_tau(data, gamma, pr, m_hat, m_hat**2 + 1.0 / tau_hat)
