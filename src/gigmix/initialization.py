@@ -3,8 +3,8 @@
 A seeded 1-D k-means (k-means++ seeding, Lloyd iterations) splits the data
 into three clusters sorted by center. The middle cluster seeds the Gaussian,
 the outer ones seed the activation components through the method of moments
-on (mirrored) cluster statistics, and an ordinary density-weighted e-step
-with those parameters yields the initial responsibilities.
+on (mirrored) cluster statistics (``init_params``); ``init_mixture`` adds the
+responsibilities of the shared E-step kernel under those parameters.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import GaussianParams, MixtureParams, mom_gamma, mom_invgamma
+from .estep import e_step
 
 _VAR_FLOOR = 1e-6
 _MAX_LLOYD_ITER = 100
@@ -194,16 +195,12 @@ def _side_component(mean: float, variance: float, family):
     return mom(_FALLBACK_MEAN, _FALLBACK_VAR, sign=family.sign)
 
 
-def init_mixture(data, km: KMeansResult, families):
-    """Map sorted clusters to mixture parameters and initial responsibilities.
+def init_params(km: KMeansResult, families) -> MixtureParams:
+    """Map sorted clusters to mixture parameters.
 
     The highest-center cluster always becomes component 2 and the lowest
-    component 3, with moments mirrored for the negative side. Returns the
-    parameter point estimate together with the responsibilities of a density
-    e-step under it.
+    component 3, with moments mirrored for the negative side.
     """
-    from .ml_em import e_step
-
     pos_family, neg_family = families
     if pos_family.sign != 1 or neg_family.sign != -1:
         raise ValueError("families must be (positive-support, negative-support)")
@@ -213,7 +210,11 @@ def init_mixture(data, km: KMeansResult, families):
     comp3 = _side_component(-float(km.cluster_means[0]), float(km.cluster_vars[0]), neg_family)
     counts = km.cluster_counts.astype(float)
     pi = np.array([counts[1], counts[2], counts[0]]) / counts.sum()
+    return MixtureParams(pi, comp1, comp2, comp3)
 
-    params = MixtureParams(pi, comp1, comp2, comp3)
-    gamma = e_step(np.asarray(data, dtype=float).ravel(), params)
-    return params, gamma
+
+def init_mixture(data, km: KMeansResult, families):
+    """The ``init_params`` point estimate together with the responsibilities
+    of one E-step under it."""
+    params = init_params(km, families)
+    return params, e_step(data, params)

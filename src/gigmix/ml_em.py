@@ -1,13 +1,15 @@
 """Maximum-likelihood EM fitters with moment-matched M-steps.
 
 ``fit_ggm`` learns a Gaussian + (negative/positive) Gamma mixture and
-``fit_gim`` the inverse-Gamma variant. The E-step is the usual responsibility
-computation done in log space; the M-step updates the Gaussian with weighted
-moments and converts the weighted (mirrored) moments of the activation
-components into shape/rate parameters by the method of moments instead of
-numerical shape optimization. Without an explicit initial point a fit starts,
-as the variational fits do, from the k-means initialization seeded by
-``MLFitConfig.seed``, and its wall time includes that initialization.
+``fit_gim`` the inverse-Gamma variant. The E-step is the per-side kernel of
+``estep`` that the variational fits use, run under the point estimates; its
+sufficient statistics feed the M-step, which updates the Gaussian with
+weighted moments and converts the weighted (mirrored) moments of the
+activation components into shape/rate parameters by the method of moments
+instead of numerical shape optimization. A fit builds its N x 3
+responsibilities once, at the end. Without an explicit initial point a fit
+starts, as the variational fits do, from the k-means initialization seeded
+by ``MLFitConfig.seed``, and its wall time includes that initialization.
 """
 
 from __future__ import annotations
@@ -25,9 +27,17 @@ from .distributions import (
     INVGAMMA_POS,
     GaussianParams,
     MixtureParams,
-    log_pdf,
     mom_gamma,
     mom_invgamma,
+)
+from .estep import (
+    SufficientStats,
+    _assemble_gamma,
+    _DataCache,
+    e_step,
+    finite_data,
+    point_pass,
+    sufficient_stats,
 )
 
 _VAR_FLOOR = 1e-10
@@ -64,51 +74,19 @@ class MLFitResult:
     degenerate_rows: int = 0
 
 
-def _component_log_densities(x: np.ndarray, params: MixtureParams) -> np.ndarray:
-    out = np.empty((x.size, 3))
-    out[:, 0] = log_pdf(params.comp1, x)
-    out[:, 1] = log_pdf(params.comp2, x)
-    out[:, 2] = log_pdf(params.comp3, x)
-    return out
+def _e_step(cache: _DataCache, params: MixtureParams):
+    """The shared kernel under point estimates: side responsibilities,
+    sufficient statistics, observed-data log-likelihood, degenerate-row count."""
+    return point_pass(cache, params)
 
 
-def _e_step(x: np.ndarray, params: MixtureParams):
-    """Responsibilities, observed-data log-likelihood, degenerate-row count."""
-    lp = _component_log_densities(x, params)
-    with np.errstate(divide="ignore"):
-        lp += np.log(params.pi)[None, :]
-    m = lp.max(axis=1)
-    degenerate = ~np.isfinite(m)
-    with np.errstate(invalid="ignore"):
-        rho = np.exp(lp - m[:, None])
-    ndeg = int(degenerate.sum())
-    if ndeg:
-        # Zero density under every component: hand the point to the Gaussian.
-        rho[degenerate] = (1.0, 0.0, 0.0)
-    sums = rho.sum(axis=1)
-    gamma = rho / sums[:, None]
-    ok = ~degenerate
-    loglik = float(np.sum(m[ok] + np.log(sums[ok])))
-    return gamma, loglik, ndeg
+def _moments(total: float, total_sq: float, n_k: float):
+    mean = total / n_k
+    return mean, max(total_sq / n_k - mean * mean, _VAR_FLOOR)
 
 
-def e_step(data, params: MixtureParams) -> np.ndarray:
-    """N x 3 responsibilities; rows sum to 1 and respect the support signs."""
-    x = np.asarray(data, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("data must be finite")
-    gamma, _, _ = _e_step(x, params)
-    return gamma
-
-
-def _weighted_moments(x: np.ndarray, w: np.ndarray, n_k: float):
-    mean = float(w @ x) / n_k
-    var = float(w @ (x * x)) / n_k - mean * mean
-    return mean, max(var, _VAR_FLOOR)
-
-
-def _side_update(x, w, n_k, family):
-    mean, var = _weighted_moments(family.sign * x, w, n_k)
+def _side_update(total, total_sq, n_k, family):
+    mean, var = _moments(total, total_sq, n_k)
     mean = max(mean, _MEAN_FLOOR)
     mom = mom_gamma if family.kind == "gamma" else mom_invgamma
     params = mom(mean, var, sign=family.sign)
@@ -120,59 +98,55 @@ def _side_update(x, w, n_k, family):
 
 def m_step(
     data,
-    gamma: np.ndarray,
+    gamma,
     prev: MixtureParams,
     min_component_mass: float = 1.0,
 ) -> MixtureParams:
     """Moment-matched parameter update.
 
-    Components whose soft count falls below ``min_component_mass`` keep their
-    previous parameters (their mixing proportion still shrinks with the
-    count), which keeps near-empty components well defined.
+    ``gamma`` is an N x 3 responsibility matrix over ``data``, or the
+    ``SufficientStats`` the E-step kernel returns (then ``data`` is not
+    read). Components whose soft count falls below ``min_component_mass``
+    keep their previous parameters (their mixing proportion still shrinks
+    with the count), which keeps near-empty components well defined.
     """
-    x = np.asarray(data, dtype=float).ravel()
-    n_k = gamma.sum(axis=0)
+    stats = gamma if isinstance(gamma, SufficientStats) else sufficient_stats(data, gamma)
+    n_k = stats.n
     pi = n_k / n_k.sum()
 
+    comp1 = prev.comp1
     if n_k[0] >= min_component_mass:
-        mean, var = _weighted_moments(x, gamma[:, 0], n_k[0])
+        mean, var = _moments(float(stats.xbar[0]), stats.sxx1, n_k[0])
         comp1 = GaussianParams(mean, 1.0 / var)
-    else:
-        comp1 = prev.comp1
-    comp2 = (
-        _side_update(x, gamma[:, 1], n_k[1], prev.comp2.family)
-        if n_k[1] >= min_component_mass
-        else prev.comp2
-    )
-    comp3 = (
-        _side_update(x, gamma[:, 2], n_k[2], prev.comp3.family)
-        if n_k[2] >= min_component_mass
-        else prev.comp3
-    )
-    return MixtureParams(pi, comp1, comp2, comp3)
+    sides = [prev.comp2, prev.comp3]
+    for k, comp in enumerate(sides):
+        if n_k[k + 1] >= min_component_mass:
+            family = comp.family
+            total = family.sign * float(stats.xbar[k + 1])
+            sides[k] = _side_update(total, float(stats.sq_x[k]), n_k[k + 1], family)
+    return MixtureParams(pi, comp1, *sides)
 
 
 def _fit_ml(
     data, init: MixtureParams | None, cfg: MLFitConfig, kind: str, label: str
 ) -> MLFitResult:
-    x = np.asarray(data, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("data must be finite")
+    x = finite_data(data)
     if init is not None and (init.comp2.family.kind, init.comp3.family.kind) != (kind, kind):
         raise ValueError(f"{label} requires {kind} activation components in init")
 
     start = time.perf_counter()
     if init is None:
         km = initialization.kmeans_1d(x, 3, cfg.seed)
-        init, _ = initialization.init_mixture(x, km, _FAMILIES[kind])
+        init = initialization.init_params(km, _FAMILIES[kind])
     params = init
+    cache = _DataCache(x)
     trace = []
     converged = False
     degenerate = 0
-    gamma = None
+    g2 = g3 = None
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        gamma, loglik, ndeg = _e_step(x, params)
+        g2, g3, stats, loglik, ndeg = _e_step(cache, params)
         degenerate += ndeg
         trace.append(loglik)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= cfg.rel_tolerance * (
@@ -182,10 +156,10 @@ def _fit_ml(
             break
         if iterations == cfg.max_iterations:
             break
-        params = m_step(x, gamma, params, cfg.min_component_mass)
+        params = m_step(x, stats, params, cfg.min_component_mass)
     return MLFitResult(
         params=params,
-        responsibilities=gamma,
+        responsibilities=_assemble_gamma(cache, g2, g3),
         loglik_trace=np.asarray(trace),
         iterations=iterations,
         wall_time_seconds=time.perf_counter() - start,

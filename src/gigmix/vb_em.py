@@ -32,10 +32,20 @@ from .distributions import (
     mom_gamma,
     mom_invgamma,
 )
-from .initialization import init_mixture, kmeans_1d
+from .estep import (
+    ExpectationCache,
+    SufficientStats,
+    _assemble_gamma,
+    _DataCache,
+    _gaussian_log_rho,
+    _responsibility_pass,
+    _side_log_rho,
+    finite_data,
+    point_pass,
+    sufficient_stats,
+)
+from .initialization import init_params, kmeans_1d
 from .special import digamma, inv_digamma, log_gamma, tetragamma, trigamma
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 class VBNumericError(RuntimeError):
@@ -81,38 +91,6 @@ class VBState:
     log_a_hat: np.ndarray
     b_hat_s: np.ndarray
     c_hat_s: np.ndarray
-
-
-@dataclass
-class ExpectationCache:
-    """Posterior expectations consumed by the responsibility update and NFE."""
-
-    pi: np.ndarray
-    log_pi: np.ndarray
-    mu: float
-    mu2: float
-    tau: float
-    log_tau: float
-    r: np.ndarray
-    log_r: np.ndarray
-    s: np.ndarray
-    log_gamma_s: np.ndarray
-
-
-@dataclass
-class SufficientStats:
-    """Soft-count statistics of one responsibility matrix.
-
-    ``xbar`` is the signed weighted sum per component; ``log_x`` and
-    ``recip_x`` accumulate log and reciprocal of the mirrored values for the
-    two activation components.
-    """
-
-    n: np.ndarray
-    xbar: np.ndarray
-    sxx1: float
-    log_x: np.ndarray
-    recip_x: np.ndarray
 
 
 @dataclass
@@ -189,124 +167,11 @@ def default_hyperpriors(pos_family: ComponentFamily, neg_family: ComponentFamily
     )
 
 
-class _DataCache:
-    """Per-fit precomputations: support indices and mirrored transforms.
-
-    The responsibility pass only ever combines these arrays with scalar
-    coefficients, so everything data-dependent is computed exactly once per
-    fit. ``xp``/``xn`` hold the mirrored values on each support side.
-    """
-
-    __slots__ = (
-        "x",
-        "sq",
-        "pos",
-        "neg",
-        "zero",
-        "xp",
-        "xn",
-        "sq_p",
-        "sq_n",
-        "log_xp",
-        "log_xn",
-        "inv_xp",
-        "inv_xn",
-        "sum_x",
-        "sum_sq",
-    )
-
-    def __init__(self, x: np.ndarray):
-        self.x = x
-        self.sq = x * x
-        self.pos = np.nonzero(x > 0)[0]
-        self.neg = np.nonzero(x < 0)[0]
-        self.zero = np.nonzero(x == 0)[0]
-        self.xp = x[self.pos]
-        self.xn = -x[self.neg]
-        self.sq_p = self.xp * self.xp
-        self.sq_n = self.xn * self.xn
-        self.log_xp = np.log(self.xp)
-        self.log_xn = np.log(self.xn)
-        self.inv_xp = 1.0 / self.xp
-        self.inv_xn = 1.0 / self.xn
-        self.sum_x = float(self.x.sum())
-        self.sum_sq = float(self.sq.sum())
-
-
-def _gaussian_log_rho(cache: _DataCache, e: ExpectationCache) -> np.ndarray:
-    const = e.log_pi[0] + 0.5 * e.log_tau - 0.5 * _LOG_2PI - 0.5 * e.tau * e.mu2
-    a = cache.sq * (-0.5 * e.tau)
-    a += cache.x * (e.tau * e.mu)
-    a += const
-    return a
-
-
-def _side_log_rho(e: ExpectationCache, k: int, fam, logs, vals, invs) -> np.ndarray:
-    const = e.log_pi[k + 1] + e.s[k] * e.log_r[k] - e.log_gamma_s[k]
-    if fam.kind == "gamma":
-        b = logs * (e.s[k] - 1.0)
-        b += vals * (-e.r[k])
-    else:
-        b = logs * (-(e.s[k] + 1.0))
-        b += invs * (-e.r[k])
-    b += const
-    return b
-
-
-def _side_softmax(a_side: np.ndarray, b_side: np.ndarray):
-    """Two-way softmax of (Gaussian, activation) on one support side.
-
-    Returns the activation responsibility and the per-point log-sum-exp.
-    """
-    m = np.maximum(a_side, b_side)
-    e1 = np.exp(a_side - m)
-    e2 = np.exp(b_side - m)
-    total = e1 + e2
-    return e2 / total, m + np.log(total)
-
-
-def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families):
-    """One packed pass: side responsibilities, sufficient stats, total LSE.
-
-    Off-support responsibilities are identically zero by construction; data
-    points at exactly zero are assigned to the Gaussian.
-    """
-    a = _gaussian_log_rho(cache, e)
-    b_pos = _side_log_rho(e, 0, families[0], cache.log_xp, cache.xp, cache.inv_xp)
-    b_neg = _side_log_rho(e, 1, families[1], cache.log_xn, cache.xn, cache.inv_xn)
-    g2, lse_pos = _side_softmax(a[cache.pos], b_pos)
-    g3, lse_neg = _side_softmax(a[cache.neg], b_neg)
-    lse_total = float(lse_pos.sum()) + float(lse_neg.sum()) + float(a[cache.zero].sum())
-
-    n2 = float(g2.sum())
-    n3 = float(g3.sum())
-    sx2 = float(g2 @ cache.xp)
-    sx3 = float(g3 @ cache.xn)
-    stats = SufficientStats(
-        n=np.array([cache.x.size - n2 - n3, n2, n3]),
-        xbar=np.array([cache.sum_x - sx2 + sx3, sx2, -sx3]),
-        sxx1=cache.sum_sq - float(g2 @ cache.sq_p) - float(g3 @ cache.sq_n),
-        log_x=np.array([float(g2 @ cache.log_xp), float(g3 @ cache.log_xn)]),
-        recip_x=np.array([float(g2 @ cache.inv_xp), float(g3 @ cache.inv_xn)]),
-    )
-    return g2, g3, stats, lse_total
-
-
-def _assemble_gamma(cache: _DataCache, g2: np.ndarray, g3: np.ndarray) -> np.ndarray:
-    gamma = np.zeros((cache.x.size, 3))
-    gamma[:, 0] = 1.0
-    gamma[cache.pos, 0] = 1.0 - g2
-    gamma[cache.pos, 1] = g2
-    gamma[cache.neg, 0] = 1.0 - g3
-    gamma[cache.neg, 2] = g3
-    return gamma
-
-
 def _log_rho(cache: _DataCache, expectations: ExpectationCache, families) -> np.ndarray:
     """Unnormalized log-responsibilities as a full matrix; -inf is out-of-support."""
     e = expectations
     lr = np.full((cache.x.size, 3), -np.inf)
-    lr[:, 0] = _gaussian_log_rho(cache, e)
+    lr[:, 0] = _gaussian_log_rho(e, cache.sq, cache.x)
     lr[cache.pos, 1] = _side_log_rho(e, 0, families[0], cache.log_xp, cache.xp, cache.inv_xp)
     lr[cache.neg, 2] = _side_log_rho(e, 1, families[1], cache.log_xn, cache.xn, cache.inv_xn)
     return lr
@@ -314,31 +179,9 @@ def _log_rho(cache: _DataCache, expectations: ExpectationCache, families) -> np.
 
 def update_responsibilities(data, expectations: ExpectationCache, families):
     """Responsibilities and sufficient statistics for one pass over the data."""
-    x = np.asarray(data, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("data must be finite")
-    cache = _DataCache(x)
-    g2, g3, stats, _ = _responsibility_pass(cache, expectations, families)
+    cache = _DataCache(finite_data(data))
+    g2, g3, stats, _, _ = _responsibility_pass(cache, expectations, families)
     return _assemble_gamma(cache, g2, g3), stats
-
-
-def sufficient_stats(data, gamma: np.ndarray) -> SufficientStats:
-    """Soft-count statistics of an arbitrary responsibility matrix."""
-    return _gamma_stats(_DataCache(np.asarray(data, dtype=float).ravel()), gamma)
-
-
-def _gamma_stats(cache: _DataCache, gamma: np.ndarray) -> SufficientStats:
-    return SufficientStats(
-        n=gamma.sum(axis=0),
-        xbar=gamma.T @ cache.x,
-        sxx1=float(gamma[:, 0] @ cache.sq),
-        log_x=np.array(
-            [gamma[cache.pos, 1] @ cache.log_xp, gamma[cache.neg, 2] @ cache.log_xn]
-        ),
-        recip_x=np.array(
-            [gamma[cache.pos, 1] @ cache.inv_xp, gamma[cache.neg, 2] @ cache.inv_xn]
-        ),
-    )
 
 
 def _mirrored_xbar(stats: SufficientStats) -> np.ndarray:
@@ -501,14 +344,17 @@ def _kl_shape(state: VBState, priors: HyperPriors, e: ExpectationCache) -> float
 
 
 def _kl_total(state: VBState, priors: HyperPriors, e: ExpectationCache) -> float:
-    kl = _kl_dirichlet(state.lambda_hat, priors.lambda0)
-    kl += _kl_gaussian(state.m_hat, state.tau_hat, priors.m0, priors.tau0)
-    kl += _kl_gamma_shape_scale(state.c_hat, state.b_hat, priors.c0_tau, priors.b0_tau)
-    for k in range(2):
-        kl += _kl_gamma_shape_rate(
-            float(state.d_hat[k]), float(state.e_hat[k]), priors.d0[k], priors.e0[k]
-        )
-    kl += _kl_shape(state, priors, e)
+    try:
+        kl = _kl_dirichlet(state.lambda_hat, priors.lambda0)
+        kl += _kl_gaussian(state.m_hat, state.tau_hat, priors.m0, priors.tau0)
+        kl += _kl_gamma_shape_scale(state.c_hat, state.b_hat, priors.c0_tau, priors.b0_tau)
+        for k in range(2):
+            kl += _kl_gamma_shape_rate(
+                float(state.d_hat[k]), float(state.e_hat[k]), priors.d0[k], priors.e0[k]
+            )
+        kl += _kl_shape(state, priors, e)
+    except OverflowError as exc:
+        raise VBNumericError(f"KL divergence overflowed: {exc}") from exc
     return kl
 
 
@@ -556,23 +402,17 @@ def _update_state(stats: SufficientStats, priors: HyperPriors, e_tau: float, e_s
 
 
 def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
-    x = np.ascontiguousarray(np.asarray(data, dtype=float).ravel())
+    x = np.ascontiguousarray(finite_data(data))
     if x.size < 3:
         raise ValueError("need at least 3 samples")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("data must be finite")
 
     start = time.perf_counter()
     priors = default_hyperpriors(*families)
-    km = kmeans_1d(x, 3, cfg.seed)
-    init_params, gamma0 = init_mixture(x, km, families)
+    init = init_params(kmeans_1d(x, 3, cfg.seed), families)
     cache = _DataCache(x)
-    stats = _gamma_stats(cache, gamma0)
+    _, _, stats, _, _ = point_pass(cache, init)
     state = _update_state(
-        stats,
-        priors,
-        e_tau=init_params.comp1.tau,
-        e_s=(init_params.comp2.shape, init_params.comp3.shape),
+        stats, priors, e_tau=init.comp1.tau, e_s=(init.comp2.shape, init.comp3.shape)
     )
     cache_e = expectations(state, priors)
 
@@ -581,9 +421,11 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
     iterations = 0
     g2 = g3 = None
     for iterations in range(1, cfg.max_iterations + 1):
-        g2, g3, stats, lse_total = _responsibility_pass(cache, cache_e, families)
+        g2, g3, stats, lse_total, ndeg = _responsibility_pass(cache, cache_e, families)
         nfe = lse_total - _kl_total(state, priors, cache_e)
-        if not math.isfinite(nfe):
+        # Expected log-proportions are finite, so a point without a finite
+        # log-sum-exp means the expectations overflowed.
+        if ndeg or not math.isfinite(nfe):
             raise VBNumericError(
                 f"negative free energy diverged at iteration {iterations}: {nfe}"
             )

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gigmix
 import gigmix.experiments as experiments
 from gigmix.cli import main
 from gigmix.io import write_values_f64le, write_values_txt
@@ -252,3 +257,23 @@ def test_missing_input_is_runtime_error(tmp_path):
         ["fit", "--model", "gim", "--input", str(tmp_path / "nope.txt"), "--output", "o"]
     )
     assert rc == 2
+
+
+def test_fit_overflow_is_runtime_error(tmp_path, capsys):
+    # The VB objective overflows on these values; that is a runtime error.
+    path = tmp_path / "huge.txt"
+    write_values_txt(path, [-1.9582996977034442e149, 2.7729681165263924e149, -1.3457915916959852e150])
+    with np.errstate(all="ignore"):
+        rc = main(["fit", "--model", "bggm", "--input", str(path), "--output", str(tmp_path / "o.json")])
+    assert rc == 2
+    assert "gigmix fit: error:" in capsys.readouterr().err
+
+
+def test_python_m_gigmix_runs_the_cli():
+    src = Path(gigmix.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "gigmix", "--help"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: gigmix")

@@ -1,0 +1,151 @@
+"""Property tests: the shared E-step kernel under point estimates (the ML
+E-step) against a dense oracle.
+
+The oracle builds the full N x 3 matrix of log pi_k + log p_k(x) from
+``scipy.stats`` (norm, gamma, invgamma; -inf off the support and for a zero
+proportion), hands rows with zero density under every component to the
+Gaussian, and leaves them out of the log-likelihood. The inputs are hostile:
+proportions with exact zeros, exact-zero data, one-sided data, n = 3, and
+scales of 1e+-150 with parameters scaled to match.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
+from scipy.stats import gamma as gamma_dist
+from scipy.stats import invgamma as invgamma_dist
+from scipy.stats import norm as norm_dist
+
+from gigmix.distributions import (
+    GAMMA_NEG,
+    GAMMA_POS,
+    INVGAMMA_NEG,
+    INVGAMMA_POS,
+    GaussianParams,
+    MixtureParams,
+    ShapeRateParams,
+)
+from gigmix.estep import _assemble_gamma, _DataCache
+from gigmix.ml_em import _e_step
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+TOL = 1e-10
+
+
+def oracle(x, params):
+    """Responsibilities, log-likelihood and degenerate-row count, dense."""
+    lw = np.full((x.size, 3), -np.inf)
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(params.pi)
+        g = params.comp1
+        lw[:, 0] = log_pi[0] + norm_dist.logpdf(x, g.mu, 1.0 / math.sqrt(g.tau))
+        for k, comp in ((1, params.comp2), (2, params.comp3)):
+            z = comp.family.sign * x
+            on = z > 0
+            if comp.family.kind == "gamma":
+                dens = gamma_dist.logpdf(z[on], comp.shape, scale=1.0 / comp.rate)
+            else:
+                dens = invgamma_dist.logpdf(z[on], comp.shape, scale=comp.rate)
+            lw[on, k] = log_pi[k] + dens
+    lse = logsumexp(lw, axis=1)
+    bad = ~np.isfinite(lse)
+    gamma = np.zeros_like(lw)
+    gamma[~bad] = np.exp(lw[~bad] - lse[~bad, None])
+    gamma[bad] = (1.0, 0.0, 0.0)
+    return gamma, float(lse[~bad].sum()), int(bad.sum())
+
+
+@st.composite
+def proportions(draw):
+    """Points on the simplex, some with one or two exact zeros."""
+    w = np.array([draw(st.sampled_from((0.0, 0.05, 0.3, 1.0, 3.0))) for _ in range(3)])
+    if w.sum() == 0:
+        w[draw(st.integers(0, 2))] = 1.0
+    return w / w.sum()
+
+
+@st.composite
+def case(draw):
+    """(data, parameters) at one scale; parameters scaled with the data."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((1.0, 1e150, 1e-150)))
+    kind = draw(st.sampled_from(("gamma", "invgamma")))
+    n = draw(st.sampled_from((3, 10, 200)))
+    side = draw(st.sampled_from(("both", "positive", "negative")))
+    x = rng.normal(0.0, 1.0, n) + rng.choice([-4.0, 0.0, 4.0], n)
+    if side == "positive":
+        x = np.abs(x)
+    elif side == "negative":
+        x = -np.abs(x)
+    x[: draw(st.integers(0, n // 3))] = 0.0
+    pos, neg = (GAMMA_POS, GAMMA_NEG) if kind == "gamma" else (INVGAMMA_POS, INVGAMMA_NEG)
+    sides = []
+    for fam in (pos, neg):
+        shape = float(rng.uniform(0.5, 30.0))
+        mean = float(rng.uniform(0.5, 8.0)) * scale
+        rate = shape / mean if kind == "gamma" else mean * (shape + 1.0)
+        sides.append(ShapeRateParams(shape, rate, fam))
+    comp1 = GaussianParams(float(rng.uniform(-2.0, 2.0)) * scale, 1.0 / (float(rng.uniform(0.3, 3.0)) * scale) ** 2)
+    return x * scale, MixtureParams(draw(proportions()), comp1, *sides)
+
+
+def _params(pi, kind="gamma"):
+    pos, neg = (GAMMA_POS, GAMMA_NEG) if kind == "gamma" else (INVGAMMA_POS, INVGAMMA_NEG)
+    return MixtureParams(
+        np.asarray(pi, dtype=float),
+        GaussianParams(0.5, 2.0),
+        ShapeRateParams(4.0, 1.5, pos),
+        ShapeRateParams(2.0, 3.0, neg),
+    )
+
+
+@SETTINGS
+@given(c=case())
+@example(c=(np.array([-1.0, 0.0, 2.0]), _params((0.0, 1.0, 0.0))))
+@example(c=(np.array([-1.0, 0.0, 2.0, 0.0]), _params((0.0, 0.5, 0.5), "invgamma")))
+@example(c=(np.zeros(3), _params((0.0, 0.5, 0.5))))
+@example(c=(np.array([3.0, 40.0, 25.0, 1e-3]), _params((0.2, 0.8, 0.0))))
+def test_ml_kernel_matches_dense_oracle(c):
+    x, params = c
+    cache = _DataCache(x)
+    g2, g3, stats, loglik, degenerate = _e_step(cache, params)
+    gamma = _assemble_gamma(cache, g2, g3)
+    want, want_loglik, want_degenerate = oracle(x, params)
+
+    assert degenerate == want_degenerate
+    assert np.max(np.abs(gamma - want)) <= TOL
+    assert abs(loglik - want_loglik) <= TOL * max(1.0, abs(want_loglik))
+
+    # The sums the M-step reads, each within TOL of its own size. The
+    # Gaussian ones are totals minus sides unless that would cancel.
+    sq = x * x
+    mirrored = [x @ want[:, 1], -(x @ want[:, 2])]
+    assert np.allclose(stats.n, want.sum(axis=0), rtol=TOL, atol=TOL * x.size)
+    for got, exact, size in (
+        (stats.xbar[0], x @ want[:, 0], np.abs(x) @ want[:, 0]),
+        (stats.sxx1, sq @ want[:, 0], sq @ want[:, 0]),
+        (stats.xbar[1], mirrored[0], mirrored[0]),
+        (-stats.xbar[2], mirrored[1], mirrored[1]),
+        (stats.sq_x[0], sq @ want[:, 1], sq @ want[:, 1]),
+        (stats.sq_x[1], sq @ want[:, 2], sq @ want[:, 2]),
+    ):
+        assert abs(got - exact) <= TOL * size + 1e-300
+
+
+def test_small_gaussian_mass_sums_do_not_cancel():
+    # Nearly all mass sits in the activation components far from zero: the
+    # Gaussian's sum of squares is about 1e-9 of the total.
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.gamma(50.0, 20.0, 5000), rng.normal(0.0, 0.01, 3)])
+    params = MixtureParams(
+        np.array([1e-3, 1.0 - 2e-3, 1e-3]),
+        GaussianParams(0.0, 1e4),
+        ShapeRateParams(50.0, 1.0 / 20.0, GAMMA_POS),
+        ShapeRateParams(50.0, 1.0 / 20.0, GAMMA_NEG),
+    )
+    _, _, stats, _, _ = _e_step(_DataCache(x), params)
+    want, _, _ = oracle(x, params)
+    assert abs(stats.sxx1 - (x * x) @ want[:, 0]) <= 1e-10 * ((x * x) @ want[:, 0])

@@ -5,7 +5,9 @@ data, scales of 1e+-150 and Cauchy tails. On each input every model must
 return finite responsibilities on the probability simplex that obey the
 support rule (no positive-activation mass at x <= 0, no negative-activation
 mass at x >= 0), and a repeat fit with the same seed must reproduce the first
-one exactly.
+one exactly. Fitting the mirrored data -x must mirror the fit: the same
+iteration count, and responsibilities with the two activation columns
+swapped.
 
 At the 1e+150 scale the suite draws only mixture data with at least 100
 samples. On smaller, tied, one-sided or Cauchy-tailed data at that scale the
@@ -106,3 +108,47 @@ def test_fit_is_finite_on_simplex_supported_and_deterministic(model, x, seed):
 @pytest.mark.parametrize("model", MODEL_NAMES)
 def test_large_scale_small_cluster_is_refused(model):
     check_fit(model, np.array([0.6, 8.3, 37.7]) * 1e150, 0)
+
+
+@st.composite
+def mixture_data(draw):
+    """Continuous three-cluster mixture data, n from 50 to 300."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(50, 300))
+    return rng.normal(rng.choice([-3.0, 0.0, 3.0], n, p=[0.1, 0.8, 0.1]), 1.0)
+
+
+# Mirrored data reach the same arithmetic up to rounding (sums run over the
+# sides in the other order), so converged mirror fits agree to about 1e-12.
+SIGN_FLIP_ATOL = 1e-8
+
+
+def check_sign_flip(model, x, seed):
+    r = _fit_quietly(model, x, seed)
+    m = _fit_quietly(model, -x, seed)
+    assert m.iterations == r.iterations
+    assert m.converged == r.converged
+    if r.converged:
+        swapped = m.responsibilities[:, [0, 2, 1]]
+        assert np.max(np.abs(swapped - r.responsibilities)) <= SIGN_FLIP_ATOL
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(x=mixture_data(), seed=st.integers(0, 2**31 - 1))
+def test_sign_flip_mirrors_the_fit(model, x, seed):
+    # A fit that stops at the iteration cap is only checked for stopping
+    # there on both sides; see the strict xfail below for why.
+    check_sign_flip(model, x, seed)
+
+
+@pytest.mark.xfail(strict=True, reason="bggm stopped at the cap is not mirror-symmetric")
+def test_sign_flip_of_capped_bggm_fit():
+    # bggm runs to its cap here with a falling objective; the two runs drift
+    # apart from rounding differences and end about 0.8 apart in gamma.
+    rng = np.random.default_rng(5)
+    n = int(rng.integers(50, 400))
+    x = rng.normal(rng.choice([-3.0, 0.0, 3.0], n, p=[0.1, 0.8, 0.1]), 1.0)
+    r = _fit_quietly("bggm", x, 5)
+    m = _fit_quietly("bggm", -x, 5)
+    assert np.max(np.abs(m.responsibilities[:, [0, 2, 1]] - r.responsibilities)) <= SIGN_FLIP_ATOL

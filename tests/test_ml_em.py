@@ -13,6 +13,7 @@ from gigmix.distributions import (
     ShapeRateParams,
     log_pdf,
 )
+from gigmix import estep, initialization, ml_em, vb_em
 from gigmix.initialization import init_mixture, kmeans_1d
 from gigmix.ml_em import MLFitConfig, e_step, fit_ggm, fit_gim, m_step
 
@@ -228,3 +229,38 @@ def test_config_validation():
         MLFitConfig(max_iterations=0)
     with pytest.raises(ValueError):
         MLFitConfig(rel_tolerance=0.0)
+
+
+@pytest.mark.parametrize("model", ["ggm", "gim"])
+def test_fit_runs_one_kernel_pass_per_iteration(model, monkeypatch):
+    # The k-means start gives parameters only; every E-step is an iteration.
+    calls = []
+    kernel = estep._responsibility_pass
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    for module in (estep, initialization, ml_em, vb_em):
+        if hasattr(module, "_responsibility_pass"):
+            monkeypatch.setattr(module, "_responsibility_pass", counted)
+    x, _ = synthetic(seed=11, n=4000, pi=(0.9, 0.07, 0.03), snr=3.0)
+    fitter = fit_ggm if model == "ggm" else fit_gim
+    res = fitter(x, None, MLFitConfig(seed=0))
+    assert res.iterations > 1
+    assert len(calls) == res.iterations
+
+
+def test_m_step_from_kernel_stats_equals_m_step_from_gamma():
+    x, _ = synthetic(seed=13, n=3000)
+    params = make_params()
+    cache = estep._DataCache(x)
+    g2, g3, stats, _, _ = estep.point_pass(cache, params)
+    from_stats = m_step(x, stats, params)
+    from_gamma = m_step(x, estep._assemble_gamma(cache, g2, g3), params)
+    assert np.allclose(from_stats.pi, from_gamma.pi, rtol=1e-12, atol=0.0)
+    for a, b in ((from_stats.comp1.mu, from_gamma.comp1.mu), (from_stats.comp1.tau, from_gamma.comp1.tau)):
+        assert a == pytest.approx(b, rel=1e-10)
+    for a, b in ((from_stats.comp2, from_gamma.comp2), (from_stats.comp3, from_gamma.comp3)):
+        assert a.shape == pytest.approx(b.shape, rel=1e-10)
+        assert a.rate == pytest.approx(b.rate, rel=1e-10)
