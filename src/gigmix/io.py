@@ -121,6 +121,7 @@ def result_to_dict(result, model: str, seed: int, include_timing: bool = False) 
         "model": model,
         "seed": int(seed),
         "converged": bool(result.converged),
+        "stop_reason": result.stop_reason,
         "iterations": int(result.iterations),
         "degenerate_rows": int(result.degenerate_rows),
     }

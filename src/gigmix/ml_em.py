@@ -38,6 +38,7 @@ from .estep import (
     finite_data,
     point_pass,
     sufficient_stats,
+    within_tolerance,
 )
 
 _VAR_FLOOR = 1e-10
@@ -65,12 +66,16 @@ class MLFitConfig:
 
 @dataclass
 class MLFitResult:
+    """An ML fit; ``stop_reason`` is "tolerance" or "max_iterations", and
+    ``converged`` means the fit was not capped."""
+
     params: MixtureParams
     responsibilities: np.ndarray
     loglik_trace: np.ndarray
     iterations: int
     wall_time_seconds: float
     converged: bool
+    stop_reason: str
     degenerate_rows: int = 0
 
 
@@ -141,7 +146,7 @@ def _fit_ml(
     params = init
     cache = _DataCache(x)
     trace = []
-    converged = False
+    stop_reason = "max_iterations"
     degenerate = 0
     g2 = g3 = None
     iterations = 0
@@ -149,10 +154,8 @@ def _fit_ml(
         g2, g3, stats, loglik, ndeg = _e_step(cache, params)
         degenerate += ndeg
         trace.append(loglik)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= cfg.rel_tolerance * (
-            1.0 + abs(trace[-2])
-        ):
-            converged = True
+        if len(trace) >= 2 and within_tolerance(trace[-2], trace[-1], cfg.rel_tolerance):
+            stop_reason = "tolerance"
             break
         if iterations == cfg.max_iterations:
             break
@@ -163,7 +166,8 @@ def _fit_ml(
         loglik_trace=np.asarray(trace),
         iterations=iterations,
         wall_time_seconds=time.perf_counter() - start,
-        converged=converged,
+        converged=stop_reason != "max_iterations",
+        stop_reason=stop_reason,
         degenerate_rows=degenerate,
     )
 

@@ -5,8 +5,9 @@ run a conjugate coordinate-ascent on the factorized posterior
 q(Z) q(pi) q(mu1) q(tau1) q(s) q(r). Every update is closed form; the shape
 posteriors use an unnormalized conjugate family whose expectations are
 computed with a Laplace approximation (mean through the inverse digamma) and
-a Taylor correction for E[log Gamma(s)]. Convergence is monitored through
-the negative free energy.
+a Taylor correction for E[log Gamma(s)]. The coordinate ascent is
+accelerated by SQUAREM extrapolation and monitored through the negative free
+energy (NFE), which the recorded path never lets fall.
 
 Posterior parametrizations mirror the prior ones: the Dirichlet weights
 ``lambda_hat``; Gaussian mean ``(m_hat, tau_hat)`` (mean, precision); the
@@ -43,6 +44,7 @@ from .estep import (
     finite_data,
     point_pass,
     sufficient_stats,
+    within_tolerance,
 )
 from .initialization import init_params, kmeans_1d
 from .special import digamma, inv_digamma, log_gamma, tetragamma, trigamma
@@ -95,6 +97,11 @@ class VBState:
 
 @dataclass
 class VBFitResult:
+    """A variational fit. ``iterations`` counts E-step passes, rejected SQUAREM
+    candidates included; ``nfe_trace`` holds the NFE of each recorded state,
+    the start and one per cycle. ``stop_reason`` is "tolerance", "no_ascent"
+    or "max_iterations", and ``converged`` means the fit was not capped."""
+
     state: VBState
     expectations: ExpectationCache
     responsibilities: np.ndarray
@@ -102,6 +109,7 @@ class VBFitResult:
     iterations: int
     wall_time_seconds: float
     converged: bool
+    stop_reason: str
     degenerate_rows: int
     priors: HyperPriors
 
@@ -401,7 +409,137 @@ def _update_state(stats: SufficientStats, priors: HyperPriors, e_tau: float, e_s
     return VBState(lam, m_hat, tau_hat, c_hat, b_hat, d_hat, e_hat, log_a_hat, b_hat_s, c_hat_s)
 
 
+def _pack(state: VBState) -> np.ndarray:
+    """The state as one vector for SQUAREM: the logs of its positive entries,
+    m_hat, and log_a_hat per unit of b_hat_s. log_a_hat is a weighted sum of
+    log-values that grows with n; as it is, its steps outweigh the others by
+    orders of magnitude and would set the step length alone."""
+    return np.concatenate(
+        (
+            np.log(state.lambda_hat),
+            [state.m_hat, math.log(state.tau_hat), math.log(state.c_hat), math.log(state.b_hat)],
+            np.log(state.d_hat),
+            np.log(state.e_hat),
+            state.log_a_hat / state.b_hat_s,
+            np.log(state.b_hat_s),
+            np.log(state.c_hat_s),
+        )
+    )
+
+
+def _unpack(theta: np.ndarray) -> VBState:
+    b_hat_s = np.exp(theta[13:15])
+    return VBState(
+        lambda_hat=np.exp(theta[0:3]),
+        m_hat=float(theta[3]),
+        tau_hat=math.exp(theta[4]),
+        c_hat=math.exp(theta[5]),
+        b_hat=math.exp(theta[6]),
+        d_hat=np.exp(theta[7:9]),
+        e_hat=np.exp(theta[9:11]),
+        log_a_hat=theta[11:13] * b_hat_s,
+        b_hat_s=b_hat_s,
+        c_hat_s=np.exp(theta[15:17]),
+    )
+
+
+@dataclass
+class _Point:
+    """A state after its E-step pass. The side responsibilities are dropped
+    (set to None) once the fit can no longer end at this state."""
+
+    state: VBState
+    expectations: ExpectationCache
+    stats: SufficientStats
+    nfe: float
+    g2: np.ndarray | None
+    g3: np.ndarray | None
+
+
+def _evaluate(cache: _DataCache, state: VBState, priors: HyperPriors, families, iteration: int) -> _Point:
+    """One E-step pass at ``state`` and the negative free energy there."""
+    e = expectations(state, priors)
+    g2, g3, stats, lse_total, ndeg = _responsibility_pass(cache, e, families)
+    nfe = lse_total - _kl_total(state, priors, e)
+    # Expected log-proportions are finite, so a point without a finite
+    # log-sum-exp means the expectations overflowed.
+    if ndeg or not math.isfinite(nfe):
+        raise VBNumericError(f"negative free energy diverged at iteration {iteration}: {nfe}")
+    return _Point(state, e, stats, nfe, g2, g3)
+
+
+def _step(point: _Point, priors: HyperPriors) -> VBState:
+    """The coordinate-ascent map F: the state updated from a pass's statistics."""
+    return _update_state(point.stats, priors, point.expectations.tau, point.expectations.s)
+
+
+# The step length is bounded by a cap that starts at 1, grows by this factor
+# after an accepted step at the cap and shrinks by it after a rejected one, as
+# in the SQUAREM R package (step.max0 = 1, mstep = 4). Without it, a state
+# drifting at a near-constant rate gives |r|/|v| in the hundreds, and every
+# candidate is rejected.
+_STEP_MAX_FACTOR = 4.0
+
+
+def _step_length(r: np.ndarray, v: np.ndarray, step_max: float) -> float:
+    """SQUAREM step length min(-1, -|r|/|v|), at least -step_max; the exactly
+    rounded sums keep it independent of the order of the packed entries."""
+    return max(min(-1.0, -math.sqrt(math.fsum(r * r) / math.fsum(v * v))), -step_max)
+
+
+def _extrapolated(
+    cache: _DataCache,
+    p0: _Point,
+    p1: _Point,
+    p2: _Point,
+    priors: HyperPriors,
+    families,
+    step_max: float,
+):
+    """The SQUAREM candidate F(theta') from the plain steps p0 -> p1 -> p2.
+
+    theta' = theta0 - 2 alpha r + alpha**2 v on the packed states, with
+    r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0; alpha = -1 gives
+    theta' = theta2, whose pass p2 has made. Returns the candidate, or None if
+    any part of it fails numerically (an error or a floating-point warning),
+    the number of E-step passes made, and whether alpha was at -step_max.
+    """
+    passes, at_cap = 0, False
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            t0, t1, t2 = _pack(p0.state), _pack(p1.state), _pack(p2.state)
+            r = t1 - t0
+            v = t2 - 2.0 * t1 + t0
+            alpha = _step_length(r, v, step_max)
+            at_cap = alpha == -step_max
+            if alpha == -1.0:
+                state = _step(p2, priors)
+            else:
+                e = expectations(_unpack(t0 - 2.0 * alpha * r + alpha * alpha * v), priors)
+                passes = 1
+                stats, lse_total, ndeg = _responsibility_pass(cache, e, families)[2:]
+                if ndeg or not math.isfinite(lse_total):
+                    return None, passes, at_cap
+                state = _update_state(stats, priors, e.tau, e.s)
+            passes += 1
+            # A failure here rejects the candidate; its iteration number is never shown.
+            return _evaluate(cache, state, priors, families, 0), passes, at_cap
+    except (VBNumericError, ValueError, ArithmeticError):
+        return None, passes, at_cap
+
+
 def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
+    """SQUAREM-accelerated coordinate ascent (Varadhan & Roland 2008).
+
+    Each cycle takes two plain steps from the last recorded state, then one
+    stabilising step from their extrapolation (step length capped, see
+    ``_STEP_MAX_FACTOR``), and keeps that candidate if its NFE is at least the
+    second plain step's. The cycle's chosen state is recorded when its NFE
+    does not fall below the last recorded one. The fit ends at the last
+    recorded state when the chosen NFE is within the tolerance of it
+    ("tolerance") or falls further below it ("no_ascent").
+    ``iterations`` counts E-step passes, rejected candidates included.
+    """
     x = np.ascontiguousarray(finite_data(data))
     if x.size < 3:
         raise ValueError("need at least 3 samples")
@@ -414,39 +552,54 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
     state = _update_state(
         stats, priors, e_tau=init.comp1.tau, e_s=(init.comp2.shape, init.comp3.shape)
     )
-    cache_e = expectations(state, priors)
 
-    trace = []
-    converged = False
-    iterations = 0
-    g2 = g3 = None
-    for iterations in range(1, cfg.max_iterations + 1):
-        g2, g3, stats, lse_total, ndeg = _responsibility_pass(cache, cache_e, families)
-        nfe = lse_total - _kl_total(state, priors, cache_e)
-        # Expected log-proportions are finite, so a point without a finite
-        # log-sum-exp means the expectations overflowed.
-        if ndeg or not math.isfinite(nfe):
-            raise VBNumericError(
-                f"negative free energy diverged at iteration {iterations}: {nfe}"
-            )
-        trace.append(nfe)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= cfg.rel_tolerance * (
-            1.0 + abs(trace[-1])
-        ):
-            converged = True
+    cap = cfg.max_iterations
+    iterations = 1
+    recorded = _evaluate(cache, state, priors, families, iterations)
+    trace = [recorded.nfe]
+    stop_reason = "max_iterations"
+    step_max = 1.0
+    while iterations < cap:
+        iterations += 1
+        chosen = p1 = _evaluate(cache, _step(recorded, priors), priors, families, iterations)
+        if iterations < cap:
+            state = _step(p1, priors)
+            p1.g2 = p1.g3 = None
+            iterations += 1
+            chosen = p2 = _evaluate(cache, state, priors, families, iterations)
+            if iterations + 2 <= cap:
+                # Whichever of the two is lower can no longer be returned.
+                lower = p2 if p2.nfe < recorded.nfe else recorded
+                lower.g2 = lower.g3 = None
+                candidate, passes, at_cap = _extrapolated(
+                    cache, recorded, p1, p2, priors, families, step_max
+                )
+                iterations += passes
+                if candidate is not None and candidate.nfe >= p2.nfe:
+                    chosen = candidate
+                    if at_cap:
+                        step_max *= _STEP_MAX_FACTOR
+                elif at_cap:
+                    step_max = max(1.0, step_max / _STEP_MAX_FACTOR)
+        settled = within_tolerance(recorded.nfe, chosen.nfe, cfg.rel_tolerance)
+        if chosen.nfe >= recorded.nfe:
+            trace.append(chosen.nfe)
+            recorded = chosen
+        elif not settled:
+            stop_reason = "no_ascent"
             break
-        if iterations == cfg.max_iterations:
+        if settled:
+            stop_reason = "tolerance"
             break
-        state = _update_state(stats, priors, cache_e.tau, cache_e.s)
-        cache_e = expectations(state, priors)
     return VBFitResult(
-        state=state,
-        expectations=cache_e,
-        responsibilities=_assemble_gamma(cache, g2, g3),
+        state=recorded.state,
+        expectations=recorded.expectations,
+        responsibilities=_assemble_gamma(cache, recorded.g2, recorded.g3),
         nfe_trace=np.asarray(trace),
         iterations=iterations,
         wall_time_seconds=time.perf_counter() - start,
-        converged=converged,
+        converged=stop_reason != "max_iterations",
+        stop_reason=stop_reason,
         degenerate_rows=0,
         priors=priors,
     )

@@ -74,8 +74,8 @@ def test_fit_deterministic_json(tmp_path, value_file, model):
 
 
 _COMMON_KEYS = {
-    "schema_version", "kind", "model", "seed", "converged", "iterations",
-    "degenerate_rows", "n", "standardized",
+    "schema_version", "kind", "model", "seed", "converged", "stop_reason",
+    "iterations", "degenerate_rows", "n", "standardized",
 }
 _VB_SCALARS = {"m_hat", "tau_hat", "c_hat", "b_hat", "mu", "mu2", "tau", "log_tau"}
 
