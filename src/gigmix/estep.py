@@ -67,12 +67,6 @@ class SufficientStats:
     sq_x: np.ndarray
 
 
-def within_tolerance(previous: float, current: float, rel_tolerance: float) -> bool:
-    """The stop rule of both learners' fit loops: the objective moved by at most
-    ``rel_tolerance * (1 + |current|)``."""
-    return abs(current - previous) <= rel_tolerance * (1.0 + abs(current))
-
-
 def finite_data(data) -> np.ndarray:
     """``data`` as a flat float array; ValueError unless every value is finite."""
     x = np.asarray(data, dtype=float).ravel()

@@ -6,20 +6,18 @@
 sufficient statistics feed the M-step, which updates the Gaussian with
 weighted moments and converts the weighted (mirrored) moments of the
 activation components into shape/rate parameters by the method of moments
-instead of numerical shape optimization. A fit builds its N x 3
-responsibilities once, at the end. Without an explicit initial point a fit
-starts, as the variational fits do, from the k-means initialization seeded
-by ``MLFitConfig.seed``, and its wall time includes that initialization.
+instead of numerical shape optimization. A fit runs in ``fitloop.fit``,
+one M-step and one E-step pass per cycle, and records every log-likelihood,
+falling ones included: the moment-matched update is not an ascent.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import initialization
+from . import fitloop
 from .distributions import (
     GAMMA_NEG,
     GAMMA_POS,
@@ -30,53 +28,31 @@ from .distributions import (
     mom_gamma,
     mom_invgamma,
 )
-from .estep import (
-    SufficientStats,
-    _assemble_gamma,
-    _DataCache,
-    e_step,
-    finite_data,
-    point_pass,
-    sufficient_stats,
-    within_tolerance,
-)
+from .estep import SufficientStats, _DataCache, e_step, point_pass, sufficient_stats
+from .fitloop import FitConfig, FitResult, Point
 
 _VAR_FLOOR = 1e-10
 _MEAN_FLOOR = 1e-10
 _SHAPE_MIN = 1e-3
 _SHAPE_MAX = 1e6
+# A component with a smaller soft count keeps its parameters in the M-step.
+_MIN_COMPONENT_MASS = 1.0
 
 # Activation families (positive side, negative side) by component kind.
 _FAMILIES = {"gamma": (GAMMA_POS, GAMMA_NEG), "invgamma": (INVGAMMA_POS, INVGAMMA_NEG)}
 
 
 @dataclass
-class MLFitConfig:
+class MLFitConfig(FitConfig):
     max_iterations: int = 1000
-    rel_tolerance: float = 1e-6
-    min_component_mass: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.rel_tolerance <= 0:
-            raise ValueError("rel_tolerance must be > 0")
 
 
 @dataclass
-class MLFitResult:
-    """An ML fit; ``stop_reason`` is "tolerance" or "max_iterations", and
-    ``converged`` means the fit was not capped."""
+class MLFitResult(FitResult):
+    """An ML fit; ``stop_reason`` is never "no_ascent"."""
 
     params: MixtureParams
-    responsibilities: np.ndarray
     loglik_trace: np.ndarray
-    iterations: int
-    wall_time_seconds: float
-    converged: bool
-    stop_reason: str
-    degenerate_rows: int = 0
 
 
 def _e_step(cache: _DataCache, params: MixtureParams):
@@ -101,75 +77,52 @@ def _side_update(total, total_sq, n_k, family):
     return params
 
 
-def m_step(
-    data,
-    gamma,
-    prev: MixtureParams,
-    min_component_mass: float = 1.0,
-) -> MixtureParams:
+def m_step(data, gamma, prev: MixtureParams) -> MixtureParams:
     """Moment-matched parameter update.
 
     ``gamma`` is an N x 3 responsibility matrix over ``data``, or the
     ``SufficientStats`` the E-step kernel returns (then ``data`` is not
-    read). Components whose soft count falls below ``min_component_mass``
-    keep their previous parameters (their mixing proportion still shrinks
-    with the count), which keeps near-empty components well defined.
+    read). Components whose soft count is below one sample keep their
+    previous parameters (their mixing proportion still shrinks with the
+    count), which keeps near-empty components well defined.
     """
     stats = gamma if isinstance(gamma, SufficientStats) else sufficient_stats(data, gamma)
     n_k = stats.n
     pi = n_k / n_k.sum()
 
     comp1 = prev.comp1
-    if n_k[0] >= min_component_mass:
+    if n_k[0] >= _MIN_COMPONENT_MASS:
         mean, var = _moments(float(stats.xbar[0]), stats.sxx1, n_k[0])
         comp1 = GaussianParams(mean, 1.0 / var)
     sides = [prev.comp2, prev.comp3]
     for k, comp in enumerate(sides):
-        if n_k[k + 1] >= min_component_mass:
+        if n_k[k + 1] >= _MIN_COMPONENT_MASS:
             family = comp.family
             total = family.sign * float(stats.xbar[k + 1])
             sides[k] = _side_update(total, float(stats.sq_x[k]), n_k[k + 1], family)
     return MixtureParams(pi, comp1, *sides)
 
 
+def _point(cache: _DataCache, params: MixtureParams) -> Point:
+    """One E-step pass at ``params``."""
+    g2, g3, stats, loglik, ndeg = _e_step(cache, params)
+    return Point(params, stats, loglik, g2, g3, ndeg)
+
+
+def _cycle(cache: _DataCache, recorded: Point, passes: int):
+    """One M-step from the recorded point and one E-step pass."""
+    return _point(cache, m_step(cache.x, recorded.stats, recorded.params)), 1
+
+
 def _fit_ml(
     data, init: MixtureParams | None, cfg: MLFitConfig, kind: str, label: str
 ) -> MLFitResult:
-    x = finite_data(data)
     if init is not None and (init.comp2.family.kind, init.comp3.family.kind) != (kind, kind):
         raise ValueError(f"{label} requires {kind} activation components in init")
-
-    start = time.perf_counter()
-    if init is None:
-        km = initialization.kmeans_1d(x, 3, cfg.seed)
-        init = initialization.init_params(km, _FAMILIES[kind])
-    params = init
-    cache = _DataCache(x)
-    trace = []
-    stop_reason = "max_iterations"
-    degenerate = 0
-    g2 = g3 = None
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        g2, g3, stats, loglik, ndeg = _e_step(cache, params)
-        degenerate += ndeg
-        trace.append(loglik)
-        if len(trace) >= 2 and within_tolerance(trace[-2], trace[-1], cfg.rel_tolerance):
-            stop_reason = "tolerance"
-            break
-        if iterations == cfg.max_iterations:
-            break
-        params = m_step(x, stats, params, cfg.min_component_mass)
-    return MLFitResult(
-        params=params,
-        responsibilities=_assemble_gamma(cache, g2, g3),
-        loglik_trace=np.asarray(trace),
-        iterations=iterations,
-        wall_time_seconds=time.perf_counter() - start,
-        converged=stop_reason != "max_iterations",
-        stop_reason=stop_reason,
-        degenerate_rows=degenerate,
+    last, trace, common = fitloop.fit(
+        data, init, cfg, _FAMILIES[kind], _point, _cycle, ascent_only=False
     )
+    return MLFitResult(params=last.params, loglik_trace=trace, **common)
 
 
 def fit_ggm(

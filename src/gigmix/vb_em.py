@@ -19,11 +19,11 @@ functional ``(log_a_hat, b_hat_s, c_hat_s)``.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fitloop
 from .distributions import (
     ComponentFamily,
     GAMMA_NEG,
@@ -44,9 +44,8 @@ from .estep import (
     finite_data,
     point_pass,
     sufficient_stats,
-    within_tolerance,
 )
-from .initialization import init_params, kmeans_1d
+from .fitloop import FitConfig, FitResult, Point
 from .special import digamma, inv_digamma, log_gamma, tetragamma, trigamma
 
 
@@ -96,35 +95,19 @@ class VBState:
 
 
 @dataclass
-class VBFitResult:
-    """A variational fit. ``iterations`` counts E-step passes, rejected SQUAREM
-    candidates included; ``nfe_trace`` holds the NFE of each recorded state,
-    the start and one per cycle. ``stop_reason`` is "tolerance", "no_ascent"
-    or "max_iterations", and ``converged`` means the fit was not capped."""
+class VBFitResult(FitResult):
+    """A variational fit. ``iterations`` counts rejected SQUAREM candidates'
+    passes too; ``nfe_trace`` holds the start and one NFE per recorded cycle."""
 
     state: VBState
     expectations: ExpectationCache
-    responsibilities: np.ndarray
     nfe_trace: np.ndarray
-    iterations: int
-    wall_time_seconds: float
-    converged: bool
-    stop_reason: str
-    degenerate_rows: int
     priors: HyperPriors
 
 
 @dataclass
-class VBFitConfig:
+class VBFitConfig(FitConfig):
     max_iterations: int = 500
-    rel_tolerance: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.rel_tolerance <= 0:
-            raise ValueError("rel_tolerance must be > 0")
 
 
 def default_hyperpriors(pos_family: ComponentFamily, neg_family: ComponentFamily, data=None) -> HyperPriors:
@@ -372,7 +355,6 @@ def negative_free_energy(
     state: VBState,
     priors: HyperPriors,
     expectations_cache: ExpectationCache,
-    log_rho: np.ndarray | None = None,
 ) -> float:
     """Variational lower bound on the log evidence.
 
@@ -381,9 +363,8 @@ def negative_free_energy(
     form 0 * (-inf) arising from out-of-support responsibilities contribute
     zero by convention.
     """
-    if log_rho is None:
-        x = np.asarray(data, dtype=float).ravel()
-        log_rho = _log_rho(_DataCache(x), expectations_cache, priors.families)
+    x = np.asarray(data, dtype=float).ravel()
+    log_rho = _log_rho(_DataCache(x), expectations_cache, priors.families)
     with np.errstate(invalid="ignore", divide="ignore"):
         coupled = np.where(gamma > 0, gamma * log_rho, 0.0)
         entropy = np.where(gamma > 0, gamma * np.log(gamma), 0.0)
@@ -443,20 +424,7 @@ def _unpack(theta: np.ndarray) -> VBState:
     )
 
 
-@dataclass
-class _Point:
-    """A state after its E-step pass. The side responsibilities are dropped
-    (set to None) once the fit can no longer end at this state."""
-
-    state: VBState
-    expectations: ExpectationCache
-    stats: SufficientStats
-    nfe: float
-    g2: np.ndarray | None
-    g3: np.ndarray | None
-
-
-def _evaluate(cache: _DataCache, state: VBState, priors: HyperPriors, families, iteration: int) -> _Point:
+def _evaluate(cache: _DataCache, state: VBState, priors: HyperPriors, families, iteration: int) -> Point:
     """One E-step pass at ``state`` and the negative free energy there."""
     e = expectations(state, priors)
     g2, g3, stats, lse_total, ndeg = _responsibility_pass(cache, e, families)
@@ -465,10 +433,10 @@ def _evaluate(cache: _DataCache, state: VBState, priors: HyperPriors, families, 
     # log-sum-exp means the expectations overflowed.
     if ndeg or not math.isfinite(nfe):
         raise VBNumericError(f"negative free energy diverged at iteration {iteration}: {nfe}")
-    return _Point(state, e, stats, nfe, g2, g3)
+    return Point(state, stats, nfe, g2, g3, ndeg, e)
 
 
-def _step(point: _Point, priors: HyperPriors) -> VBState:
+def _step(point: Point, priors: HyperPriors) -> VBState:
     """The coordinate-ascent map F: the state updated from a pass's statistics."""
     return _update_state(point.stats, priors, point.expectations.tau, point.expectations.s)
 
@@ -489,9 +457,9 @@ def _step_length(r: np.ndarray, v: np.ndarray, step_max: float) -> float:
 
 def _extrapolated(
     cache: _DataCache,
-    p0: _Point,
-    p1: _Point,
-    p2: _Point,
+    p0: Point,
+    p1: Point,
+    p2: Point,
     priors: HyperPriors,
     families,
     step_max: float,
@@ -507,7 +475,7 @@ def _extrapolated(
     passes, at_cap = 0, False
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            t0, t1, t2 = _pack(p0.state), _pack(p1.state), _pack(p2.state)
+            t0, t1, t2 = _pack(p0.params), _pack(p1.params), _pack(p2.params)
             r = t1 - t0
             v = t2 - 2.0 * t1 + t0
             alpha = _step_length(r, v, step_max)
@@ -534,74 +502,47 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
     Each cycle takes two plain steps from the last recorded state, then one
     stabilising step from their extrapolation (step length capped, see
     ``_STEP_MAX_FACTOR``), and keeps that candidate if its NFE is at least the
-    second plain step's. The cycle's chosen state is recorded when its NFE
-    does not fall below the last recorded one. The fit ends at the last
-    recorded state when the chosen NFE is within the tolerance of it
-    ("tolerance") or falls further below it ("no_ascent").
-    ``iterations`` counts E-step passes, rejected candidates included.
+    second plain step's. ``fitloop.fit`` records the chosen state only if its
+    NFE does not fall.
     """
-    x = np.ascontiguousarray(finite_data(data))
-    if x.size < 3:
-        raise ValueError("need at least 3 samples")
-
-    start = time.perf_counter()
     priors = default_hyperpriors(*families)
-    init = init_params(kmeans_1d(x, 3, cfg.seed), families)
-    cache = _DataCache(x)
-    _, _, stats, _, _ = point_pass(cache, init)
-    state = _update_state(
-        stats, priors, e_tau=init.comp1.tau, e_s=(init.comp2.shape, init.comp3.shape)
-    )
-
     cap = cfg.max_iterations
-    iterations = 1
-    recorded = _evaluate(cache, state, priors, families, iterations)
-    trace = [recorded.nfe]
-    stop_reason = "max_iterations"
     step_max = 1.0
-    while iterations < cap:
-        iterations += 1
-        chosen = p1 = _evaluate(cache, _step(recorded, priors), priors, families, iterations)
-        if iterations < cap:
+
+    def first(cache, init):
+        stats = point_pass(cache, init)[2]
+        e_s = (init.comp2.shape, init.comp3.shape)
+        state = _update_state(stats, priors, e_tau=init.comp1.tau, e_s=e_s)
+        return _evaluate(cache, state, priors, families, 1)
+
+    def cycle(cache, recorded, passes):
+        nonlocal step_max
+        i = passes + 1
+        chosen = p1 = _evaluate(cache, _step(recorded, priors), priors, families, i)
+        if i < cap:
             state = _step(p1, priors)
             p1.g2 = p1.g3 = None
-            iterations += 1
-            chosen = p2 = _evaluate(cache, state, priors, families, iterations)
-            if iterations + 2 <= cap:
+            i += 1
+            chosen = p2 = _evaluate(cache, state, priors, families, i)
+            if i + 2 <= cap:
                 # Whichever of the two is lower can no longer be returned.
-                lower = p2 if p2.nfe < recorded.nfe else recorded
+                lower = p2 if p2.objective < recorded.objective else recorded
                 lower.g2 = lower.g3 = None
-                candidate, passes, at_cap = _extrapolated(
+                candidate, n, at_cap = _extrapolated(
                     cache, recorded, p1, p2, priors, families, step_max
                 )
-                iterations += passes
-                if candidate is not None and candidate.nfe >= p2.nfe:
+                i += n
+                if candidate is not None and candidate.objective >= p2.objective:
                     chosen = candidate
                     if at_cap:
                         step_max *= _STEP_MAX_FACTOR
                 elif at_cap:
                     step_max = max(1.0, step_max / _STEP_MAX_FACTOR)
-        settled = within_tolerance(recorded.nfe, chosen.nfe, cfg.rel_tolerance)
-        if chosen.nfe >= recorded.nfe:
-            trace.append(chosen.nfe)
-            recorded = chosen
-        elif not settled:
-            stop_reason = "no_ascent"
-            break
-        if settled:
-            stop_reason = "tolerance"
-            break
+        return chosen, i - passes
+
+    last, trace, common = fitloop.fit(data, None, cfg, families, first, cycle, ascent_only=True)
     return VBFitResult(
-        state=recorded.state,
-        expectations=recorded.expectations,
-        responsibilities=_assemble_gamma(cache, recorded.g2, recorded.g3),
-        nfe_trace=np.asarray(trace),
-        iterations=iterations,
-        wall_time_seconds=time.perf_counter() - start,
-        converged=stop_reason != "max_iterations",
-        stop_reason=stop_reason,
-        degenerate_rows=0,
-        priors=priors,
+        state=last.params, expectations=last.expectations, nfe_trace=trace, priors=priors, **common
     )
 
 

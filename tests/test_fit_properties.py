@@ -25,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gigmix.experiments import MODEL_NAMES, fit
+from gigmix.ml_em import MLFitConfig, fit_ggm, fit_gim
 from gigmix.vb_em import VBFitConfig, fit_bggm, fit_bgim, negative_free_energy
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -192,3 +193,34 @@ def test_vb_trace_ascends_within_its_budget_and_matches_the_fit(model, x, seed, 
     # capped, and the last recorded NFE is the objective of the returned
     # responsibilities, state and expectations.
     check_vb_trace(model, x, seed, max_iterations)
+
+
+_ML_FITTERS = {"ggm": fit_ggm, "gim": fit_gim}
+
+
+def check_ml_trace(model, x, seed, max_iterations):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        r = _ML_FITTERS[model](x, None, MLFitConfig(max_iterations=max_iterations, seed=seed))
+    assert 1 <= r.iterations <= max_iterations
+    assert len(r.loglik_trace) == r.iterations
+    assert r.stop_reason in ("tolerance", "max_iterations")
+    assert r.converged == (r.stop_reason != "max_iterations")
+    if not r.converged:
+        assert r.iterations == max_iterations
+
+
+@pytest.mark.parametrize("model", sorted(_ML_FITTERS))
+@SETTINGS
+@given(
+    x=st.one_of(tied_data(), drawn_data(), large_scale_data()),
+    seed=st.integers(0, 2**31 - 1),
+    max_iterations=st.one_of(st.integers(1, 12), st.just(500)),
+)
+@example(x=np.array([-1.0, 0.0, 2.0]), seed=0, max_iterations=500)
+@example(x=np.zeros(5), seed=1, max_iterations=500)
+@example(x=-np.array([0.5, 1.0, 2.0, 8.0]), seed=4, max_iterations=3)
+def test_ml_trace_stays_within_its_budget(model, x, seed, max_iterations):
+    # One E-step pass per recorded log-likelihood, falling ones included; the
+    # pass count stays within the cap and reaches it exactly when capped.
+    check_ml_trace(model, x, seed, max_iterations)
