@@ -4,7 +4,8 @@ Each sample competes only between the Gaussian and the activation component
 on its own side of zero; exact zeros belong to the Gaussian. The kernel runs
 one two-way softmax per support side over arrays precomputed once per fit,
 and returns the activation responsibilities of each side, the sufficient
-statistics every parameter update needs, and the total log-sum-exp.
+statistics every parameter update needs, and the total log-sum-exp. A side is
+swept in blocks through work buffers that stay in a core's L2 cache.
 
 Its coefficients come as an ``ExpectationCache``. The variational learners
 fill it with posterior expectations. The maximum-likelihood log-densities
@@ -30,6 +31,18 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # difference would cancel, and the kernel sums the Gaussian side weights
 # directly instead.
 _DIRECT_GAUSSIAN_SHARE = 1e-3
+
+# Points per block of the per-side sweep. A block's four work buffers (1 MiB)
+# stay in a core's 2 MiB L2 cache while its slices of the side arrays stream
+# through.
+_BLOCK = 32768
+
+# Floor of the shifted activation log-weight b - m before its exp. Below about
+# -708 exp leaves the normal range, and numpy's exp drops off its vectorised
+# path for such arguments (inverse-Gamma weights near zero reach -1e5).
+# exp(-700) is about 1e-304 and vanishes next to the Gaussian weight's 1, so
+# only responsibilities below about 1e-304 change: they become about 1e-304.
+_EXP_FLOOR = -700.0
 
 
 @dataclass
@@ -80,7 +93,8 @@ class _DataCache:
 
     The responsibility pass only ever combines these arrays with scalar
     coefficients, so everything data-dependent is computed exactly once per
-    fit. ``xp``/``xn`` hold the mirrored values on each support side.
+    fit. ``xp``/``xn`` hold the mirrored values on each support side, and
+    ``blocks`` each side's blocks for the responsibility pass.
     """
 
     __slots__ = (
@@ -99,6 +113,7 @@ class _DataCache:
         "inv_xn",
         "sum_x",
         "sum_sq",
+        "blocks",
     )
 
     def __init__(self, x: np.ndarray):
@@ -107,16 +122,58 @@ class _DataCache:
         self.pos = np.nonzero(x > 0)[0]
         self.neg = np.nonzero(x < 0)[0]
         self.zero = np.nonzero(x == 0)[0]
-        self.xp = x[self.pos]
-        self.xn = -x[self.neg]
-        self.sq_p = self.xp * self.xp
-        self.sq_n = self.xn * self.xn
-        self.log_xp = np.log(self.xp)
-        self.log_xn = np.log(self.xn)
-        self.inv_xp = 1.0 / self.xp
-        self.inv_xn = 1.0 / self.xn
+        self.xp = _aligned(x[self.pos])
+        self.xn = _aligned(-x[self.neg])
+        self.sq_p = _aligned(self.xp * self.xp)
+        self.sq_n = _aligned(self.xn * self.xn)
+        self.log_xp = _aligned(np.log(self.xp))
+        self.log_xn = _aligned(np.log(self.xn))
+        self.inv_xp = _aligned(1.0 / self.xp)
+        self.inv_xn = _aligned(1.0 / self.xn)
         self.sum_x = float(self.x.sum())
         self.sum_sq = float(self.sq.sum())
+        # The responsibility pass's four work buffers, allocated once per fit,
+        # and each side's blocks.
+        length = min(_BLOCK, max(self.xp.size, self.xn.size))
+        stride = -(-length // 8) * 8
+        work = _aligned_empty(4 * stride).reshape(4, stride)[:, :length]
+        self.blocks = (
+            _side_blocks(work, self.xp, self.sq_p, self.log_xp, self.inv_xp),
+            _side_blocks(work, self.xn, self.sq_n, self.log_xn, self.inv_xn),
+        )
+
+
+def _aligned_empty(n: int) -> np.ndarray:
+    """An uninitialised float array of ``n`` values starting on a 64-byte
+    boundary.
+
+    numpy's allocations are 16-byte aligned (large ones sit 16 bytes past a
+    page boundary), so most of its AVX-512 loads would split two cache lines.
+    On a Xeon with AVX-512, a side pass over arrays aligned to a cache line
+    took 10-15 % less time, at 5e3 and at 3e4 points, than over arrays 16
+    bytes off.
+    """
+    raw = np.empty(n + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start : start + n]
+
+
+def _aligned(values: np.ndarray) -> np.ndarray:
+    """A copy of a float array starting on a 64-byte boundary."""
+    out = _aligned_empty(values.size)
+    out[:] = values
+    return out
+
+
+def _side_blocks(work: np.ndarray, vals, sq, logs, invs) -> list:
+    """One side cut into blocks of ``_BLOCK`` points. A block is (lo, hi,
+    views of vals, sq, logs and invs, and views of the four work buffers)."""
+    blocks = []
+    for lo in range(0, vals.size, _BLOCK):
+        hi = min(lo + _BLOCK, vals.size)
+        views = tuple(v[lo:hi] for v in (vals, sq, logs, invs))
+        blocks.append((lo, hi) + views + tuple(work[:, : hi - lo]))
+    return blocks
 
 
 def point_coefficients(params: MixtureParams) -> ExpectationCache:
@@ -146,50 +203,90 @@ def _gaussian_const(e: ExpectationCache) -> float:
     return e.log_pi[0] + 0.5 * e.log_tau - 0.5 * _LOG_2PI - 0.5 * e.tau * e.mu2
 
 
+def _gaussian_coefficients(e: ExpectationCache, sign: float = 1.0):
+    """The Gaussian's log-responsibility at x = sign * v as
+    c_sq * v**2 + c_x * v + c0; returns (c_sq, c_x, c0)."""
+    return -0.5 * e.tau, sign * (e.tau * e.mu), _gaussian_const(e)
+
+
 def _gaussian_log_rho(e: ExpectationCache, sq, vals, sign: float = 1.0) -> np.ndarray:
     """Gaussian log-responsibility at x = sign * vals, where sq = x**2."""
-    a = sq * (-0.5 * e.tau)
-    a += vals * (sign * (e.tau * e.mu))
-    a += _gaussian_const(e)
+    c_sq, c_x, c0 = _gaussian_coefficients(e, sign)
+    a = sq * c_sq
+    a += vals * c_x
+    a += c0
     return a
 
 
-def _side_log_rho(e: ExpectationCache, k: int, fam, logs, vals, invs) -> np.ndarray:
+def _activation_coefficients(e: ExpectationCache, k: int, fam):
+    """Activation k's log-responsibility as const + c_log * log v + c_lin * w,
+    where w is v for a Gamma and 1/v for an inverse-Gamma; returns
+    (const, c_log, c_lin, w is 1/v)."""
     const = e.log_pi[k + 1] + e.s[k] * e.log_r[k] - e.log_gamma_s[k]
     if fam.kind == "gamma":
-        b = logs * (e.s[k] - 1.0)
-        b += vals * (-e.r[k])
-    else:
-        b = logs * (-(e.s[k] + 1.0))
-        b += invs * (-e.r[k])
+        return const, e.s[k] - 1.0, -e.r[k], False
+    return const, -(e.s[k] + 1.0), -e.r[k], True
+
+
+def _side_log_rho(e: ExpectationCache, k: int, fam, logs, vals, invs) -> np.ndarray:
+    const, c_log, c_lin, inverse = _activation_coefficients(e, k, fam)
+    b = logs * c_log
+    b += (invs if inverse else vals) * c_lin
     b += const
     return b
 
 
-def _side_softmax(a_side: np.ndarray, b_side: np.ndarray):
-    """Two-way softmax of (Gaussian, activation) on one support side.
+def _side_pass(e: ExpectationCache, k: int, fam, sign: float, blocks, g, direct: bool):
+    """Two-way softmax of (Gaussian, activation k) over one support side.
 
-    Returns the activation responsibility and the per-point log-sum-exp, in
-    the storage of ``b_side`` and ``a_side``, which it overwrites.
+    ``blocks`` are the side's blocks from ``_DataCache``. The pass writes the
+    activation responsibilities into ``g`` and returns the side's log-sum-exp
+    total, its degenerate points (activation 0, left out of the total) and,
+    if ``direct``, the Gaussian's count, mirrored sum and sum of squares on
+    the side, else zeros. With a the Gaussian's and b the activation's
+    log-weight and m = max(a, b), b - m is floored at ``_EXP_FLOOR`` unless
+    the activation has a zero proportion.
     """
-    m = np.maximum(a_side, b_side)
-    a_side -= m
-    np.exp(a_side, out=a_side)
-    b_side -= m
-    np.exp(b_side, out=b_side)
-    a_side += b_side
-    b_side /= a_side
-    np.log(a_side, out=a_side)
-    a_side += m
-    return b_side, a_side
-
-
-def _gaussian_share(a_side: np.ndarray, lse: np.ndarray) -> np.ndarray:
-    """Gaussian responsibility on one side; degenerate points get 1."""
-    with np.errstate(invalid="ignore"):
-        g1 = np.exp(a_side - lse)
-    g1[~np.isfinite(lse)] = 1.0
-    return g1
+    c_sq, c_x, c0 = _gaussian_coefficients(e, sign)
+    const, c_log, c_lin, inverse = _activation_coefficients(e, k, fam)
+    floor = _EXP_FLOOR if math.isfinite(const) else -math.inf
+    lse, degenerate, n1, sx1, sxx1 = 0.0, 0, 0.0, 0.0, 0.0
+    for lo, hi, vals, sq, logs, invs, a, b, m, t in blocks:
+        gb = g[lo:hi]
+        np.multiply(sq, c_sq, out=a)
+        np.multiply(vals, c_x, out=t)
+        a += t
+        a += c0
+        np.multiply(logs, c_log, out=b)
+        np.multiply(invs if inverse else vals, c_lin, out=t)
+        b += t
+        b += const
+        np.maximum(a, b, out=m)
+        a -= m
+        np.exp(a, out=a)
+        b -= m
+        np.maximum(b, floor, out=b)
+        np.exp(b, out=b)
+        np.add(a, b, out=t)
+        np.divide(b, t, out=gb)
+        if direct:
+            np.divide(a, t, out=a)
+        np.log(t, out=t)
+        t += m
+        block = float(t.sum())
+        if not math.isfinite(block):
+            ok = np.isfinite(t)
+            gb[~ok] = 0.0
+            if direct:
+                a[~ok] = 1.0
+            degenerate += ok.size - int(np.count_nonzero(ok))
+            block = float(t[ok].sum())
+        lse += block
+        if direct:
+            n1 += float(a.sum())
+            sx1 += float(a @ vals)
+            sxx1 += float(a @ sq)
+    return lse, degenerate, (n1, sx1, sxx1)
 
 
 def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families):
@@ -201,30 +298,22 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families):
     density under every component it can belong to is degenerate: it goes to
     the Gaussian and is left out of the total LSE.
     """
-    g2, lse_pos = _side_softmax(
-        _gaussian_log_rho(e, cache.sq_p, cache.xp),
-        _side_log_rho(e, 0, families[0], cache.log_xp, cache.xp, cache.inv_xp),
+    g2 = _aligned_empty(cache.xp.size)
+    g3 = _aligned_empty(cache.xn.size)
+    sides = (
+        (e, 0, families[0], 1.0, cache.blocks[0], g2),
+        (e, 1, families[1], -1.0, cache.blocks[1], g3),
     )
-    g3, lse_neg = _side_softmax(
-        _gaussian_log_rho(e, cache.sq_n, cache.xn, -1.0),
-        _side_log_rho(e, 1, families[1], cache.log_xn, cache.xn, cache.inv_xn),
-    )
-    a_zero = _gaussian_const(e)
-    n_zero = cache.zero.size
-    lse_zero = n_zero * a_zero if n_zero else 0.0
-    lse_total = float(lse_pos.sum()) + float(lse_neg.sum()) + lse_zero
-    degenerate = 0
-    if not math.isfinite(lse_total):
-        lse_total = 0.0
-        for g, lse in ((g2, lse_pos), (g3, lse_neg)):
-            bad = ~np.isfinite(lse)
-            g[bad] = 0.0
-            degenerate += int(bad.sum())
-            lse_total += float(lse[~bad].sum())
-        if math.isfinite(lse_zero):
-            lse_total += lse_zero
-        else:
-            degenerate += n_zero
+    lse_total, degenerate = 0.0, 0
+    for args in sides:
+        lse, bad, _ = _side_pass(*args, False)
+        lse_total += lse
+        degenerate += bad
+    lse_zero = cache.zero.size * _gaussian_const(e) if cache.zero.size else 0.0
+    if math.isfinite(lse_zero):
+        lse_total += lse_zero
+    else:
+        degenerate += cache.zero.size
 
     n2 = float(g2.sum())
     n3 = float(g3.sum())
@@ -236,11 +325,11 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families):
     sx1 = cache.sum_x - sx2 + sx3
     sxx1 = cache.sum_sq - sq2 - sq3
     if n1 < _DIRECT_GAUSSIAN_SHARE * cache.x.size or sxx1 < _DIRECT_GAUSSIAN_SHARE * cache.sum_sq:
-        g1p = _gaussian_share(_gaussian_log_rho(e, cache.sq_p, cache.xp), lse_pos)
-        g1n = _gaussian_share(_gaussian_log_rho(e, cache.sq_n, cache.xn, -1.0), lse_neg)
-        n1 = n_zero + float(g1p.sum()) + float(g1n.sum())
-        sx1 = float(g1p @ cache.xp) - float(g1n @ cache.xn)
-        sxx1 = float(g1p @ cache.sq_p) + float(g1n @ cache.sq_n)
+        # The same sweep again, summing the Gaussian's side weights directly.
+        (pn, psx, psq), (nn, nsx, nsq) = (_side_pass(*args, True)[2] for args in sides)
+        n1 = cache.zero.size + pn + nn
+        sx1 = psx - nsx
+        sxx1 = psq + nsq
     stats = SufficientStats(
         n=np.array([n1, n2, n3]),
         xbar=np.array([sx1, sx2, -sx3]),

@@ -42,7 +42,7 @@ from .estep import (
     _responsibility_pass,
     _side_log_rho,
     finite_data,
-    point_pass,
+    point_coefficients,
     sufficient_stats,
 )
 from .fitloop import FitConfig, FitResult, Point
@@ -110,7 +110,7 @@ class VBFitConfig(FitConfig):
     max_iterations: int = 500
 
 
-def default_hyperpriors(pos_family: ComponentFamily, neg_family: ComponentFamily, data=None) -> HyperPriors:
+def default_hyperpriors(pos_family: ComponentFamily, neg_family: ComponentFamily) -> HyperPriors:
     """Standard weakly-informative hyper-priors.
 
     The Gaussian block gets a zero-mean unit-precision mean prior and a flat
@@ -510,7 +510,10 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
     step_max = 1.0
 
     def first(cache, init):
-        stats = point_pass(cache, init)[2]
+        # ``point_pass`` under this module's name for the kernel, so that the
+        # start's pass is traced like every other.
+        with np.errstate(invalid="ignore"):
+            stats = _responsibility_pass(cache, point_coefficients(init), families)[2]
         e_s = (init.comp2.shape, init.comp3.shape)
         state = _update_state(stats, priors, e_tau=init.comp1.tau, e_s=e_s)
         return _evaluate(cache, state, priors, families, 1)

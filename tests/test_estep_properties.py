@@ -6,10 +6,12 @@ The oracle builds the full N x 3 matrix of log pi_k + log p_k(x) from
 proportion), hands rows with zero density under every component to the
 Gaussian, and leaves them out of the log-likelihood. The inputs are hostile:
 proportions with exact zeros, exact-zero data, one-sided data, n = 3, and
-scales of 1e+-150 with parameters scaled to match.
+scales of 1e+-150 with parameters scaled to match. The kernel sweeps each side
+in blocks; a block length of 7 makes every case cross block boundaries.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import invgamma as invgamma_dist
 from scipy.stats import norm as norm_dist
 
+from gigmix import estep
 from gigmix.distributions import (
     GAMMA_NEG,
     GAMMA_POS,
@@ -102,14 +105,7 @@ def _params(pi, kind="gamma"):
     )
 
 
-@SETTINGS
-@given(c=case())
-@example(c=(np.array([-1.0, 0.0, 2.0]), _params((0.0, 1.0, 0.0))))
-@example(c=(np.array([-1.0, 0.0, 2.0, 0.0]), _params((0.0, 0.5, 0.5), "invgamma")))
-@example(c=(np.zeros(3), _params((0.0, 0.5, 0.5))))
-@example(c=(np.array([3.0, 40.0, 25.0, 1e-3]), _params((0.2, 0.8, 0.0))))
-def test_ml_kernel_matches_dense_oracle(c):
-    x, params = c
+def _assert_matches_oracle(x, params):
     cache = _DataCache(x)
     g2, g3, stats, loglik, degenerate = _e_step(cache, params)
     gamma = _assemble_gamma(cache, g2, g3)
@@ -133,6 +129,38 @@ def test_ml_kernel_matches_dense_oracle(c):
         (stats.sq_x[1], sq @ want[:, 2], sq @ want[:, 2]),
     ):
         assert abs(got - exact) <= TOL * size + 1e-300
+    return gamma, want
+
+
+EXAMPLES = (
+    (np.array([-1.0, 0.0, 2.0]), _params((0.0, 1.0, 0.0))),
+    (np.array([-1.0, 0.0, 2.0, 0.0]), _params((0.0, 0.5, 0.5), "invgamma")),
+    (np.zeros(3), _params((0.0, 0.5, 0.5))),
+    (np.array([3.0, 40.0, 25.0, 1e-3]), _params((0.2, 0.8, 0.0))),
+)
+
+
+def _with_examples(test):
+    for c in EXAMPLES:
+        test = example(c=c)(test)
+    return test
+
+
+@SETTINGS
+@given(c=case())
+@_with_examples
+def test_ml_kernel_matches_dense_oracle(c):
+    _assert_matches_oracle(*c)
+
+
+@SETTINGS
+@given(c=case())
+@_with_examples
+def test_ml_kernel_matches_dense_oracle_across_blocks(c):
+    # Degenerate points and the direct Gaussian sums fall in later blocks
+    # too, and a side's last block is short.
+    with mock.patch.object(estep, "_BLOCK", 7):
+        _assert_matches_oracle(*c)
 
 
 def test_small_gaussian_mass_sums_do_not_cancel():
@@ -149,3 +177,57 @@ def test_small_gaussian_mass_sums_do_not_cancel():
     _, _, stats, _, _ = _e_step(_DataCache(x), params)
     want, _, _ = oracle(x, params)
     assert abs(stats.sxx1 - (x * x) @ want[:, 0]) <= 1e-10 * ((x * x) @ want[:, 0])
+
+
+def test_direct_gaussian_sums_across_blocks():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.gamma(50.0, 20.0, 500), rng.normal(0.0, 0.01, 3), [-2.0, 0.0]])
+    rng.shuffle(x)
+    params = MixtureParams(
+        np.array([1e-3, 1.0 - 2e-3, 1e-3]),
+        GaussianParams(0.0, 1e4),
+        ShapeRateParams(50.0, 1.0 / 20.0, GAMMA_POS),
+        ShapeRateParams(50.0, 1.0 / 20.0, GAMMA_NEG),
+    )
+    direct = []
+    side_pass = estep._side_pass
+
+    def spy(*args):
+        direct.append(args[-1])
+        return side_pass(*args)
+
+    with mock.patch.object(estep, "_BLOCK", 7), mock.patch.object(estep, "_side_pass", spy):
+        _assert_matches_oracle(x, params)
+    assert direct == [False, False, True, True]
+
+
+def test_inverse_gamma_floor_keeps_exp_in_range(monkeypatch):
+    # Down to |x| = 1e-6 the inverse-Gamma log-weight -r/|x| lies far below
+    # the Gaussian's: exp of the shifted weight would underflow without the
+    # floor, and the responsibility becomes about 1e-304 instead.
+    v = np.geomspace(1e-6, 4.0, 300)
+    x = np.concatenate([v, -v, [0.0]])
+    params = _params((0.6, 0.2, 0.2), "invgamma")
+    e = estep.point_coefficients(params)
+    gap = estep._gaussian_log_rho(e, 1e-12, 1e-6) - estep._side_log_rho(
+        e, 0, params.comp2.family, math.log(1e-6), 1e-6, 1e6
+    )
+    assert gap > 1e5
+
+    real_exp = np.exp
+
+    def exp(arg, out=None):
+        with np.errstate(under="raise"):
+            return real_exp(arg, out=out)
+
+    monkeypatch.setattr(np, "exp", exp)
+    cache = _DataCache(x)
+    g2, g3, _, _, _ = _e_step(cache, params)
+    monkeypatch.undo()
+
+    gamma, want = _assert_matches_oracle(x, params)
+    assert np.all(gamma[x <= 0, 1] == 0.0) and np.all(gamma[x >= 0, 2] == 0.0)
+    floored = want[:, 1:].max(axis=1) < 1e-304
+    assert floored.sum() > 50
+    assert np.all(gamma[floored, 1:].max(axis=1) <= 1e-303)
+    assert np.array_equal(g2, gamma[x > 0, 1]) and np.array_equal(g3, gamma[x < 0, 2])

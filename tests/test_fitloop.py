@@ -93,6 +93,18 @@ def test_fits_call_the_patched_layer_inside_the_fit(module, name, models, monkey
         assert calls and all(calls)
 
 
+@pytest.mark.parametrize("model", VB_MODELS + ML_MODELS)
+def test_every_kernel_pass_goes_through_the_traced_name(model, monkeypatch):
+    # A variational fit's first point takes two passes, one under the k-means
+    # point estimate and one under the state it gives, and counts as one; an
+    # ML fit counts each pass.
+    module, name = (vb_em, "_responsibility_pass") if model in VB_MODELS else (ml_em, "_e_step")
+    calls = []
+    monkeypatch.setattr(module, name, _counting(getattr(module, name), calls))
+    r = fit(model, _mixture(), 2)
+    assert len(calls) == r.iterations + (model in VB_MODELS)
+
+
 # Pass counts and stop reasons on the criterion-10 scenario at n = 1e4, first
 # repeat, as the loop gave them when the four learners first shared it.
 PINNED = {
