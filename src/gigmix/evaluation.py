@@ -70,8 +70,10 @@ def activation_map(gamma: np.ndarray, threshold: float = 0.5) -> np.ndarray:
 
 
 def _roc_vertices(scores: np.ndarray, active: np.ndarray):
-    """Tie-grouped ROC curve vertices, starting at (0, 0)."""
-    order = np.argsort(-scores, kind="stable")
+    """Tie-grouped ROC curve vertices, starting at (0, 0). A vertex sits at the
+    end of a group of equal scores, where the counts do not depend on the order
+    inside the group, so the sort need not be stable."""
+    order = np.argsort(-scores)
     act = active[order]
     n_pos = int(active.sum())
     n_neg = active.size - n_pos

@@ -96,8 +96,10 @@ class VBState:
 
 @dataclass
 class VBFitResult(FitResult):
-    """A variational fit. ``iterations`` counts rejected SQUAREM candidates'
-    passes too; ``nfe_trace`` holds the start and one NFE per recorded cycle."""
+    """A variational fit. ``iterations`` counts every E-step pass, those of
+    rejected SQUAREM candidates included: a full cycle makes 3, or 4 when its
+    candidate misses the bar of ``_fit_vb``. ``nfe_trace`` holds the start and
+    one NFE per recorded cycle."""
 
     state: VBState
     expectations: ExpectationCache
@@ -455,32 +457,53 @@ def _step_length(r: np.ndarray, v: np.ndarray, step_max: float) -> float:
     return max(min(-1.0, -math.sqrt(math.fsum(r * r) / math.fsum(v * v))), -step_max)
 
 
+def _drop_lower(a: Point, b: Point) -> None:
+    """Free the side responsibilities of whichever of two points has the lower
+    NFE, once the cycle can no longer return it."""
+    lower = a if a.objective < b.objective else b
+    lower.g2 = lower.g3 = None
+
+
 def _extrapolated(
     cache: _DataCache,
     p0: Point,
     p1: Point,
-    p2: Point,
+    theta2: VBState,
     priors: HyperPriors,
     families,
     step_max: float,
+    plain,
 ):
-    """The SQUAREM candidate F(theta') from the plain steps p0 -> p1 -> p2.
+    """The SQUAREM candidate F(theta') from the plain steps theta0 -> theta1 -> theta2.
 
     theta' = theta0 - 2 alpha r + alpha**2 v on the packed states, with
-    r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0; alpha = -1 gives
-    theta' = theta2, whose pass p2 has made. Returns the candidate, or None if
-    any part of it fails numerically (an error or a floating-point warning),
-    the number of E-step passes made, and whether alpha was at -step_max.
+    r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0; theta2 = F(theta1)
+    comes from p1's statistics, without a pass. The candidate takes one pass
+    at theta' for its statistics and one at F(theta') for its NFE. alpha = -1
+    gives theta' = theta2, whose pass is the second plain step: ``plain()``
+    makes it, outside the numeric guard, and returns its point, and the lower
+    of p0 and that point drops its side responsibilities. Returns the
+    candidate, or None if any part of it fails numerically (an error or a
+    floating-point warning), the number of E-step passes made here, and
+    whether alpha was at -step_max.
     """
-    passes, at_cap = 0, False
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            t0, t1, t2 = _pack(p0.params), _pack(p1.params), _pack(p2.params)
+            t0, t1, t2 = _pack(p0.params), _pack(p1.params), _pack(theta2)
             r = t1 - t0
             v = t2 - 2.0 * t1 + t0
             alpha = _step_length(r, v, step_max)
-            at_cap = alpha == -step_max
-            if alpha == -1.0:
+    except (ValueError, ArithmeticError):
+        return None, 0, False
+    at_cap = alpha == -step_max
+    p2 = None
+    if alpha == -1.0:
+        p2 = plain()
+        _drop_lower(p2, p0)
+    passes = 0
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            if p2 is not None:
                 state = _step(p2, priors)
             else:
                 e = expectations(_unpack(t0 - 2.0 * alpha * r + alpha * alpha * v), priors)
@@ -499,11 +522,17 @@ def _extrapolated(
 def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
     """SQUAREM-accelerated coordinate ascent (Varadhan & Roland 2008).
 
-    Each cycle takes two plain steps from the last recorded state, then one
+    Each cycle takes a plain step from the last recorded state theta0 to
+    theta1, builds theta2 = F(theta1) without a pass, and evaluates one
     stabilising step from their extrapolation (step length capped, see
-    ``_STEP_MAX_FACTOR``), and keeps that candidate if its NFE is at least the
-    second plain step's. ``fitloop.fit`` records the chosen state only if its
-    NFE does not fall.
+    ``_STEP_MAX_FACTOR``). It keeps that candidate without a pass at theta2
+    when NFE(theta1) >= NFE(theta0) and the candidate's NFE is at least
+    2 NFE(theta1) - NFE(theta0), where two plain steps land if their gains
+    do not grow: 3 passes. Otherwise it makes the pass at theta2 and keeps
+    the candidate only if its NFE is at least theta2's: 4 passes. When the
+    step length is -1 the extrapolation is theta2 itself; its pass is made
+    first, and the second rule applies in 3 passes. ``fitloop.fit`` records
+    the chosen state only if its NFE does not fall.
     """
     priors = default_hyperpriors(*families)
     cap = cfg.max_iterations
@@ -521,27 +550,42 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
     def cycle(cache, recorded, passes):
         nonlocal step_max
         i = passes + 1
-        chosen = p1 = _evaluate(cache, _step(recorded, priors), priors, families, i)
-        if i < cap:
-            state = _step(p1, priors)
-            p1.g2 = p1.g3 = None
+        p1 = _evaluate(cache, _step(recorded, priors), priors, families, i)
+        if i == cap:
+            return p1, 1
+        theta2 = _step(p1, priors)
+        p1.g2 = p1.g3 = None
+        p2 = None
+
+        def plain():
+            # The second plain step: the pass at theta2.
+            nonlocal i, p2
             i += 1
-            chosen = p2 = _evaluate(cache, state, priors, families, i)
-            if i + 2 <= cap:
-                # Whichever of the two is lower can no longer be returned.
-                lower = p2 if p2.objective < recorded.objective else recorded
-                lower.g2 = lower.g3 = None
-                candidate, n, at_cap = _extrapolated(
-                    cache, recorded, p1, p2, priors, families, step_max
-                )
-                i += n
-                if candidate is not None and candidate.objective >= p2.objective:
-                    chosen = candidate
-                    if at_cap:
-                        step_max *= _STEP_MAX_FACTOR
-                elif at_cap:
-                    step_max = max(1.0, step_max / _STEP_MAX_FACTOR)
-        return chosen, i - passes
+            p2 = _evaluate(cache, theta2, priors, families, i)
+            return p2
+
+        if i + 3 > cap:
+            return plain(), 2
+        candidate, n, at_cap = _extrapolated(
+            cache, recorded, p1, theta2, priors, families, step_max, plain
+        )
+        i += n
+        # Two plain steps whose gains do not grow end at or below the bar.
+        if p2 is None and not (
+            candidate is not None
+            and p1.objective >= recorded.objective
+            and candidate.objective >= 2.0 * p1.objective - recorded.objective
+        ):
+            if candidate is not None:
+                _drop_lower(candidate, recorded)
+            plain()
+        if candidate is not None and (p2 is None or candidate.objective >= p2.objective):
+            if at_cap:
+                step_max *= _STEP_MAX_FACTOR
+            return candidate, i - passes
+        if at_cap:
+            step_max = max(1.0, step_max / _STEP_MAX_FACTOR)
+        return p2, i - passes
 
     last, trace, common = fitloop.fit(data, None, cfg, families, first, cycle, ascent_only=True)
     return VBFitResult(

@@ -1,9 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ttest_rel
 
+from gigmix import evaluation
 from gigmix.evaluation import (
     activation_map,
     paired_t_test,
@@ -84,6 +88,44 @@ def test_restricted_auc_matches_brute_force():
         mine = restricted_auc(scores, active)
         oracle = brute_force_restricted_auc(scores, active)
         assert mine == pytest.approx(oracle, abs=1e-12)
+
+
+def _stable_roc_vertices(scores, active):
+    # The vertices as a stable sort orders the points, tie groups included.
+    order = np.argsort(-scores, kind="stable")
+    act = active[order]
+    tp = np.cumsum(act)
+    fp = np.cumsum(~act)
+    idx = np.append(np.nonzero(np.diff(scores[order]))[0], scores.size - 1)
+    n_pos = int(active.sum())
+    tpr = np.concatenate([[0.0], tp[idx] / n_pos])
+    fpr = np.concatenate([[0.0], fp[idx] / (active.size - n_pos)])
+    return fpr, tpr
+
+
+@st.composite
+def tie_heavy_scores(draw):
+    """Scores from a few small integers, with exact zeros of either sign, and
+    truth labels; large enough that an unstable sort reorders tie groups."""
+    n = draw(st.integers(2, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 6))
+    scores = rng.integers(-levels, levels + 1, n).astype(float)
+    zeros = rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    scores[zeros] = np.where(rng.uniform(size=zeros.sum()) < 0.5, 0.0, -0.0)
+    active = rng.uniform(size=n) < draw(st.floats(0.05, 0.95))
+    active[0], active[-1] = True, False
+    return scores * draw(st.sampled_from([1.0, 0.1, 1e-300])), active
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tie_heavy_scores(), st.sampled_from([0.05, 0.3, 1.0]))
+def test_restricted_auc_is_bit_identical_to_a_stable_sort(case, fpr_max):
+    scores, active = case
+    auc = restricted_auc(scores, active, fpr_max)
+    with mock.patch.object(evaluation, "_roc_vertices", _stable_roc_vertices):
+        reference = restricted_auc(scores, active, fpr_max)
+    assert np.float64(auc).tobytes() == np.float64(reference).tobytes()
 
 
 def test_restricted_auc_errors():

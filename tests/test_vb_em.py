@@ -674,6 +674,86 @@ def test_overflowing_extrapolation_is_rejected_quietly(monkeypatch):
     assert value == pytest.approx(res.nfe_trace[-1], rel=1e-12)
 
 
+def _logged_cycles(monkeypatch, fitter, data, seed, fall=0.0):
+    """Fit and log every SQUAREM cycle: the kernel passes it made, the passes
+    it reported, its step length and the NFEs of theta0, theta1 and the
+    candidate. ``fall`` is taken off the NFE of each cycle's first point."""
+    cycles, current = [], {"kernel": 0}
+    originals = {
+        name: getattr(vb_em, name)
+        for name in ("_responsibility_pass", "_step_length", "_extrapolated", "_evaluate")
+    }
+    loop = vb_em.fitloop.fit
+
+    def kernel(*args):
+        current["kernel"] += 1
+        return originals["_responsibility_pass"](*args)
+
+    def step_length(*args):
+        current["alpha"] = originals["_step_length"](*args)
+        return current["alpha"]
+
+    def extrapolated(cache, p0, p1, *rest):
+        candidate, n, at_cap = originals["_extrapolated"](cache, p0, p1, *rest)
+        current.update(nfe0=p0.objective, nfe1=p1.objective, candidate=candidate)
+        return candidate, n, at_cap
+
+    def evaluate(*args):
+        point = originals["_evaluate"](*args)
+        if current.get("points") == 0:  # theta1, the cycle's first point
+            point.objective -= fall
+        current["points"] = current.get("points", 0) + 1
+        return point
+
+    def fit(data, init, cfg, families, first, cycle, ascent_only):
+        def logged(cache, recorded, passes):
+            current.clear()
+            current.update(kernel=0, points=0)
+            point, n = cycle(cache, recorded, passes)
+            cycles.append(dict(current, passes=n))
+            return point, n
+
+        return loop(data, init, cfg, families, first, logged, ascent_only)
+
+    monkeypatch.setattr(vb_em, "_responsibility_pass", kernel)
+    monkeypatch.setattr(vb_em, "_step_length", step_length)
+    monkeypatch.setattr(vb_em, "_extrapolated", extrapolated)
+    monkeypatch.setattr(vb_em, "_evaluate", evaluate)
+    monkeypatch.setattr(vb_em.fitloop, "fit", fit)
+    fitter(data, VBFitConfig(seed=seed))
+    # Cycles that extrapolated with a step length other than -1 and got a candidate.
+    return cycles, [c for c in cycles if c.get("alpha", -1.0) != -1.0 and c.get("candidate")]
+
+
+def _clears_bar(c) -> bool:
+    return c["nfe1"] >= c["nfe0"] and c["candidate"].objective >= 2.0 * c["nfe1"] - c["nfe0"]
+
+
+@pytest.mark.parametrize("fitter", [fit_bggm, fit_bgim])
+def test_cycle_skips_the_second_plain_pass_only_when_the_candidate_clears_the_bar(
+    fitter, monkeypatch
+):
+    data = synthetic(seed=36, n=3000, pi=(0.9, 0.05, 0.05), snr=3.0)
+    cycles, extrapolating = _logged_cycles(monkeypatch, fitter, data, 2)
+    assert all(c["kernel"] == c["passes"] for c in cycles)
+    # A step length of -1 makes theta2's pass first, for theta' = theta2.
+    assert all(c["passes"] == 3 for c in cycles if c.get("alpha") == -1.0)
+    assert all(c["passes"] == (3 if _clears_bar(c) else 4) for c in extrapolating)
+    assert {c["passes"] for c in extrapolating} == {3, 4}
+
+
+def test_cycle_never_skips_after_a_plain_step_whose_nfe_fell(monkeypatch):
+    # Every first plain step is made to lose 1e6 nats: every candidate then
+    # clears the bar 2 NFE(theta1) - NFE(theta0), and none may skip theta2.
+    data = synthetic(seed=36, n=3000, pi=(0.9, 0.05, 0.05), snr=3.0)
+    cycles, extrapolating = _logged_cycles(monkeypatch, fit_bgim, data, 2, fall=1e6)
+    assert extrapolating
+    for c in extrapolating:
+        assert c["nfe1"] < c["nfe0"]
+        assert c["candidate"].objective >= 2.0 * c["nfe1"] - c["nfe0"]
+        assert c["passes"] == c["kernel"] == 4
+
+
 @pytest.mark.parametrize("seed", [0, 11])
 def test_bgim_converges_on_the_cost_ordering_map(seed):
     # Criterion 10's scenario at n = 1e5: the plain coordinate ascent gained
