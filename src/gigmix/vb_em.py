@@ -96,10 +96,10 @@ class VBState:
 
 @dataclass
 class VBFitResult(FitResult):
-    """A variational fit. ``iterations`` counts every E-step pass, those of
-    rejected SQUAREM candidates included: a full cycle makes 3, or 4 when its
-    candidate misses the bar of ``_fit_vb``. ``nfe_trace`` holds the start and
-    one NFE per recorded cycle."""
+    """A variational fit. ``iterations`` counts every E-step pass but the one
+    at the k-means start, those of rejected SQUAREM candidates included: 3 or
+    4 per full cycle (see ``_cycle``). ``nfe_trace`` holds the start and one
+    NFE per recorded cycle."""
 
     state: VBState
     expectations: ExpectationCache
@@ -426,7 +426,7 @@ def _unpack(theta: np.ndarray) -> VBState:
     )
 
 
-def _evaluate(cache: _DataCache, state: VBState, priors: HyperPriors, families, iteration: int) -> Point:
+def _evaluate(cache: _DataCache, state: VBState, priors: HyperPriors, families) -> Point:
     """One E-step pass at ``state`` and the negative free energy there."""
     e = expectations(state, priors)
     g2, g3, stats, lse_total, ndeg = _responsibility_pass(cache, e, families)
@@ -434,7 +434,7 @@ def _evaluate(cache: _DataCache, state: VBState, priors: HyperPriors, families, 
     # Expected log-proportions are finite, so a point without a finite
     # log-sum-exp means the expectations overflowed.
     if ndeg or not math.isfinite(nfe):
-        raise VBNumericError(f"negative free energy diverged at iteration {iteration}: {nfe}")
+        raise VBNumericError(f"negative free energy diverged: {nfe}")
     return Point(state, stats, nfe, g2, g3, ndeg, e)
 
 
@@ -464,79 +464,109 @@ def _drop_lower(a: Point, b: Point) -> None:
     lower.g2 = lower.g3 = None
 
 
-def _extrapolated(
-    cache: _DataCache,
-    p0: Point,
-    p1: Point,
-    theta2: VBState,
-    priors: HyperPriors,
-    families,
-    step_max: float,
-    plain,
-):
-    """The SQUAREM candidate F(theta') from the plain steps theta0 -> theta1 -> theta2.
+def _extrapolated(cache: _DataCache, theta, priors: HyperPriors, families):
+    """The SQUAREM candidate: F(theta') and the pass at it for its NFE.
 
-    theta' = theta0 - 2 alpha r + alpha**2 v on the packed states, with
-    r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0; theta2 = F(theta1)
-    comes from p1's statistics, without a pass. The candidate takes one pass
-    at theta' for its statistics and one at F(theta') for its NFE. alpha = -1
-    gives theta' = theta2, whose pass is the second plain step: ``plain()``
-    makes it, outside the numeric guard, and returns its point, and the lower
-    of p0 and that point drops its side responsibilities. Returns the
-    candidate, or None if any part of it fails numerically (an error or a
-    floating-point warning), the number of E-step passes made here, and
-    whether alpha was at -step_max.
+    ``theta`` is theta' packed, and a pass at it gives the statistics for F;
+    or it is the point of the pass already made at theta' = theta2. Returns
+    the candidate, or None if theta' is not finite or any part fails
+    numerically (an error or a floating-point warning), and the passes made.
     """
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            t0, t1, t2 = _pack(p0.params), _pack(p1.params), _pack(theta2)
-            r = t1 - t0
-            v = t2 - 2.0 * t1 + t0
-            alpha = _step_length(r, v, step_max)
-    except (ValueError, ArithmeticError):
-        return None, 0, False
-    at_cap = alpha == -step_max
-    p2 = None
-    if alpha == -1.0:
-        p2 = plain()
-        _drop_lower(p2, p0)
     passes = 0
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            if p2 is not None:
-                state = _step(p2, priors)
+            if isinstance(theta, Point):
+                stats, e = theta.stats, theta.expectations
             else:
-                e = expectations(_unpack(t0 - 2.0 * alpha * r + alpha * alpha * v), priors)
+                if not np.all(np.isfinite(theta)):
+                    return None, 0
+                e = expectations(_unpack(theta), priors)
                 passes = 1
                 stats, lse_total, ndeg = _responsibility_pass(cache, e, families)[2:]
                 if ndeg or not math.isfinite(lse_total):
-                    return None, passes, at_cap
-                state = _update_state(stats, priors, e.tau, e.s)
+                    return None, passes
+            state = _update_state(stats, priors, e.tau, e.s)
             passes += 1
-            # A failure here rejects the candidate; its iteration number is never shown.
-            return _evaluate(cache, state, priors, families, 0), passes, at_cap
+            return _evaluate(cache, state, priors, families), passes
     except (VBNumericError, ValueError, ArithmeticError):
-        return None, passes, at_cap
+        return None, passes
+
+
+def _cycle(
+    cache: _DataCache, p0: Point, priors: HyperPriors, families, step_max: float, room: int
+):
+    """One SQUAREM cycle (Varadhan & Roland 2008) from the recorded point p0,
+    in at most ``room`` E-step passes. Returns the chosen point, the passes
+    made and the step cap for the next cycle.
+
+    A plain step takes theta0 (p0's state) to theta1 = F(theta0), with a pass
+    for its NFE; theta2 = F(theta1) comes from theta1's statistics without a
+    pass. On the packed states, r = theta1 - theta0, v = theta2 - 2 theta1 +
+    theta0, the step length alpha (``_step_length``) gives theta' = theta0 -
+    2 alpha r + alpha**2 v, and the candidate is F(theta'). Three shapes:
+
+    - alpha = -1: theta' is theta2, whose pass (the second plain step) comes
+      first; the candidate is kept if its NFE is at least theta2's. 3 passes.
+    - The candidate clears the bar, NFE(theta1) >= NFE(theta0) and its NFE
+      >= 2 NFE(theta1) - NFE(theta0), where two plain steps land if their
+      gains do not grow: it is kept without the pass at theta2. 3 passes.
+    - Otherwise the pass at theta2 is made, and the candidate is kept only if
+      its NFE is at least theta2's. 4 passes.
+
+    A candidate that fails numerically is never kept. At alpha = -step_max
+    the cap grows by ``_STEP_MAX_FACTOR`` if the candidate is kept and
+    shrinks by it (not below 1) if not. With room for 1 pass the cycle is
+    theta1 alone; with room for fewer than 4, or no finite step length, it is
+    two plain steps and the cap stays.
+    """
+    p1 = _evaluate(cache, _step(p0, priors), priors, families)
+    if room == 1:
+        return p1, 1, step_max
+    theta2 = _step(p1, priors)
+    p1.g2 = p1.g3 = None
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            t0, t1 = _pack(p0.params), _pack(p1.params)
+            r = t1 - t0
+            v = _pack(theta2) - 2.0 * t1 + t0
+            alpha = _step_length(r, v, step_max)
+    except (ValueError, ArithmeticError):
+        alpha = None
+    if room < 4 or alpha is None:
+        return _evaluate(cache, theta2, priors, families), 2, step_max
+    if alpha == -1.0:
+        p2 = _evaluate(cache, theta2, priors, families)
+        _drop_lower(p2, p0)
+        candidate, n = _extrapolated(cache, p2, priors, families)
+        passes = 2 + n
+    else:
+        # An overflowing theta' is rejected by _extrapolated, before any pass.
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = t0 - 2.0 * alpha * r + alpha * alpha * v
+        candidate, n = _extrapolated(cache, theta, priors, families)
+        passes = 1 + n
+        p2 = None
+        if not (
+            candidate is not None
+            and p1.objective >= p0.objective
+            and candidate.objective >= 2.0 * p1.objective - p0.objective
+        ):
+            if candidate is not None:
+                _drop_lower(candidate, p0)
+            p2 = _evaluate(cache, theta2, priors, families)
+            passes += 1
+    kept = candidate is not None and (p2 is None or candidate.objective >= p2.objective)
+    if alpha == -step_max:
+        step_max = step_max * _STEP_MAX_FACTOR if kept else max(1.0, step_max / _STEP_MAX_FACTOR)
+    return (candidate if kept else p2), passes, step_max
 
 
 def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
-    """SQUAREM-accelerated coordinate ascent (Varadhan & Roland 2008).
-
-    Each cycle takes a plain step from the last recorded state theta0 to
-    theta1, builds theta2 = F(theta1) without a pass, and evaluates one
-    stabilising step from their extrapolation (step length capped, see
-    ``_STEP_MAX_FACTOR``). It keeps that candidate without a pass at theta2
-    when NFE(theta1) >= NFE(theta0) and the candidate's NFE is at least
-    2 NFE(theta1) - NFE(theta0), where two plain steps land if their gains
-    do not grow: 3 passes. Otherwise it makes the pass at theta2 and keeps
-    the candidate only if its NFE is at least theta2's: 4 passes. When the
-    step length is -1 the extrapolation is theta2 itself; its pass is made
-    first, and the second rule applies in 3 passes. ``fitloop.fit`` records
-    the chosen state only if its NFE does not fall.
-    """
+    """Coordinate ascent from the k-means start in SQUAREM cycles (``_cycle``),
+    whose step cap is kept here; ``fitloop.fit`` records a cycle's point only
+    if its NFE does not fall."""
     priors = default_hyperpriors(*families)
-    cap = cfg.max_iterations
-    step_max = 1.0
+    cap, step_max = cfg.max_iterations, 1.0
 
     def first(cache, init):
         # ``point_pass`` under this module's name for the kernel, so that the
@@ -545,47 +575,12 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
             stats = _responsibility_pass(cache, point_coefficients(init), families)[2]
         e_s = (init.comp2.shape, init.comp3.shape)
         state = _update_state(stats, priors, e_tau=init.comp1.tau, e_s=e_s)
-        return _evaluate(cache, state, priors, families, 1)
+        return _evaluate(cache, state, priors, families)
 
     def cycle(cache, recorded, passes):
         nonlocal step_max
-        i = passes + 1
-        p1 = _evaluate(cache, _step(recorded, priors), priors, families, i)
-        if i == cap:
-            return p1, 1
-        theta2 = _step(p1, priors)
-        p1.g2 = p1.g3 = None
-        p2 = None
-
-        def plain():
-            # The second plain step: the pass at theta2.
-            nonlocal i, p2
-            i += 1
-            p2 = _evaluate(cache, theta2, priors, families, i)
-            return p2
-
-        if i + 3 > cap:
-            return plain(), 2
-        candidate, n, at_cap = _extrapolated(
-            cache, recorded, p1, theta2, priors, families, step_max, plain
-        )
-        i += n
-        # Two plain steps whose gains do not grow end at or below the bar.
-        if p2 is None and not (
-            candidate is not None
-            and p1.objective >= recorded.objective
-            and candidate.objective >= 2.0 * p1.objective - recorded.objective
-        ):
-            if candidate is not None:
-                _drop_lower(candidate, recorded)
-            plain()
-        if candidate is not None and (p2 is None or candidate.objective >= p2.objective):
-            if at_cap:
-                step_max *= _STEP_MAX_FACTOR
-            return candidate, i - passes
-        if at_cap:
-            step_max = max(1.0, step_max / _STEP_MAX_FACTOR)
-        return p2, i - passes
+        point, n, step_max = _cycle(cache, recorded, priors, families, step_max, cap - passes)
+        return point, n
 
     last, trace, common = fitloop.fit(data, None, cfg, families, first, cycle, ascent_only=True)
     return VBFitResult(

@@ -17,6 +17,7 @@ mean**2 / 1e-6, which overflows. ``test_large_scale_small_cluster_is_refused``
 pins one such input as a known failure.
 """
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gigmix import ml_em, vb_em
 from gigmix.experiments import MODEL_NAMES, fit
 from gigmix.ml_em import MLFitConfig, fit_ggm, fit_gim
 from gigmix.vb_em import VBFitConfig, fit_bggm, fit_bgim, negative_free_energy
@@ -156,6 +158,24 @@ def test_sign_flip_of_capped_bggm_fit():
     check_sign_flip("bggm", x, 5)
 
 
+@contextlib.contextmanager
+def _counted(module, name):
+    """Count the calls through ``module.name`` while the block runs. The patch
+    is made by hand: hypothesis refuses a function-scoped fixture such as
+    ``monkeypatch`` in a test it runs many times."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    setattr(module, name, counted)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, original)
+
+
 # Criterion 5's slack: a recorded NFE may fall by at most this share of
 # 1 + |NFE| from the one before it.
 NFE_SLACK = 1e-6
@@ -164,9 +184,11 @@ _VB_FITTERS = {"bggm": fit_bggm, "bgim": fit_bgim}
 
 
 def check_vb_trace(model, x, seed, max_iterations):
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), _counted(vb_em, "_responsibility_pass") as calls:
         warnings.simplefilter("ignore")
         r = _VB_FITTERS[model](x, VBFitConfig(max_iterations=max_iterations, seed=seed))
+    # Every kernel pass is counted but the one at the k-means start.
+    assert r.iterations == len(calls) - 1
     t = r.nfe_trace
     assert np.all(np.diff(t) >= -NFE_SLACK * (1.0 + np.abs(t[:-1])))
     assert 1 <= t.size <= r.iterations <= max_iterations
@@ -189,9 +211,9 @@ def check_vb_trace(model, x, seed, max_iterations):
 @example(x=-np.array([0.5, 1.0, 2.0, 8.0]), seed=4, max_iterations=3)
 def test_vb_trace_ascends_within_its_budget_and_matches_the_fit(model, x, seed, max_iterations):
     # The recorded objective never falls by more than the slack, the pass
-    # count stays within the cap and reaches it exactly when the fit is
-    # capped, and the last recorded NFE is the objective of the returned
-    # responsibilities, state and expectations.
+    # count is the number of kernel passes, stays within the cap and reaches
+    # it exactly when the fit is capped, and the last recorded NFE is the
+    # objective of the returned responsibilities, state and expectations.
     check_vb_trace(model, x, seed, max_iterations)
 
 
@@ -199,9 +221,10 @@ _ML_FITTERS = {"ggm": fit_ggm, "gim": fit_gim}
 
 
 def check_ml_trace(model, x, seed, max_iterations):
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), _counted(ml_em, "_e_step") as calls:
         warnings.simplefilter("ignore")
         r = _ML_FITTERS[model](x, None, MLFitConfig(max_iterations=max_iterations, seed=seed))
+    assert r.iterations == len(calls)
     assert 1 <= r.iterations <= max_iterations
     assert len(r.loglik_trace) == r.iterations
     assert r.stop_reason in ("tolerance", "max_iterations")
@@ -222,5 +245,6 @@ def check_ml_trace(model, x, seed, max_iterations):
 @example(x=-np.array([0.5, 1.0, 2.0, 8.0]), seed=4, max_iterations=3)
 def test_ml_trace_stays_within_its_budget(model, x, seed, max_iterations):
     # One E-step pass per recorded log-likelihood, falling ones included; the
-    # pass count stays within the cap and reaches it exactly when capped.
+    # pass count is the number of kernel passes, stays within the cap and
+    # reaches it exactly when capped.
     check_ml_trace(model, x, seed, max_iterations)

@@ -106,10 +106,10 @@ def test_every_kernel_pass_goes_through_the_traced_name(model, monkeypatch):
 
 
 # Pass counts, stop reasons and final objectives on the criterion-10 scenario
-# at n = 1e4, first repeat. The objectives are those the fits reached when
-# every SQUAREM cycle made four passes; the variational fits now reach them in
-# fewer passes, since a cycle skips its second plain step's pass when the
-# candidate clears the bar.
+# at n = 1e4, first repeat. The variational pins guard the SQUAREM cycle
+# (``vb_em._cycle``) as well as the loop: bggm's fit takes one alpha = -1
+# cycle, four three-pass and one four-pass cycle, bgim's two, six and three,
+# so a change to any of the three shapes moves a pass count or an objective.
 PINNED = {
     "bggm": (20, "tolerance", -17256.425645579333),
     "bgim": (37, "no_ascent", -17297.419077152048),

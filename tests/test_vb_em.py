@@ -677,52 +677,46 @@ def test_overflowing_extrapolation_is_rejected_quietly(monkeypatch):
 def _logged_cycles(monkeypatch, fitter, data, seed, fall=0.0):
     """Fit and log every SQUAREM cycle: the kernel passes it made, the passes
     it reported, its step length and the NFEs of theta0, theta1 and the
-    candidate. ``fall`` is taken off the NFE of each cycle's first point."""
-    cycles, current = [], {"kernel": 0}
-    originals = {
-        name: getattr(vb_em, name)
-        for name in ("_responsibility_pass", "_step_length", "_extrapolated", "_evaluate")
-    }
-    loop = vb_em.fitloop.fit
+    candidate. ``fall`` is taken off the NFE of each cycle's first point.
 
-    def kernel(*args):
-        current["kernel"] += 1
-        return originals["_responsibility_pass"](*args)
+    Only ``_cycle``, the kernel and ``_evaluate`` are wrapped. The step length
+    is recomputed from the cycle's inputs, and the candidate is the point the
+    cycle evaluated after theta1 that is not theta2 = F(theta1)."""
+    cycles, log = [], {"kernel": 0, "points": None}
+    cycle, evaluate, kernel = vb_em._cycle, vb_em._evaluate, vb_em._responsibility_pass
 
-    def step_length(*args):
-        current["alpha"] = originals["_step_length"](*args)
-        return current["alpha"]
+    def counted(*args):
+        log["kernel"] += 1
+        return kernel(*args)
 
-    def extrapolated(cache, p0, p1, *rest):
-        candidate, n, at_cap = originals["_extrapolated"](cache, p0, p1, *rest)
-        current.update(nfe0=p0.objective, nfe1=p1.objective, candidate=candidate)
-        return candidate, n, at_cap
-
-    def evaluate(*args):
-        point = originals["_evaluate"](*args)
-        if current.get("points") == 0:  # theta1, the cycle's first point
-            point.objective -= fall
-        current["points"] = current.get("points", 0) + 1
+    def evaluated(*args):
+        point = evaluate(*args)
+        if log["points"] is not None:
+            if not log["points"]:  # theta1, the cycle's first point
+                point.objective -= fall
+            log["points"].append(point)
         return point
 
-    def fit(data, init, cfg, families, first, cycle, ascent_only):
-        def logged(cache, recorded, passes):
-            current.clear()
-            current.update(kernel=0, points=0)
-            point, n = cycle(cache, recorded, passes)
-            cycles.append(dict(current, passes=n))
-            return point, n
+    def logged(cache, p0, priors, families, step_max, room):
+        log.update(kernel=0, points=[])
+        point, passes, cap = cycle(cache, p0, priors, families, step_max, room)
+        (p1, *later), log["points"] = log["points"], None
+        t0, t1, t2 = (vb_em._pack(s) for s in (p0.params, p1.params, vb_em._step(p1, priors)))
+        c = dict(kernel=log["kernel"], passes=passes, nfe0=p0.objective, nfe1=p1.objective)
+        if room >= 4:
+            c["alpha"] = vb_em._step_length(t1 - t0, t2 - 2.0 * t1 + t0, step_max)
+        c["candidate"] = next(
+            (p for p in later if not np.array_equal(vb_em._pack(p.params), t2)), None
+        )
+        cycles.append(c)
+        return point, passes, cap
 
-        return loop(data, init, cfg, families, first, logged, ascent_only)
-
-    monkeypatch.setattr(vb_em, "_responsibility_pass", kernel)
-    monkeypatch.setattr(vb_em, "_step_length", step_length)
-    monkeypatch.setattr(vb_em, "_extrapolated", extrapolated)
-    monkeypatch.setattr(vb_em, "_evaluate", evaluate)
-    monkeypatch.setattr(vb_em.fitloop, "fit", fit)
+    monkeypatch.setattr(vb_em, "_cycle", logged)
+    monkeypatch.setattr(vb_em, "_responsibility_pass", counted)
+    monkeypatch.setattr(vb_em, "_evaluate", evaluated)
     fitter(data, VBFitConfig(seed=seed))
     # Cycles that extrapolated with a step length other than -1 and got a candidate.
-    return cycles, [c for c in cycles if c.get("alpha", -1.0) != -1.0 and c.get("candidate")]
+    return cycles, [c for c in cycles if c.get("alpha", -1.0) != -1.0 and c["candidate"]]
 
 
 def _clears_bar(c) -> bool:
