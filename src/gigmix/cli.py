@@ -162,7 +162,7 @@ def _cmd_eval(args) -> int:
             f"scores ({scores.size}) and truth ({labels.size}) lengths differ"
         )
     auc = restricted_auc(scores, labels != 0, fpr_max=args.fpr_max)
-    print(repr(float(auc)))
+    print(repr(auc))
     return 0
 
 

@@ -16,21 +16,6 @@ from scipy.special import betainc
 
 
 @dataclass
-class EvalReport:
-    """Evaluation summary of a single fit within a benchmark run."""
-
-    scenario_id: str
-    model_id: str
-    run_id: int
-    auc_restricted: float
-    pos_fraction: float
-    neg_fraction: float
-    runtime_seconds: float
-    iterations: int
-    converged: bool
-
-
-@dataclass
 class ComparisonTable:
     """Pairwise significant-win flags per scenario and aggregate percentages."""
 
@@ -114,7 +99,7 @@ def restricted_auc(scores, active, fpr_max: float = 0.05) -> float:
     if crossing.size:
         j = int(crossing[0])
         tb = t0[j] + (t1[j] - t0[j]) * (fpr_max - f0[j]) / (f1[j] - f0[j])
-        area += (fpr_max - f0[j]) * (t0[j] + tb) / 2.0
+        area += float((fpr_max - f0[j]) * (t0[j] + tb)) / 2.0
     return area / fpr_max
 
 

@@ -16,12 +16,12 @@ default CSV output byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import __version__
-from .evaluation import EvalReport, activation_map, restricted_auc, win_matrix
+from .evaluation import activation_map, restricted_auc, win_matrix
 from .io import write_json
 from .ml_em import MLFitConfig, fit_ggm, fit_gim
 from .vb_em import VBFitConfig, fit_bggm, fit_bgim
@@ -129,83 +129,57 @@ def fit(model: str, data, seed: int):
     raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
 
 
-def fit_model(model: str, data: np.ndarray, seed: int):
-    """Fit one model by name; returns (responsibilities, iterations, converged, seconds)."""
-    r = fit(model, data, seed)
-    return r.responsibilities, r.iterations, r.converged, r.wall_time_seconds
+# ``run_benchmark`` looks this name up at call time, so a test or a tracer can
+# replace it to inject a failure or time each fit.
+fit_model = fit
 
 
 @dataclass
 class RunManifest:
-    """Complete provenance of one benchmark invocation."""
+    """Complete provenance of one benchmark invocation. ``rows`` holds one
+    dict per fit, with the keys that ``run_benchmark`` gives it."""
 
     specs: list
     models: list
     timing: str
     rows: list
     failures: list
-    schema_version: int = MANIFEST_SCHEMA_VERSION
-    version: str = __version__
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
-            "version": self.version,
+            "schema_version": MANIFEST_SCHEMA_VERSION,
+            "version": __version__,
             "timing": self.timing,
             "models": list(self.models),
             "specs": [
-                {
-                    "dataset": s.dataset,
-                    "snr": float(s.snr),
-                    "sparsity": s.sparsity,
-                    "n": s.n,
-                    "repeats": s.repeats,
-                    "seed": s.seed,
-                    "scenario_id": s.scenario_id,
-                }
+                {**asdict(s), "snr": float(s.snr), "scenario_id": s.scenario_id}
                 for s in self.specs
             ],
             "failures": list(self.failures),
-            "rows": [
-                {
-                    "scenario_id": r.scenario_id,
-                    "model": r.model_id,
-                    "repeat": r.run_id,
-                    "auc": float(r.auc_restricted),
-                    "pos_frac": float(r.pos_fraction),
-                    "neg_frac": float(r.neg_fraction),
-                    "wall_seconds": float(r.runtime_seconds),
-                    "iterations": int(r.iterations),
-                    "converged": bool(r.converged),
-                }
-                for r in self.rows
-            ],
+            "rows": self.rows,
         }
 
     def write_manifest(self, path) -> None:
         write_json(path, self.to_dict())
 
     def write_runs_csv(self, path) -> None:
+        """One line per row; ``seconds`` is the row's wall time when timing
+        is on and 0.0 otherwise."""
         record_timing = self.timing == "wall"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(RUNS_CSV_COLUMNS) + "\n")
             for r in self.rows:
-                seconds = r.runtime_seconds if record_timing else 0.0
-                fh.write(
-                    f"{r.scenario_id},{r.model_id},{r.run_id},"
-                    f"{float(r.auc_restricted)!r},{float(r.pos_fraction)!r},"
-                    f"{float(r.neg_fraction)!r},{float(seconds)!r},"
-                    f"{int(r.iterations)},{int(r.converged)}\n"
-                )
+                line = {**r, "seconds": r["wall_seconds"] if record_timing else 0.0}
+                fh.write(",".join(_csv_field(line[c]) for c in RUNS_CSV_COLUMNS) + "\n")
 
     def auc_table(self) -> dict:
         """scenario -> model -> AUC vector over the repeats that every model
         has in that scenario, ordered by repeat index."""
         by_repeat = {}
         for r in self.rows:
-            by_repeat.setdefault(r.scenario_id, {}).setdefault(r.model_id, {})[r.run_id] = (
-                r.auc_restricted
-            )
+            by_repeat.setdefault(r["scenario_id"], {}).setdefault(r["model"], {})[
+                r["repeat"]
+            ] = r["auc"]
         table = {}
         for sc, by_model in by_repeat.items():
             runs = [by_model.get(m, {}) for m in self.models]
@@ -215,15 +189,16 @@ class RunManifest:
             }
         return table
 
-    def write_wins_csv(self, path, alpha: float = 0.01) -> None:
-        """Pairwise wins over the scenarios with >= 2 repeats shared by every
-        model; only the header when no scenario has them."""
+    def write_wins_csv(self, path) -> None:
+        """Pairwise wins at win_matrix's default alpha over the scenarios
+        with >= 2 repeats shared by every model; only the header when no
+        scenario has them."""
         paired = {
             sc: by_model
             for sc, by_model in self.auc_table().items()
             if all(v.size >= 2 for v in by_model.values())
         }
-        table = win_matrix(paired, alpha=alpha) if paired else None
+        table = win_matrix(paired) if paired else None
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("model_a,model_b,scenarios_won,scenarios_total,win_pct\n")
             if table is None:
@@ -235,6 +210,11 @@ class RunManifest:
                         continue
                     won = sum(table.wins[(sc, ma, mb)] for sc in table.scenarios)
                     fh.write(f"{ma},{mb},{won},{total},{float(table.win_pct[(ma, mb)])!r}\n")
+
+
+def _csv_field(value) -> str:
+    """A flag as 0/1; anything else as str(), which is repr() for a float."""
+    return str(int(value)) if isinstance(value, bool) else str(value)
 
 
 def load_manifest(path):
@@ -251,14 +231,7 @@ def load_manifest(path):
     if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
         raise ValueError(f"unsupported manifest schema: {doc.get('schema_version')!r}")
     specs = [
-        SyntheticSpec(
-            dataset=s["dataset"],
-            snr=s["snr"],
-            sparsity=s["sparsity"],
-            n=s["n"],
-            repeats=s["repeats"],
-            seed=s["seed"],
-        )
+        SyntheticSpec(**{f.name: s[f.name] for f in fields(SyntheticSpec)})
         for s in doc["specs"]
     ]
     return specs, list(doc["models"]), doc["timing"]
@@ -277,6 +250,8 @@ def run_benchmark(specs, models, timing: str = "off") -> RunManifest:
     unknown = set(models) - set(MODEL_NAMES)
     if unknown:
         raise ValueError(f"unknown models: {sorted(unknown)}")
+    if len(set(models)) < len(models):
+        raise ValueError(f"each model may be named once, got {models}")
     rows = []
     failures = []
     for scenario_index, spec in enumerate(specs):
@@ -286,24 +261,21 @@ def run_benchmark(specs, models, timing: str = "off") -> RunManifest:
             fit_seed = _fit_seed(spec.seed, scenario_index, repeat)
             for model in models:
                 try:
-                    gamma, iterations, converged, seconds = fit_model(
-                        model, ds.values, fit_seed
-                    )
+                    result = fit_model(model, ds.values, fit_seed)
+                    gamma = result.responsibilities
                     labels = activation_map(gamma)
                     rows.append(
-                        EvalReport(
-                            scenario_id=spec.scenario_id,
-                            model_id=model,
-                            run_id=repeat,
-                            auc_restricted=restricted_auc(
-                                gamma[:, 1] + gamma[:, 2], active
-                            ),
-                            pos_fraction=float(np.mean(labels == 1)),
-                            neg_fraction=float(np.mean(labels == -1)),
-                            runtime_seconds=seconds,
-                            iterations=iterations,
-                            converged=converged,
-                        )
+                        {
+                            "scenario_id": spec.scenario_id,
+                            "model": model,
+                            "repeat": repeat,
+                            "auc": restricted_auc(gamma[:, 1] + gamma[:, 2], active),
+                            "pos_frac": float(np.mean(labels == 1)),
+                            "neg_frac": float(np.mean(labels == -1)),
+                            "wall_seconds": result.wall_time_seconds,
+                            "iterations": result.iterations,
+                            "converged": result.converged,
+                        }
                     )
                 except Exception as exc:  # noqa: BLE001 - harness must keep going
                     failures.append(

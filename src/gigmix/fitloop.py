@@ -8,6 +8,7 @@ built once from the last recorded point.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -41,8 +42,8 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.rel_tolerance <= 0:
-            raise ValueError("rel_tolerance must be > 0")
+        if not 0 < self.rel_tolerance < math.inf:
+            raise ValueError("rel_tolerance must be finite and > 0")
 
 
 @dataclass

@@ -237,6 +237,49 @@ def test_bench_survives_failed_fits(tmp_path, monkeypatch, capsys):
     assert len((tmp_path / "wins.csv").read_text().splitlines()) == 1 + 2
 
 
+_SPEC_TYPES = {"dataset": int, "snr": float, "sparsity": int, "n": int, "repeats": int,
+               "seed": int, "scenario_id": str}
+_ROW_TYPES = {"scenario_id": str, "model": str, "repeat": int, "auc": float,
+              "pos_frac": float, "neg_frac": float, "wall_seconds": float,
+              "iterations": int, "converged": bool}
+
+
+@pytest.mark.parametrize("timing", ["off", "wall"])
+def test_bench_output_layout(tmp_path, timing):
+    assert main(_bench_argv(tmp_path, 2) + ["--timing", timing]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert {k: type(v) for k, v in manifest.items()} == {
+        "schema_version": int, "version": str, "timing": str, "models": list,
+        "specs": list, "failures": list, "rows": list,
+    }
+    assert (manifest["schema_version"], manifest["version"]) == (1, gigmix.__version__)
+    assert manifest["timing"] == timing
+    assert [{k: type(v) for k, v in s.items()} for s in manifest["specs"]] == [_SPEC_TYPES]
+    assert manifest["failures"] == []
+    rows = manifest["rows"]
+    assert len(rows) == 4
+    assert all({k: type(v) for k, v in r.items()} == _ROW_TYPES for r in rows)
+
+    lines = (tmp_path / "runs.csv").read_text().splitlines()
+    assert lines[0] == "scenario_id,model,repeat,auc,pos_frac,neg_frac,seconds,iterations,converged"
+    assert len(lines) == 1 + len(rows)
+    for line, r in zip(lines[1:], rows):
+        seconds = r["wall_seconds"] if timing == "wall" else 0.0
+        assert line == (
+            f"{r['scenario_id']},{r['model']},{r['repeat']},{r['auc']!r},{r['pos_frac']!r},"
+            f"{r['neg_frac']!r},{seconds!r},{r['iterations']},{int(r['converged'])}"
+        )
+        assert float(line.split(",")[6]) == seconds
+
+
+def test_bench_repeated_model_is_runtime_error(tmp_path, capsys):
+    argv = ["bench", "--grid", "1:5:1", "--models", "ggm,ggm", "--repeats", "1", "--n", "500",
+            "--outdir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_bad_grid_is_runtime_error(tmp_path):
     assert (
         main(["bench", "--grid", "1:5", "--outdir", str(tmp_path), "--repeats", "1"]) == 2

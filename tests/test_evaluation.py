@@ -68,6 +68,18 @@ def test_restricted_auc_chance_diagonal():
     assert restricted_auc(scores, active) == pytest.approx(0.025, rel=1e-12)
 
 
+def test_restricted_auc_returns_a_python_float():
+    rng = np.random.default_rng(4)
+    cases = [
+        (np.array([0.9, 0.8, 0.7, 0.2, 0.1]), np.array([True, True, True, False, False])),
+        (np.full(100, 0.5), np.arange(100) % 2 == 0),  # one segment crosses fpr_max
+        (rng.uniform(0, 1, 500), rng.uniform(0, 1, 500) < 0.3),
+    ]
+    for scores, active in cases:
+        for fpr_max in (0.05, 0.5, 1.0):
+            assert type(restricted_auc(scores, active, fpr_max=fpr_max)) is float
+
+
 def test_restricted_auc_monotone_invariance():
     rng = np.random.default_rng(1)
     scores = rng.uniform(0, 1, 500)

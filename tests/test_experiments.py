@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import gigmix.experiments as experiments
-from gigmix.evaluation import EvalReport
 from gigmix.experiments import (
     RUNS_CSV_COLUMNS,
     RunManifest,
@@ -72,6 +71,12 @@ def test_fit_model_rejects_unknown():
         fit_model("mystery", np.zeros(10), 0)
 
 
+def test_run_benchmark_rejects_repeated_models():
+    spec = SyntheticSpec(dataset=1, snr=5.0, sparsity=1, n=500, repeats=1, seed=0)
+    with pytest.raises(ValueError, match="once"):
+        run_benchmark([spec], ["ggm", "gim", "ggm"])
+
+
 def test_default_grid_shape():
     grid = default_grid(seed=3, n=1234, repeats=7)
     assert len(grid) == 12
@@ -113,7 +118,11 @@ def test_run_benchmark_auc_table_order():
 
 def _manifest_with_rows(runs):
     """A manifest holding one row per (scenario, model, repeat, auc) tuple."""
-    rows = [EvalReport(sc, m, rep, auc, 0.0, 0.0, 0.0, 1, True) for sc, m, rep, auc in runs]
+    rows = [
+        {"scenario_id": sc, "model": m, "repeat": rep, "auc": auc, "pos_frac": 0.0,
+         "neg_frac": 0.0, "wall_seconds": 0.0, "iterations": 1, "converged": True}
+        for sc, m, rep, auc in runs
+    ]
     return RunManifest(specs=[], models=["a", "b"], timing="off", rows=rows, failures=[])
 
 
@@ -180,10 +189,10 @@ def test_manifest_alone_suffices_to_rerun(tmp_path):
     replay.write_runs_csv(tmp_path / "runs_b.csv")
     assert (tmp_path / "runs_a.csv").read_bytes() == (tmp_path / "runs_b.csv").read_bytes()
     for a, b in zip(first.rows, replay.rows):
-        assert a.auc_restricted == b.auc_restricted
-        assert a.pos_fraction == b.pos_fraction
-        assert a.neg_fraction == b.neg_fraction
-        assert a.iterations == b.iterations
+        assert a["auc"] == b["auc"]
+        assert a["pos_frac"] == b["pos_frac"]
+        assert a["neg_frac"] == b["neg_frac"]
+        assert a["iterations"] == b["iterations"]
 
 
 def test_load_manifest_rejects_unknown_schema(tmp_path):

@@ -10,12 +10,15 @@ each name and check that a fit goes through the patched version.
 """
 
 import inspect
+import math
 
 import numpy as np
 import pytest
 
 from gigmix import initialization, ml_em, vb_em
 from gigmix.experiments import SyntheticSpec, _fit_seed, fit, generate
+from gigmix.ml_em import MLFitConfig
+from gigmix.vb_em import VBFitConfig
 
 VB_MODELS = ("bggm", "bgim")
 ML_MODELS = ("ggm", "gim")
@@ -126,3 +129,13 @@ def test_pass_counts_are_pinned(model):
     assert (r.iterations, r.stop_reason, float(trace[-1])) == PINNED[model]
     assert r.converged
     assert r.degenerate_rows == 0
+
+
+@pytest.mark.parametrize("config", [MLFitConfig, VBFitConfig])
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0])
+def test_config_rejects_a_tolerance_that_is_not_finite_and_positive(config, tolerance):
+    # A NaN tolerance never settles (ML runs to its cap) or settles on any
+    # fall (VB); an infinite one stops every fit after one cycle.
+    with pytest.raises(ValueError, match="rel_tolerance"):
+        config(rel_tolerance=tolerance)
+    assert config(rel_tolerance=1e-300).rel_tolerance == 1e-300
