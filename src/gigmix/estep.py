@@ -209,15 +209,6 @@ def _gaussian_coefficients(e: ExpectationCache, sign: float = 1.0):
     return -0.5 * e.tau, sign * (e.tau * e.mu), _gaussian_const(e)
 
 
-def _gaussian_log_rho(e: ExpectationCache, sq, vals, sign: float = 1.0) -> np.ndarray:
-    """Gaussian log-responsibility at x = sign * vals, where sq = x**2."""
-    c_sq, c_x, c0 = _gaussian_coefficients(e, sign)
-    a = sq * c_sq
-    a += vals * c_x
-    a += c0
-    return a
-
-
 def _activation_coefficients(e: ExpectationCache, k: int, fam):
     """Activation k's log-responsibility as const + c_log * log v + c_lin * w,
     where w is v for a Gamma and 1/v for an inverse-Gamma; returns
@@ -226,14 +217,6 @@ def _activation_coefficients(e: ExpectationCache, k: int, fam):
     if fam.kind == "gamma":
         return const, e.s[k] - 1.0, -e.r[k], False
     return const, -(e.s[k] + 1.0), -e.r[k], True
-
-
-def _side_log_rho(e: ExpectationCache, k: int, fam, logs, vals, invs) -> np.ndarray:
-    const, c_log, c_lin, inverse = _activation_coefficients(e, k, fam)
-    b = logs * c_log
-    b += (invs if inverse else vals) * c_lin
-    b += const
-    return b
 
 
 def _side_pass(e: ExpectationCache, k: int, fam, sign: float, blocks, g, direct: bool):

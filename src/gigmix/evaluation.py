@@ -134,7 +134,9 @@ def win_matrix(auc_runs, alpha: float = 0.01) -> ComparisonTable:
 
     ``auc_runs`` maps scenario id -> model id -> AUC vector over repeats. A
     model wins a scenario against another when its mean AUC is higher and the
-    paired t-test is significant at ``alpha``.
+    paired t-test is significant at ``alpha``. Each unordered pair is tested
+    once: swapping the vectors negates every difference exactly, so it negates
+    the mean and t and leaves p as it is.
     """
     scenarios = sorted(auc_runs)
     if not scenarios:
@@ -142,16 +144,16 @@ def win_matrix(auc_runs, alpha: float = 0.01) -> ComparisonTable:
     models = sorted(auc_runs[scenarios[0]])
     wins = {}
     for sc in scenarios:
-        for ma in models:
-            for mb in models:
-                if ma == mb:
-                    continue
+        for i, ma in enumerate(models):
+            for mb in models[i + 1 :]:
                 va = np.asarray(auc_runs[sc][ma], dtype=float)
                 vb = np.asarray(auc_runs[sc][mb], dtype=float)
                 if va.size < 2 or va.size != vb.size:
                     raise ValueError("need >= 2 paired repeats per model per scenario")
                 _, p = paired_t_test(va, vb)
-                wins[(sc, ma, mb)] = bool(np.mean(va - vb) > 0 and p < alpha)
+                mean = np.mean(va - vb)
+                wins[(sc, ma, mb)] = bool(mean > 0 and p < alpha)
+                wins[(sc, mb, ma)] = bool(mean < 0 and p < alpha)
     win_pct = {
         (ma, mb): 100.0 * np.mean([wins[(sc, ma, mb)] for sc in scenarios])
         for ma in models

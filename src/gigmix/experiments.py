@@ -247,6 +247,8 @@ def run_benchmark(specs, models, timing: str = "off") -> RunManifest:
     if timing not in ("off", "wall"):
         raise ValueError("timing must be 'off' or 'wall'")
     models = list(models)
+    if not models:
+        raise ValueError("no models given")
     unknown = set(models) - set(MODEL_NAMES)
     if unknown:
         raise ValueError(f"unknown models: {sorted(unknown)}")

@@ -36,11 +36,11 @@ from .distributions import (
 from .estep import (
     ExpectationCache,
     SufficientStats,
+    _activation_coefficients,
     _assemble_gamma,
     _DataCache,
-    _gaussian_log_rho,
+    _gaussian_coefficients,
     _responsibility_pass,
-    _side_log_rho,
     finite_data,
     point_coefficients,
     sufficient_stats,
@@ -160,13 +160,19 @@ def default_hyperpriors(pos_family: ComponentFamily, neg_family: ComponentFamily
     )
 
 
-def _log_rho(cache: _DataCache, expectations: ExpectationCache, families) -> np.ndarray:
-    """Unnormalized log-responsibilities as a full matrix; -inf is out-of-support."""
-    e = expectations
+def _log_rho(cache: _DataCache, e: ExpectationCache, families) -> np.ndarray:
+    """Unnormalized log-responsibilities as a full matrix; -inf is out-of-support.
+    The same coefficients as the kernel's, combined in the kernel's order."""
     lr = np.full((cache.x.size, 3), -np.inf)
-    lr[:, 0] = _gaussian_log_rho(e, cache.sq, cache.x)
-    lr[cache.pos, 1] = _side_log_rho(e, 0, families[0], cache.log_xp, cache.xp, cache.inv_xp)
-    lr[cache.neg, 2] = _side_log_rho(e, 1, families[1], cache.log_xn, cache.xn, cache.inv_xn)
+    c_sq, c_x, c0 = _gaussian_coefficients(e)
+    lr[:, 0] = cache.sq * c_sq + cache.x * c_x + c0
+    sides = (
+        (cache.pos, cache.xp, cache.log_xp, cache.inv_xp),
+        (cache.neg, cache.xn, cache.log_xn, cache.inv_xn),
+    )
+    for k, (rows, vals, logs, invs) in enumerate(sides):
+        const, c_log, c_lin, inverse = _activation_coefficients(e, k, families[k])
+        lr[rows, k + 1] = logs * c_log + (invs if inverse else vals) * c_lin + const
     return lr
 
 
@@ -277,14 +283,13 @@ def expectations(state: VBState, priors: HyperPriors) -> ExpectationCache:
     )
 
 
-def _kl_dirichlet(lam_hat: np.ndarray, lam0: float) -> float:
+def _kl_dirichlet(lam_hat: np.ndarray, lam0: float, log_pi: np.ndarray) -> float:
+    """``log_pi`` is E[log pi] under ``lam_hat``, as ``expectations`` gives it."""
     tot_hat = float(lam_hat.sum())
     k = lam_hat.size
-    psi_tot = digamma(tot_hat)
     out = log_gamma(tot_hat) - log_gamma(k * lam0) + k * log_gamma(lam0)
-    for v in lam_hat:
-        v = float(v)
-        out += -log_gamma(v) + (v - lam0) * (digamma(v) - psi_tot)
+    for v, lp in zip(lam_hat.tolist(), log_pi.tolist()):
+        out += -log_gamma(v) + (v - lam0) * lp
     return out
 
 
@@ -294,17 +299,8 @@ def _kl_gaussian(m_q: float, tau_q: float, m_p: float, tau_p: float) -> float:
     )
 
 
-def _kl_gamma_shape_scale(c_q: float, b_q: float, c_p: float, b_p: float) -> float:
-    return (
-        (c_q - c_p) * digamma(c_q)
-        - log_gamma(c_q)
-        + log_gamma(c_p)
-        + c_p * (math.log(b_p) - math.log(b_q))
-        + c_q * (b_q - b_p) / b_p
-    )
-
-
-def _kl_gamma_shape_rate(d_q: float, e_q: float, d_p: float, e_p: float) -> float:
+def _kl_gamma(d_q: float, e_q: float, d_p: float, e_p: float) -> float:
+    """KL(Gamma(d_q, rate e_q) || Gamma(d_p, rate e_p))."""
     return (
         (d_q - d_p) * digamma(d_q)
         - log_gamma(d_q)
@@ -338,11 +334,13 @@ def _kl_shape(state: VBState, priors: HyperPriors, e: ExpectationCache) -> float
 
 def _kl_total(state: VBState, priors: HyperPriors, e: ExpectationCache) -> float:
     try:
-        kl = _kl_dirichlet(state.lambda_hat, priors.lambda0)
+        kl = _kl_dirichlet(state.lambda_hat, priors.lambda0, e.log_pi)
         kl += _kl_gaussian(state.m_hat, state.tau_hat, priors.m0, priors.tau0)
-        kl += _kl_gamma_shape_scale(state.c_hat, state.b_hat, priors.c0_tau, priors.b0_tau)
+        # tau's factors have scales: a rate ratio is the inverse scale ratio,
+        # so the prior's scale takes the posterior's rate slot and vice versa.
+        kl += _kl_gamma(state.c_hat, priors.b0_tau, priors.c0_tau, state.b_hat)
         for k in range(2):
-            kl += _kl_gamma_shape_rate(
+            kl += _kl_gamma(
                 float(state.d_hat[k]), float(state.e_hat[k]), priors.d0[k], priors.e0[k]
             )
         kl += _kl_shape(state, priors, e)
@@ -363,7 +361,8 @@ def negative_free_energy(
     Expected complete-data log-likelihood plus assignment entropy, minus the
     KL divergences of every parameter factor from its prior. Terms of the
     form 0 * (-inf) arising from out-of-support responsibilities contribute
-    zero by convention.
+    zero by convention. ``expectations_cache`` must be
+    ``expectations(state, priors)``.
     """
     x = np.asarray(data, dtype=float).ravel()
     log_rho = _log_rho(_DataCache(x), expectations_cache, priors.families)
@@ -426,10 +425,10 @@ def _unpack(theta: np.ndarray) -> VBState:
     )
 
 
-def _evaluate(cache: _DataCache, state: VBState, priors: HyperPriors, families) -> Point:
+def _evaluate(cache: _DataCache, state: VBState, priors: HyperPriors) -> Point:
     """One E-step pass at ``state`` and the negative free energy there."""
     e = expectations(state, priors)
-    g2, g3, stats, lse_total, ndeg = _responsibility_pass(cache, e, families)
+    g2, g3, stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families)
     nfe = lse_total - _kl_total(state, priors, e)
     # Expected log-proportions are finite, so a point without a finite
     # log-sum-exp means the expectations overflowed.
@@ -464,7 +463,7 @@ def _drop_lower(a: Point, b: Point) -> None:
     lower.g2 = lower.g3 = None
 
 
-def _extrapolated(cache: _DataCache, theta, priors: HyperPriors, families):
+def _extrapolated(cache: _DataCache, theta, priors: HyperPriors):
     """The SQUAREM candidate: F(theta') and the pass at it for its NFE.
 
     ``theta`` is theta' packed, and a pass at it gives the statistics for F;
@@ -482,19 +481,17 @@ def _extrapolated(cache: _DataCache, theta, priors: HyperPriors, families):
                     return None, 0
                 e = expectations(_unpack(theta), priors)
                 passes = 1
-                stats, lse_total, ndeg = _responsibility_pass(cache, e, families)[2:]
+                stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families)[2:]
                 if ndeg or not math.isfinite(lse_total):
                     return None, passes
             state = _update_state(stats, priors, e.tau, e.s)
             passes += 1
-            return _evaluate(cache, state, priors, families), passes
+            return _evaluate(cache, state, priors), passes
     except (VBNumericError, ValueError, ArithmeticError):
         return None, passes
 
 
-def _cycle(
-    cache: _DataCache, p0: Point, priors: HyperPriors, families, step_max: float, room: int
-):
+def _cycle(cache: _DataCache, p0: Point, priors: HyperPriors, step_max: float, room: int):
     """One SQUAREM cycle (Varadhan & Roland 2008) from the recorded point p0,
     in at most ``room`` E-step passes. Returns the chosen point, the passes
     made and the step cap for the next cycle.
@@ -519,7 +516,7 @@ def _cycle(
     theta1 alone; with room for fewer than 4, or no finite step length, it is
     two plain steps and the cap stays.
     """
-    p1 = _evaluate(cache, _step(p0, priors), priors, families)
+    p1 = _evaluate(cache, _step(p0, priors), priors)
     if room == 1:
         return p1, 1, step_max
     theta2 = _step(p1, priors)
@@ -533,17 +530,17 @@ def _cycle(
     except (ValueError, ArithmeticError):
         alpha = None
     if room < 4 or alpha is None:
-        return _evaluate(cache, theta2, priors, families), 2, step_max
+        return _evaluate(cache, theta2, priors), 2, step_max
     if alpha == -1.0:
-        p2 = _evaluate(cache, theta2, priors, families)
+        p2 = _evaluate(cache, theta2, priors)
         _drop_lower(p2, p0)
-        candidate, n = _extrapolated(cache, p2, priors, families)
+        candidate, n = _extrapolated(cache, p2, priors)
         passes = 2 + n
     else:
         # An overflowing theta' is rejected by _extrapolated, before any pass.
         with np.errstate(over="ignore", invalid="ignore"):
             theta = t0 - 2.0 * alpha * r + alpha * alpha * v
-        candidate, n = _extrapolated(cache, theta, priors, families)
+        candidate, n = _extrapolated(cache, theta, priors)
         passes = 1 + n
         p2 = None
         if not (
@@ -553,7 +550,7 @@ def _cycle(
         ):
             if candidate is not None:
                 _drop_lower(candidate, p0)
-            p2 = _evaluate(cache, theta2, priors, families)
+            p2 = _evaluate(cache, theta2, priors)
             passes += 1
     kept = candidate is not None and (p2 is None or candidate.objective >= p2.objective)
     if alpha == -step_max:
@@ -570,16 +567,16 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
 
     def first(cache, init):
         # ``point_pass`` under this module's name for the kernel, so that the
-        # start's pass is traced like every other.
+        # start's pass is traced like every other. The start's tau and shapes
+        # are the E[tau] and E[s] of the first update.
+        e = point_coefficients(init)
         with np.errstate(invalid="ignore"):
-            stats = _responsibility_pass(cache, point_coefficients(init), families)[2]
-        e_s = (init.comp2.shape, init.comp3.shape)
-        state = _update_state(stats, priors, e_tau=init.comp1.tau, e_s=e_s)
-        return _evaluate(cache, state, priors, families)
+            stats = _responsibility_pass(cache, e, families)[2]
+        return _evaluate(cache, _update_state(stats, priors, e.tau, e.s), priors)
 
     def cycle(cache, recorded, passes):
         nonlocal step_max
-        point, n, step_max = _cycle(cache, recorded, priors, families, step_max, cap - passes)
+        point, n, step_max = _cycle(cache, recorded, priors, step_max, cap - passes)
         return point, n
 
     last, trace, common = fitloop.fit(data, None, cfg, families, first, cycle, ascent_only=True)

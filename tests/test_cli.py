@@ -280,6 +280,15 @@ def test_bench_repeated_model_is_runtime_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("models", ["", " , "])
+def test_bench_empty_model_list_is_runtime_error(tmp_path, capsys, models):
+    argv = ["bench", "--grid", "1:5:1", "--models", models, "--repeats", "2", "--n", "500",
+            "--outdir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "no models" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_bad_grid_is_runtime_error(tmp_path):
     assert (
         main(["bench", "--grid", "1:5", "--outdir", str(tmp_path), "--repeats", "1"]) == 2

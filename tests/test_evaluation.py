@@ -209,6 +209,32 @@ def test_win_matrix_identical_and_dominant():
     assert table.wins[("sc1", "c", "b")] is True
 
 
+def test_win_matrix_tests_each_unordered_pair_once(monkeypatch):
+    # Swapping a pair negates t and leaves p as it is, so one test per
+    # unordered pair decides both directions, as two ordered tests would.
+    rng = np.random.default_rng(5)
+    models = ("a", "b", "c", "d")
+    runs = {}
+    for sc in ("sc1", "sc2", "sc3"):
+        base = rng.uniform(0.5, 0.9, 6)
+        runs[sc] = {m: base + 0.02 * i + rng.normal(0.0, 0.02, 6) for i, m in enumerate(models)}
+    original = evaluation.paired_t_test
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(evaluation, "paired_t_test", counted)
+    table = win_matrix(runs, alpha=0.2)
+    assert len(calls) == 3 * len(models) * (len(models) - 1) // 2
+    assert len(table.wins) == 3 * len(models) * (len(models) - 1)
+    for (sc, ma, mb), won in table.wins.items():
+        va, vb = runs[sc][ma], runs[sc][mb]
+        assert won is bool(np.mean(va - vb) > 0 and original(va, vb)[1] < 0.2)
+    assert any(table.wins.values()) and not all(table.wins.values())
+
+
 def test_win_matrix_requires_repeats():
     with pytest.raises(ValueError):
         win_matrix({"sc": {"a": np.array([0.5]), "b": np.array([0.6])}})

@@ -77,6 +77,12 @@ def test_run_benchmark_rejects_repeated_models():
         run_benchmark([spec], ["ggm", "gim", "ggm"])
 
 
+def test_run_benchmark_rejects_an_empty_model_list():
+    spec = SyntheticSpec(dataset=1, snr=5.0, sparsity=1, n=500, repeats=1, seed=0)
+    with pytest.raises(ValueError, match="no models"):
+        run_benchmark([spec], [])
+
+
 def test_default_grid_shape():
     grid = default_grid(seed=3, n=1234, repeats=7)
     assert len(grid) == 12

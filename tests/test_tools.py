@@ -1,0 +1,36 @@
+"""The fit-equivalence tool (tools/fit_equivalence.py) runs on this tree."""
+
+import importlib.util
+import pathlib
+
+import numpy as np
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "fit_equivalence.py"
+_SPEC = importlib.util.spec_from_file_location("fit_equivalence", _PATH)
+fit_equivalence = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(fit_equivalence)
+
+
+def test_map_set_has_34_maps_and_35_with_the_large_one():
+    small = [label for label, _, _ in fit_equivalence.maps(False)]
+    assert len(small) == len(set(small)) == 34
+    assert sum(label.startswith("hostile/") for label in small) == 6
+    large = [label for label, x, _ in fit_equivalence.maps(True) if x.size == 300_000]
+    assert large == ["criterion10/n300000"]
+
+
+@pytest.mark.parametrize("model", fit_equivalence.MODELS)
+def test_fit_lines_are_deterministic_and_complete(model):
+    rng = np.random.default_rng(3)
+    x = rng.normal(rng.choice([-3.0, 0.0, 3.0], 600, p=[0.1, 0.8, 0.1]), 1.0)
+    line = fit_equivalence.describe_fit(model, x, 1)
+    assert line == fit_equivalence.describe_fit(model, x, 1)
+    keys = [field.split("=")[0] for field in line.split()[1:]]
+    expected = ["passes", "stop", "converged", "degenerate", "gamma", "trace", "final"]
+    assert keys == expected + (["nfe"] if model.startswith("b") else [])
+
+
+def test_a_refused_fit_is_reported_not_raised():
+    line = fit_equivalence.describe_fit("ggm", np.array([1.0, np.nan, 2.0]), 0)
+    assert line.startswith("ggm error=ValueError")

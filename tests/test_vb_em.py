@@ -697,9 +697,9 @@ def _logged_cycles(monkeypatch, fitter, data, seed, fall=0.0):
             log["points"].append(point)
         return point
 
-    def logged(cache, p0, priors, families, step_max, room):
+    def logged(cache, p0, priors, step_max, room):
         log.update(kernel=0, points=[])
-        point, passes, cap = cycle(cache, p0, priors, families, step_max, room)
+        point, passes, cap = cycle(cache, p0, priors, step_max, room)
         (p1, *later), log["points"] = log["points"], None
         t0, t1, t2 = (vb_em._pack(s) for s in (p0.params, p1.params, vb_em._step(p1, priors)))
         c = dict(kernel=log["kernel"], passes=passes, nfe0=p0.objective, nfe1=p1.objective)

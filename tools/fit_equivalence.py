@@ -1,0 +1,144 @@
+"""Fingerprints of a fixed set of fits, for checking that a change keeps every
+fit output byte-identical.
+
+Every model is fitted on each map of a fixed set: the 12 dataset-1 scenarios
+at n = 4000 (2 repeats each), three dataset-2 scenarios, the criterion-10 map
+at n = 1e4 and, with ``--large``, at n = 3e5 (the fit-large map), and six
+hostile inputs. One line per fit gives its passes, stop reason, converged
+flag and degenerate rows, SHA-1s of its responsibilities, its objective trace
+and its final parameters (ML) or state and expectations (VB), and, for VB
+fits, ``negative_free_energy`` at the result. A small ``run_benchmark`` then
+prints its rows (without wall times) and its win table.
+
+Usage: run it on two source trees and compare the outputs byte for byte,
+
+    PYTHONPATH=src python tools/fit_equivalence.py --large > new.txt
+    PYTHONPATH=/path/to/other/src python tools/fit_equivalence.py --large > old.txt
+    cmp old.txt new.txt
+
+with the same ``OPENBLAS_NUM_THREADS`` for both: the fits depend on it. The
+gigmix imported is named on stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import sys
+import warnings
+
+import numpy as np
+
+import gigmix
+from gigmix.experiments import SyntheticSpec, _fit_seed, default_grid, fit, generate, run_benchmark
+from gigmix.evaluation import win_matrix
+from gigmix.vb_em import negative_free_energy
+
+MODELS = ("bggm", "bgim", "ggm", "gim")
+
+
+def _sha1(values) -> str:
+    flat = np.concatenate([np.ravel(np.asarray(v, dtype="<f8")) for v in values])
+    return hashlib.sha1(flat.tobytes()).hexdigest()
+
+
+def _final(res) -> list:
+    """The fit's final parameters as arrays: ML's point estimate, or VB's
+    state followed by its expectations."""
+    if hasattr(res, "state"):
+        parts = (res.state, res.expectations)
+        return [getattr(obj, f.name) for obj in parts for f in dataclasses.fields(obj)]
+    p = res.params
+    return [p.pi, p.comp1.mu, p.comp1.tau, p.comp2.shape, p.comp2.rate, p.comp3.shape, p.comp3.rate]
+
+
+def describe_fit(model: str, x: np.ndarray, seed: int) -> str:
+    """One line fingerprinting the fit of ``model`` on ``x`` from ``seed``."""
+    try:
+        with warnings.catch_warnings():
+            # Maps with fewer than three distinct values make k-means warn.
+            warnings.simplefilter("ignore")
+            res = fit(model, x, seed)
+    except Exception as exc:  # noqa: BLE001 - a refusal is an output too
+        return f"{model} error={type(exc).__name__}: {exc}"
+    vb = hasattr(res, "state")
+    fields = [
+        model,
+        f"passes={res.iterations}",
+        f"stop={res.stop_reason}",
+        f"converged={res.converged}",
+        f"degenerate={res.degenerate_rows}",
+        f"gamma={_sha1([res.responsibilities])}",
+        f"trace={_sha1([res.nfe_trace if vb else res.loglik_trace])}",
+        f"final={_sha1(_final(res))}",
+    ]
+    if vb:
+        try:
+            gamma, state, priors, e = res.responsibilities, res.state, res.priors, res.expectations
+            nfe = negative_free_energy(x, gamma, state, priors, e)
+            nfe = repr(float(nfe))
+        except Exception as exc:  # noqa: BLE001
+            nfe = f"{type(exc).__name__}: {exc}"
+        fields.append(f"nfe={nfe}")
+    return " ".join(fields)
+
+
+def maps(large: bool):
+    """(label, values, fit seed) for every map of the set."""
+    for index, spec in enumerate(default_grid(seed=0, n=4000, repeats=2)):
+        for rep in range(spec.repeats):
+            values = generate(spec, rep, index).values
+            yield f"{spec.scenario_id}/r{rep}", values, _fit_seed(0, index, rep)
+    for index, (snr, sparsity) in enumerate(((5.0, 1), (3.0, 2), (2.0, 3))):
+        spec = SyntheticSpec(dataset=2, snr=snr, sparsity=sparsity, n=4000, repeats=1, seed=11)
+        yield spec.scenario_id, generate(spec, 0, index).values, _fit_seed(11, index, 0)
+    for n in (10_000, 300_000) if large else (10_000,):
+        spec = SyntheticSpec(dataset=1, snr=2.0, sparsity=1, n=n, repeats=1, seed=10)
+        yield f"criterion10/n{n}", generate(spec, 0, 0).values, 0
+    rng = np.random.default_rng(2024)
+    mixture = rng.normal(rng.choice([-3.0, 0.0, 3.0], 500, p=[0.1, 0.8, 0.1]), 1.0)
+    zeros = mixture.copy()
+    zeros[:100] = 0.0
+    yield "hostile/n3", np.array([-1.0, 0.5, 2.0]), 0
+    yield "hostile/ties", np.round(rng.normal(0.0, 2.0, 400)), 0
+    yield "hostile/lognormal", rng.lognormal(0.0, 1.5, 500), 0
+    yield "hostile/cauchy", rng.standard_cauchy(500), 0
+    yield "hostile/scale1e-150", mixture * 1e-150, 0
+    yield "hostile/zeros", zeros, 0
+
+
+def describe_benchmark() -> list:
+    """A small ``run_benchmark``: its rows without wall times, its failures
+    and its win table."""
+    specs = [
+        SyntheticSpec(dataset=1, snr=snr, sparsity=sparsity, n=1500, repeats=3, seed=4)
+        for snr, sparsity in ((5.0, 1), (3.0, 2), (2.0, 3))
+    ]
+    manifest = run_benchmark(specs, MODELS)
+    lines = [
+        " ".join(f"{k}={v!r}" for k, v in row.items() if k != "wall_seconds")
+        for row in manifest.rows
+    ]
+    lines += [f"failure {f}" for f in manifest.failures]
+    table = win_matrix(manifest.auc_table())
+    lines += [f"win {sc} {a} {b} {won}" for (sc, a, b), won in sorted(table.wins.items())]
+    lines += [f"win_pct {a} {b} {float(pct)!r}" for (a, b), pct in sorted(table.win_pct.items())]
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--large", action="store_true", help="also fit the n = 3e5 map")
+    args = parser.parse_args(argv)
+    print(f"gigmix from {gigmix.__file__}", file=sys.stderr)
+    for label, x, seed in maps(args.large):
+        for model in MODELS:
+            print(f"{label} {describe_fit(model, x, seed)}", flush=True)
+    for line in describe_benchmark():
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
