@@ -21,6 +21,7 @@ from .evaluation import restricted_auc, standardize
 from .experiments import (
     MODEL_NAMES,
     SyntheticSpec,
+    check_models,
     default_grid,
     fit,
     generate,
@@ -143,9 +144,10 @@ def _parse_grid(grid: str, seed: int, n: int, repeats: int) -> list:
 
 def _cmd_bench(args) -> int:
     specs = _parse_grid(args.grid, args.seed, args.n, args.repeats)
-    models = [m.strip() for m in args.models.split(",") if m.strip()]
-    manifest = run_benchmark(specs, models, timing=args.timing)
+    models = check_models(m.strip() for m in args.models.split(",") if m.strip())
+    # Made before the first fit, so that a bad --outdir fails at once.
     os.makedirs(args.outdir, exist_ok=True)
+    manifest = run_benchmark(specs, models, timing=args.timing)
     manifest.write_manifest(os.path.join(args.outdir, "manifest.json"))
     manifest.write_runs_csv(os.path.join(args.outdir, "runs.csv"))
     manifest.write_wins_csv(os.path.join(args.outdir, "wins.csv"))

@@ -2,8 +2,9 @@
 
 Each sample competes only between the Gaussian and the activation component
 on its own side of zero; exact zeros belong to the Gaussian. The kernel runs
-one two-way softmax per support side over arrays precomputed once per fit,
-and returns the activation responsibilities of each side, the sufficient
+one two-way softmax per support side, each over its side record (``_Side``,
+built once per fit; the negative side is the positive one mirrored), and
+returns the activation responsibilities of each side, the sufficient
 statistics every parameter update needs, and the total log-sum-exp. A side is
 swept in blocks through work buffers that stay in a core's L2 cache.
 
@@ -88,59 +89,50 @@ def finite_data(data) -> np.ndarray:
     return x
 
 
+class _Side:
+    """One support side: the samples with ``sign * x > 0``.
+
+    ``rows`` are their indices in x, ``vals`` their mirrored values
+    ``sign * x[rows]``, and ``sq``, ``logs`` and ``invs`` the square, log and
+    reciprocal of ``vals``. ``blocks`` are the side's blocks for the
+    responsibility pass.
+    """
+
+    __slots__ = ("sign", "rows", "vals", "sq", "logs", "invs", "blocks")
+
+    def __init__(self, x: np.ndarray, sign: float):
+        self.sign = sign
+        self.rows = np.nonzero(sign * x > 0)[0]
+        self.vals = _aligned(sign * x[self.rows])
+        self.sq = _aligned(self.vals * self.vals)
+        self.logs = _aligned(np.log(self.vals))
+        self.invs = _aligned(1.0 / self.vals)
+
+
 class _DataCache:
-    """Per-fit precomputations: support indices and mirrored transforms.
+    """Per-fit precomputations: the two support sides, the count of exact
+    zeros and the data totals.
 
     The responsibility pass only ever combines these arrays with scalar
     coefficients, so everything data-dependent is computed exactly once per
-    fit. ``xp``/``xn`` hold the mirrored values on each support side, and
-    ``blocks`` each side's blocks for the responsibility pass.
+    fit.
     """
 
-    __slots__ = (
-        "x",
-        "sq",
-        "pos",
-        "neg",
-        "zero",
-        "xp",
-        "xn",
-        "sq_p",
-        "sq_n",
-        "log_xp",
-        "log_xn",
-        "inv_xp",
-        "inv_xn",
-        "sum_x",
-        "sum_sq",
-        "blocks",
-    )
+    __slots__ = ("x", "sides", "n_zero", "sum_x", "sum_sq")
 
     def __init__(self, x: np.ndarray):
         self.x = x
-        self.sq = x * x
-        self.pos = np.nonzero(x > 0)[0]
-        self.neg = np.nonzero(x < 0)[0]
-        self.zero = np.nonzero(x == 0)[0]
-        self.xp = _aligned(x[self.pos])
-        self.xn = _aligned(-x[self.neg])
-        self.sq_p = _aligned(self.xp * self.xp)
-        self.sq_n = _aligned(self.xn * self.xn)
-        self.log_xp = _aligned(np.log(self.xp))
-        self.log_xn = _aligned(np.log(self.xn))
-        self.inv_xp = _aligned(1.0 / self.xp)
-        self.inv_xn = _aligned(1.0 / self.xn)
-        self.sum_x = float(self.x.sum())
-        self.sum_sq = float(self.sq.sum())
-        # The responsibility pass's four work buffers, allocated once per fit,
-        # and each side's blocks.
-        length = min(_BLOCK, max(self.xp.size, self.xn.size))
+        self.sides = (_Side(x, 1.0), _Side(x, -1.0))
+        self.n_zero = x.size - sum(side.rows.size for side in self.sides)
+        self.sum_x = float(x.sum())
+        self.sum_sq = float((x * x).sum())
+        # The responsibility pass's four work buffers, allocated once per fit
+        # and shared by the sides' blocks.
+        length = min(_BLOCK, max(side.vals.size for side in self.sides))
         stride = -(-length // 8) * 8
         work = _aligned_empty(4 * stride).reshape(4, stride)[:, :length]
-        self.blocks = (
-            _side_blocks(work, self.xp, self.sq_p, self.log_xp, self.inv_xp),
-            _side_blocks(work, self.xn, self.sq_n, self.log_xn, self.inv_xn),
-        )
+        for side in self.sides:
+            side.blocks = _side_blocks(work, side)
 
 
 def _aligned_empty(n: int) -> np.ndarray:
@@ -165,13 +157,13 @@ def _aligned(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _side_blocks(work: np.ndarray, vals, sq, logs, invs) -> list:
+def _side_blocks(work: np.ndarray, side: _Side) -> list:
     """One side cut into blocks of ``_BLOCK`` points. A block is (lo, hi,
     views of vals, sq, logs and invs, and views of the four work buffers)."""
     blocks = []
-    for lo in range(0, vals.size, _BLOCK):
-        hi = min(lo + _BLOCK, vals.size)
-        views = tuple(v[lo:hi] for v in (vals, sq, logs, invs))
+    for lo in range(0, side.vals.size, _BLOCK):
+        hi = min(lo + _BLOCK, side.vals.size)
+        views = tuple(v[lo:hi] for v in (side.vals, side.sq, side.logs, side.invs))
         blocks.append((lo, hi) + views + tuple(work[:, : hi - lo]))
     return blocks
 
@@ -219,22 +211,22 @@ def _activation_coefficients(e: ExpectationCache, k: int, fam):
     return const, -(e.s[k] + 1.0), -e.r[k], True
 
 
-def _side_pass(e: ExpectationCache, k: int, fam, sign: float, blocks, g, direct: bool):
+def _side_pass(e: ExpectationCache, k: int, fam, side: _Side, g, direct: bool):
     """Two-way softmax of (Gaussian, activation k) over one support side.
 
-    ``blocks`` are the side's blocks from ``_DataCache``. The pass writes the
-    activation responsibilities into ``g`` and returns the side's log-sum-exp
-    total, its degenerate points (activation 0, left out of the total) and,
-    if ``direct``, the Gaussian's count, mirrored sum and sum of squares on
-    the side, else zeros. With a the Gaussian's and b the activation's
-    log-weight and m = max(a, b), b - m is floored at ``_EXP_FLOOR`` unless
-    the activation has a zero proportion.
+    The pass sweeps the side's blocks, writes the activation
+    responsibilities into ``g`` and returns the side's log-sum-exp total, its
+    degenerate points (activation 0, left out of the total) and, if
+    ``direct``, the Gaussian's count, mirrored sum and sum of squares on the
+    side, else zeros. With a the Gaussian's and b the activation's log-weight
+    and m = max(a, b), b - m is floored at ``_EXP_FLOOR`` unless the
+    activation has a zero proportion.
     """
-    c_sq, c_x, c0 = _gaussian_coefficients(e, sign)
+    c_sq, c_x, c0 = _gaussian_coefficients(e, side.sign)
     const, c_log, c_lin, inverse = _activation_coefficients(e, k, fam)
     floor = _EXP_FLOOR if math.isfinite(const) else -math.inf
     lse, degenerate, n1, sx1, sxx1 = 0.0, 0, 0.0, 0.0, 0.0
-    for lo, hi, vals, sq, logs, invs, a, b, m, t in blocks:
+    for lo, hi, vals, sq, logs, invs, a, b, m, t in side.blocks:
         gb = g[lo:hi]
         np.multiply(sq, c_sq, out=a)
         np.multiply(vals, c_x, out=t)
@@ -273,55 +265,55 @@ def _side_pass(e: ExpectationCache, k: int, fam, sign: float, blocks, g, direct:
 
 
 def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families):
-    """One packed pass: side responsibilities, sufficient stats, total LSE and
-    the number of degenerate points.
+    """One packed pass: the activation responsibilities of each side,
+    sufficient stats, total LSE and the number of degenerate points.
 
     Off-support responsibilities are identically zero by construction; data
     points at exactly zero are assigned to the Gaussian. A point with zero
     density under every component it can belong to is degenerate: it goes to
     the Gaussian and is left out of the total LSE.
     """
-    g2 = _aligned_empty(cache.xp.size)
-    g3 = _aligned_empty(cache.xn.size)
-    sides = (
-        (e, 0, families[0], 1.0, cache.blocks[0], g2),
-        (e, 1, families[1], -1.0, cache.blocks[1], g3),
-    )
     lse_total, degenerate = 0.0, 0
-    for args in sides:
-        lse, bad, _ = _side_pass(*args, False)
+    # The Gaussian's sums start from the data totals; each side's are taken
+    # off right after its sweep. ``xbar`` holds the signed sums.
+    n1, sx1, sxx1 = cache.x.size, cache.sum_x, cache.sum_sq
+    g, n, xbar, sq, log_x, recip_x = [], [], [], [], [], []
+    for k, side in enumerate(cache.sides):
+        gk = _aligned_empty(side.vals.size)
+        g.append(gk)
+        lse, bad, _ = _side_pass(e, k, families[k], side, gk, False)
         lse_total += lse
         degenerate += bad
-    lse_zero = cache.zero.size * _gaussian_const(e) if cache.zero.size else 0.0
+        n.append(float(gk.sum()))
+        xbar.append(side.sign * float(gk @ side.vals))
+        sq.append(float(gk @ side.sq))
+        log_x.append(float(gk @ side.logs))
+        recip_x.append(float(gk @ side.invs))
+        n1 -= n[k]
+        sx1 -= xbar[k]
+        sxx1 -= sq[k]
+    lse_zero = cache.n_zero * _gaussian_const(e) if cache.n_zero else 0.0
     if math.isfinite(lse_zero):
         lse_total += lse_zero
     else:
-        degenerate += cache.zero.size
-
-    n2 = float(g2.sum())
-    n3 = float(g3.sum())
-    sx2 = float(g2 @ cache.xp)
-    sx3 = float(g3 @ cache.xn)
-    sq2 = float(g2 @ cache.sq_p)
-    sq3 = float(g3 @ cache.sq_n)
-    n1 = cache.x.size - n2 - n3
-    sx1 = cache.sum_x - sx2 + sx3
-    sxx1 = cache.sum_sq - sq2 - sq3
+        degenerate += cache.n_zero
     if n1 < _DIRECT_GAUSSIAN_SHARE * cache.x.size or sxx1 < _DIRECT_GAUSSIAN_SHARE * cache.sum_sq:
         # The same sweep again, summing the Gaussian's side weights directly.
-        (pn, psx, psq), (nn, nsx, nsq) = (_side_pass(*args, True)[2] for args in sides)
-        n1 = cache.zero.size + pn + nn
-        sx1 = psx - nsx
-        sxx1 = psq + nsq
+        n1, sx1, sxx1 = cache.n_zero, 0.0, 0.0
+        for k, side in enumerate(cache.sides):
+            nk, sxk, sqk = _side_pass(e, k, families[k], side, g[k], True)[2]
+            n1 += nk
+            sx1 += side.sign * sxk
+            sxx1 += sqk
     stats = SufficientStats(
-        n=np.array([n1, n2, n3]),
-        xbar=np.array([sx1, sx2, -sx3]),
+        n=np.array([n1] + n),
+        xbar=np.array([sx1] + xbar),
         sxx1=sxx1,
-        log_x=np.array([float(g2 @ cache.log_xp), float(g3 @ cache.log_xn)]),
-        recip_x=np.array([float(g2 @ cache.inv_xp), float(g3 @ cache.inv_xn)]),
-        sq_x=np.array([sq2, sq3]),
+        log_x=np.array(log_x),
+        recip_x=np.array(recip_x),
+        sq_x=np.array(sq),
     )
-    return g2, g3, stats, lse_total, degenerate
+    return g, stats, lse_total, degenerate
 
 
 def point_pass(cache: _DataCache, params: MixtureParams):
@@ -331,13 +323,12 @@ def point_pass(cache: _DataCache, params: MixtureParams):
         return _responsibility_pass(cache, point_coefficients(params), params.families)
 
 
-def _assemble_gamma(cache: _DataCache, g2: np.ndarray, g3: np.ndarray) -> np.ndarray:
+def _assemble_gamma(cache: _DataCache, g) -> np.ndarray:
     gamma = np.zeros((cache.x.size, 3))
     gamma[:, 0] = 1.0
-    gamma[cache.pos, 0] = 1.0 - g2
-    gamma[cache.pos, 1] = g2
-    gamma[cache.neg, 0] = 1.0 - g3
-    gamma[cache.neg, 2] = g3
+    for k, (side, gk) in enumerate(zip(cache.sides, g)):
+        gamma[side.rows, 0] = 1.0 - gk
+        gamma[side.rows, k + 1] = gk
     return gamma
 
 
@@ -345,22 +336,19 @@ def e_step(data, params: MixtureParams) -> np.ndarray:
     """N x 3 responsibilities under a point estimate; rows sum to 1 and
     respect the support signs."""
     cache = _DataCache(finite_data(data))
-    g2, g3, _, _, _ = point_pass(cache, params)
-    return _assemble_gamma(cache, g2, g3)
+    return _assemble_gamma(cache, point_pass(cache, params)[0])
 
 
 def sufficient_stats(data, gamma: np.ndarray) -> SufficientStats:
     """Soft-count statistics of an arbitrary N x 3 responsibility matrix."""
     cache = _DataCache(np.asarray(data, dtype=float).ravel())
+    sq = cache.x * cache.x
+    sides = tuple(enumerate(cache.sides, start=1))
     return SufficientStats(
         n=gamma.sum(axis=0),
         xbar=gamma.T @ cache.x,
-        sxx1=float(gamma[:, 0] @ cache.sq),
-        log_x=np.array(
-            [gamma[cache.pos, 1] @ cache.log_xp, gamma[cache.neg, 2] @ cache.log_xn]
-        ),
-        recip_x=np.array(
-            [gamma[cache.pos, 1] @ cache.inv_xp, gamma[cache.neg, 2] @ cache.inv_xn]
-        ),
-        sq_x=cache.sq @ gamma[:, 1:],
+        sxx1=float(gamma[:, 0] @ sq),
+        log_x=np.array([gamma[side.rows, k] @ side.logs for k, side in sides]),
+        recip_x=np.array([gamma[side.rows, k] @ side.invs for k, side in sides]),
+        sq_x=sq @ gamma[:, 1:],
     )

@@ -237,6 +237,19 @@ def load_manifest(path):
     return specs, list(doc["models"]), doc["timing"]
 
 
+def check_models(models) -> list:
+    """``models`` as a list; ValueError if it is empty, unknown or repeated."""
+    models = list(models)
+    if not models:
+        raise ValueError("no models given")
+    unknown = set(models) - set(MODEL_NAMES)
+    if unknown:
+        raise ValueError(f"unknown models: {sorted(unknown)}")
+    if len(set(models)) < len(models):
+        raise ValueError(f"each model may be named once, got {models}")
+    return models
+
+
 def run_benchmark(specs, models, timing: str = "off") -> RunManifest:
     """Fit every model on every (scenario, repeat) and evaluate each fit.
 
@@ -246,14 +259,7 @@ def run_benchmark(specs, models, timing: str = "off") -> RunManifest:
     """
     if timing not in ("off", "wall"):
         raise ValueError("timing must be 'off' or 'wall'")
-    models = list(models)
-    if not models:
-        raise ValueError("no models given")
-    unknown = set(models) - set(MODEL_NAMES)
-    if unknown:
-        raise ValueError(f"unknown models: {sorted(unknown)}")
-    if len(set(models)) < len(models):
-        raise ValueError(f"each model may be named once, got {models}")
+    models = check_models(models)
     rows = []
     failures = []
     for scenario_index, spec in enumerate(specs):

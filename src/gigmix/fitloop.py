@@ -20,15 +20,15 @@ from .estep import ExpectationCache, SufficientStats, _assemble_gamma, _DataCach
 
 @dataclass
 class Point:
-    """Parameters after one E-step pass at them. The side responsibilities are
-    dropped (set to None) once the fit can no longer end here;
+    """Parameters after one E-step pass at them. ``g`` holds the activation
+    responsibilities of each support side; they are dropped (set to None)
+    once the fit can no longer end here;
     ``expectations`` are the variational coefficients of the pass."""
 
     params: object  # MixtureParams (ML) or VBState (VB)
     stats: SufficientStats
     objective: float
-    g2: np.ndarray | None
-    g3: np.ndarray | None
+    g: list | None
     degenerate: int
     expectations: ExpectationCache | None = None
 
@@ -97,7 +97,7 @@ def fit(data, init, cfg: FitConfig, families, first, cycle, ascent_only: bool):
             stop_reason = "tolerance"
             break
     return recorded, np.asarray(trace), dict(
-        responsibilities=_assemble_gamma(cache, recorded.g2, recorded.g3),
+        responsibilities=_assemble_gamma(cache, recorded.g),
         iterations=passes,
         wall_time_seconds=time.perf_counter() - start,
         converged=stop_reason != "max_iterations",

@@ -21,17 +21,24 @@ import numpy as np
 RESULT_SCHEMA_VERSION = 1
 
 
-def read_values_txt(path) -> np.ndarray:
-    values = []
+def _text_lines(path):
+    """(line number, stripped line) for each line of a UTF-8 text file that is
+    neither blank nor a ``#`` comment."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not a decimal value: {line!r}") from exc
+            # line[0], not startswith: it offsets the generator's per-line cost.
+            if line and line[0] != "#":
+                yield lineno, line
+
+
+def read_values_txt(path) -> np.ndarray:
+    values = []
+    for lineno, line in _text_lines(path):
+        try:
+            values.append(float(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: not a decimal value: {line!r}") from exc
     return np.asarray(values, dtype=float)
 
 
@@ -73,18 +80,14 @@ def read_values(path, fmt: str) -> np.ndarray:
 def read_labels_txt(path) -> np.ndarray:
     """Activation labels, one integer in {-1, 0, 1} per line."""
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                v = int(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not an integer label: {line!r}") from exc
-            if v not in (-1, 0, 1):
-                raise ValueError(f"{path}:{lineno}: label must be -1, 0 or 1, got {v}")
-            labels.append(v)
+    for lineno, line in _text_lines(path):
+        try:
+            v = int(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: not an integer label: {line!r}") from exc
+        if v not in (-1, 0, 1):
+            raise ValueError(f"{path}:{lineno}: label must be -1, 0 or 1, got {v}")
+        labels.append(v)
     return np.asarray(labels, dtype=np.int8)
 
 

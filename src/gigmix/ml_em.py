@@ -105,8 +105,8 @@ def m_step(data, gamma, prev: MixtureParams) -> MixtureParams:
 
 def _point(cache: _DataCache, params: MixtureParams) -> Point:
     """One E-step pass at ``params``."""
-    g2, g3, stats, loglik, ndeg = _e_step(cache, params)
-    return Point(params, stats, loglik, g2, g3, ndeg)
+    g, stats, loglik, ndeg = _e_step(cache, params)
+    return Point(params, stats, loglik, g, ndeg)
 
 
 def _cycle(cache: _DataCache, recorded: Point, passes: int):

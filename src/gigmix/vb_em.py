@@ -165,22 +165,18 @@ def _log_rho(cache: _DataCache, e: ExpectationCache, families) -> np.ndarray:
     The same coefficients as the kernel's, combined in the kernel's order."""
     lr = np.full((cache.x.size, 3), -np.inf)
     c_sq, c_x, c0 = _gaussian_coefficients(e)
-    lr[:, 0] = cache.sq * c_sq + cache.x * c_x + c0
-    sides = (
-        (cache.pos, cache.xp, cache.log_xp, cache.inv_xp),
-        (cache.neg, cache.xn, cache.log_xn, cache.inv_xn),
-    )
-    for k, (rows, vals, logs, invs) in enumerate(sides):
+    lr[:, 0] = cache.x * cache.x * c_sq + cache.x * c_x + c0
+    for k, side in enumerate(cache.sides):
         const, c_log, c_lin, inverse = _activation_coefficients(e, k, families[k])
-        lr[rows, k + 1] = logs * c_log + (invs if inverse else vals) * c_lin + const
+        lr[side.rows, k + 1] = side.logs * c_log + (side.invs if inverse else side.vals) * c_lin + const
     return lr
 
 
 def update_responsibilities(data, expectations: ExpectationCache, families):
     """Responsibilities and sufficient statistics for one pass over the data."""
     cache = _DataCache(finite_data(data))
-    g2, g3, stats, _, _ = _responsibility_pass(cache, expectations, families)
-    return _assemble_gamma(cache, g2, g3), stats
+    g, stats, _, _ = _responsibility_pass(cache, expectations, families)
+    return _assemble_gamma(cache, g), stats
 
 
 def _mirrored_xbar(stats: SufficientStats) -> np.ndarray:
@@ -428,13 +424,13 @@ def _unpack(theta: np.ndarray) -> VBState:
 def _evaluate(cache: _DataCache, state: VBState, priors: HyperPriors) -> Point:
     """One E-step pass at ``state`` and the negative free energy there."""
     e = expectations(state, priors)
-    g2, g3, stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families)
+    g, stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families)
     nfe = lse_total - _kl_total(state, priors, e)
     # Expected log-proportions are finite, so a point without a finite
     # log-sum-exp means the expectations overflowed.
     if ndeg or not math.isfinite(nfe):
         raise VBNumericError(f"negative free energy diverged: {nfe}")
-    return Point(state, stats, nfe, g2, g3, ndeg, e)
+    return Point(state, stats, nfe, g, ndeg, e)
 
 
 def _step(point: Point, priors: HyperPriors) -> VBState:
@@ -460,7 +456,7 @@ def _drop_lower(a: Point, b: Point) -> None:
     """Free the side responsibilities of whichever of two points has the lower
     NFE, once the cycle can no longer return it."""
     lower = a if a.objective < b.objective else b
-    lower.g2 = lower.g3 = None
+    lower.g = None
 
 
 def _extrapolated(cache: _DataCache, theta, priors: HyperPriors):
@@ -481,7 +477,7 @@ def _extrapolated(cache: _DataCache, theta, priors: HyperPriors):
                     return None, 0
                 e = expectations(_unpack(theta), priors)
                 passes = 1
-                stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families)[2:]
+                stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families)[1:]
                 if ndeg or not math.isfinite(lse_total):
                     return None, passes
             state = _update_state(stats, priors, e.tau, e.s)
@@ -520,7 +516,7 @@ def _cycle(cache: _DataCache, p0: Point, priors: HyperPriors, step_max: float, r
     if room == 1:
         return p1, 1, step_max
     theta2 = _step(p1, priors)
-    p1.g2 = p1.g3 = None
+    p1.g = None
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             t0, t1 = _pack(p0.params), _pack(p1.params)
@@ -571,7 +567,7 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
         # are the E[tau] and E[s] of the first update.
         e = point_coefficients(init)
         with np.errstate(invalid="ignore"):
-            stats = _responsibility_pass(cache, e, families)[2]
+            stats = _responsibility_pass(cache, e, families)[1]
         return _evaluate(cache, _update_state(stats, priors, e.tau, e.s), priors)
 
     def cycle(cache, recorded, passes):

@@ -289,6 +289,18 @@ def test_bench_empty_model_list_is_runtime_error(tmp_path, capsys, models):
     assert not (tmp_path / "out").exists()
 
 
+def test_bench_outdir_naming_a_file_fails_before_any_fit(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(experiments, "fit_model", lambda *args: calls.append(args))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    argv = ["bench", "--grid", "1:5:1", "--models", "bggm,ggm", "--repeats", "3", "--n", "2000",
+            "--outdir", str(afile)]
+    assert main(argv) == 2
+    assert "File exists" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_bench_bad_grid_is_runtime_error(tmp_path):
     assert (
         main(["bench", "--grid", "1:5", "--outdir", str(tmp_path), "--repeats", "1"]) == 2

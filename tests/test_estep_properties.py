@@ -107,8 +107,8 @@ def _params(pi, kind="gamma"):
 
 def _assert_matches_oracle(x, params):
     cache = _DataCache(x)
-    g2, g3, stats, loglik, degenerate = _e_step(cache, params)
-    gamma = _assemble_gamma(cache, g2, g3)
+    g, stats, loglik, degenerate = _e_step(cache, params)
+    gamma = _assemble_gamma(cache, g)
     want, want_loglik, want_degenerate = oracle(x, params)
 
     assert degenerate == want_degenerate
@@ -152,6 +152,24 @@ def _with_examples(test):
 def test_ml_kernel_matches_dense_oracle(c):
     _assert_matches_oracle(*c)
 
+    # The two support sides and the exact zeros partition the samples, each
+    # side holds its mirrored values, all positive, and the assembled matrix
+    # leaves each side's off-support activation at exactly 0.
+    x, params = c
+    cache = _DataCache(x)
+    rows = np.concatenate([side.rows for side in cache.sides])
+    assert rows.size + cache.n_zero == x.size
+    assert np.array_equal(np.sort(rows), np.nonzero(x != 0)[0])
+    assert cache.n_zero == np.count_nonzero(x == 0)
+    for side in cache.sides:
+        assert np.array_equal(side.vals, side.sign * x[side.rows])
+        assert np.all(side.vals > 0)
+    gamma = _assemble_gamma(cache, _e_step(cache, params)[0])
+    for k, side in enumerate(cache.sides):
+        other = 2 - k
+        assert np.all(gamma[side.rows, other] == 0.0)
+    assert np.all(gamma[x == 0, 1:] == 0.0)
+
 
 @SETTINGS
 @given(c=case())
@@ -174,7 +192,7 @@ def test_small_gaussian_mass_sums_do_not_cancel():
         ShapeRateParams(50.0, 1.0 / 20.0, GAMMA_POS),
         ShapeRateParams(50.0, 1.0 / 20.0, GAMMA_NEG),
     )
-    _, _, stats, _, _ = _e_step(_DataCache(x), params)
+    stats = _e_step(_DataCache(x), params)[1]
     want, _, _ = oracle(x, params)
     assert abs(stats.sxx1 - (x * x) @ want[:, 0]) <= 1e-10 * ((x * x) @ want[:, 0])
 
@@ -222,7 +240,7 @@ def test_inverse_gamma_floor_keeps_exp_in_range(monkeypatch):
 
     monkeypatch.setattr(np, "exp", exp)
     cache = _DataCache(x)
-    g2, g3, _, _, _ = _e_step(cache, params)
+    g = _e_step(cache, params)[0]
     monkeypatch.undo()
 
     gamma, want = _assert_matches_oracle(x, params)
@@ -230,4 +248,4 @@ def test_inverse_gamma_floor_keeps_exp_in_range(monkeypatch):
     floored = want[:, 1:].max(axis=1) < 1e-304
     assert floored.sum() > 50
     assert np.all(gamma[floored, 1:].max(axis=1) <= 1e-303)
-    assert np.array_equal(g2, gamma[x > 0, 1]) and np.array_equal(g3, gamma[x < 0, 2])
+    assert np.array_equal(g[0], gamma[x > 0, 1]) and np.array_equal(g[1], gamma[x < 0, 2])

@@ -13,7 +13,13 @@ from gigmix.experiments import (
     run_benchmark,
     substream,
 )
-from gigmix.io import read_values_f64le, read_values_txt, write_values_f64le, write_values_txt
+from gigmix.io import (
+    read_labels_txt,
+    read_values_f64le,
+    read_values_txt,
+    write_values_f64le,
+    write_values_txt,
+)
 
 
 def test_spec_validation():
@@ -226,6 +232,23 @@ def test_txt_reader_comments_and_errors(tmp_path):
     p.write_text("1.0\noops\n")
     with pytest.raises(ValueError, match="oops"):
         read_values_txt(p)
+    # Line numbers count the skipped blank and comment lines.
+    p.write_text("# header\n\n1.0\noops\n")
+    with pytest.raises(ValueError) as exc:
+        read_values_txt(p)
+    assert str(exc.value) == f"{p}:4: not a decimal value: 'oops'"
+
+
+def test_label_reader_comments_and_errors(tmp_path):
+    p = tmp_path / "truth.txt"
+    p.write_text("# header\n1\n\n-1\n0\n")
+    labels = read_labels_txt(p)
+    assert labels.dtype == np.int8 and labels.tolist() == [1, -1, 0]
+    for text, message in (("x", "not an integer label: 'x'"), ("2", "label must be -1, 0 or 1, got 2")):
+        p.write_text(f"# header\n1\n\n{text}\n")
+        with pytest.raises(ValueError) as exc:
+            read_labels_txt(p)
+        assert str(exc.value) == f"{p}:4: {message}"
 
 
 def test_f64le_truncation_detected(tmp_path):

@@ -34,3 +34,16 @@ def test_fit_lines_are_deterministic_and_complete(model):
 def test_a_refused_fit_is_reported_not_raised():
     line = fit_equivalence.describe_fit("ggm", np.array([1.0, np.nan, 2.0]), 0)
     assert line.startswith("ggm error=ValueError")
+
+
+@pytest.mark.parametrize("threads", ["2", None])
+def test_first_output_line_names_the_blas_thread_count(threads, monkeypatch, capsys):
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    monkeypatch.setattr(fit_equivalence, "maps", lambda large: iter(()))
+    monkeypatch.setattr(fit_equivalence, "describe_benchmark", lambda: ["row"])
+    assert fit_equivalence.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"OPENBLAS_NUM_THREADS={threads or 'unset'}", "row"]

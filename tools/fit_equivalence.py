@@ -17,7 +17,9 @@ Usage: run it on two source trees and compare the outputs byte for byte,
     cmp old.txt new.txt
 
 with the same ``OPENBLAS_NUM_THREADS`` for both: the fits depend on it. The
-gigmix imported is named on stderr.
+first line of the output names that setting, so outputs made under different
+thread counts differ from their first line on. The gigmix imported is named
+on stderr.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import os
 import sys
 import warnings
 
@@ -132,6 +135,7 @@ def main(argv=None) -> int:
     parser.add_argument("--large", action="store_true", help="also fit the n = 3e5 map")
     args = parser.parse_args(argv)
     print(f"gigmix from {gigmix.__file__}", file=sys.stderr)
+    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     for label, x, seed in maps(args.large):
         for model in MODELS:
             print(f"{label} {describe_fit(model, x, seed)}", flush=True)
