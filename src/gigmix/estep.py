@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MixtureParams
+from .distributions import _LOG_2PI, MixtureParams
 from .special import log_gamma
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 # The Gaussian sums are the data totals minus the side sums. When the Gaussian
 # holds less than this share of the count or of the sum of squares, that

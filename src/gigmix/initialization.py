@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import GaussianParams, MixtureParams, mom_gamma, mom_invgamma
-from .estep import e_step
+from .estep import e_step, finite_data
 
 _VAR_FLOOR = 1e-6
 _MAX_LLOYD_ITER = 100
@@ -123,11 +123,9 @@ def kmeans_1d(data, k: int = 3, seed: int = 0) -> KMeansResult:
     other way; the final cluster statistics are taken over the points in
     input order.
     """
-    x = np.asarray(data, dtype=float).ravel()
+    x = finite_data(data)
     if x.size < k:
         raise ValueError(f"need at least k={k} samples, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("data must be finite")
 
     if np.ptp(x) == 0.0:
         warnings.warn("k-means input is constant; duplicating a single cluster")

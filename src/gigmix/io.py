@@ -140,17 +140,13 @@ def result_to_dict(result, model: str, seed: int, include_timing: bool = False) 
         doc["params"] = {
             "pi": _floats(p.pi),
             "gaussian": {"mu": float(p.comp1.mu), "tau": float(p.comp1.tau)},
-            "positive": {
-                "family": p.comp2.family.kind,
-                "shape": float(p.comp2.shape),
-                "rate": float(p.comp2.rate),
-            },
-            "negative": {
-                "family": p.comp3.family.kind,
-                "shape": float(p.comp3.shape),
-                "rate": float(p.comp3.rate),
-            },
         }
+        for side, comp in (("positive", p.comp2), ("negative", p.comp3)):
+            doc["params"][side] = {
+                "family": comp.family.kind,
+                "shape": float(comp.shape),
+                "rate": float(comp.rate),
+            }
     if include_timing:
         doc["wall_time_seconds"] = float(result.wall_time_seconds)
     return doc

@@ -28,7 +28,7 @@ from .distributions import (
     mom_gamma,
     mom_invgamma,
 )
-from .estep import SufficientStats, _DataCache, e_step, point_pass, sufficient_stats
+from .estep import SufficientStats, _DataCache, e_step, point_pass
 from .fitloop import FitConfig, FitResult, Point
 
 _VAR_FLOOR = 1e-10
@@ -55,10 +55,11 @@ class MLFitResult(FitResult):
     loglik_trace: np.ndarray
 
 
-def _e_step(cache: _DataCache, params: MixtureParams):
-    """The shared kernel under point estimates: side responsibilities,
-    sufficient statistics, observed-data log-likelihood, degenerate-row count."""
-    return point_pass(cache, params)
+# The shared kernel under point estimates: side responsibilities, sufficient
+# statistics, observed-data log-likelihood, degenerate-row count. A module
+# global that ``_point`` looks up at call time, so a wrapper put in its place
+# sees every pass.
+_e_step = point_pass
 
 
 def _moments(total: float, total_sq: float, n_k: float):
@@ -77,16 +78,13 @@ def _side_update(total, total_sq, n_k, family):
     return params
 
 
-def m_step(data, gamma, prev: MixtureParams) -> MixtureParams:
-    """Moment-matched parameter update.
-
-    ``gamma`` is an N x 3 responsibility matrix over ``data``, or the
-    ``SufficientStats`` the E-step kernel returns (then ``data`` is not
-    read). Components whose soft count is below one sample keep their
+def m_step(stats: SufficientStats, prev: MixtureParams) -> MixtureParams:
+    """Moment-matched parameter update from the E-step kernel's statistics
+    (``estep.sufficient_stats`` forms them from an N x 3 responsibility
+    matrix). Components whose soft count is below one sample keep their
     previous parameters (their mixing proportion still shrinks with the
     count), which keeps near-empty components well defined.
     """
-    stats = gamma if isinstance(gamma, SufficientStats) else sufficient_stats(data, gamma)
     n_k = stats.n
     pi = n_k / n_k.sum()
 
@@ -111,7 +109,7 @@ def _point(cache: _DataCache, params: MixtureParams) -> Point:
 
 def _cycle(cache: _DataCache, recorded: Point, passes: int):
     """One M-step from the recorded point and one E-step pass."""
-    return _point(cache, m_step(cache.x, recorded.stats, recorded.params)), 1
+    return _point(cache, m_step(recorded.stats, recorded.params)), 1
 
 
 def _fit_ml(

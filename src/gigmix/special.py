@@ -43,7 +43,7 @@ def tetragamma(x: float) -> float:
     return -2.0 * float(zeta(3.0, _checked(x, "x")))
 
 
-def inv_digamma(y: float, tol: float = 1e-12, max_iter: int = 50) -> float:
+def inv_digamma(y: float) -> float:
     """Solve digamma(x) = y for x > 0 by Newton iteration.
 
     The starting point follows the usual two-branch rule: exp(y) + 1/2 for
@@ -57,9 +57,9 @@ def inv_digamma(y: float, tol: float = 1e-12, max_iter: int = 50) -> float:
         x = math.exp(y) + 0.5
     else:
         x = -1.0 / (y + EULER_GAMMA)
-    for _ in range(max_iter):
+    for _ in range(50):
         f = digamma(x) - y
-        if abs(f) < tol:
+        if abs(f) < 1e-12:
             return x
         step = f / trigamma(x)
         nxt = x - step

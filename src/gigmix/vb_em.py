@@ -123,7 +123,7 @@ def default_hyperpriors(pos_family: ComponentFamily, neg_family: ComponentFamily
     variance equal s0 (b0 = c0 = 1/(s0 trigamma(s0))).
     """
     families = (pos_family, neg_family)
-    d0, e0, log_a0, b0_s, c0_s, s0, r0 = [], [], [], [], [], [], []
+    sides = []
     for fam in families:
         if fam.kind == "gamma":
             base = mom_gamma(10.0, 10.0)
@@ -132,30 +132,24 @@ def default_hyperpriors(pos_family: ComponentFamily, neg_family: ComponentFamily
         else:
             raise ValueError("activation components must be gamma or invgamma")
         b0 = 1.0 / (base.shape * trigamma(base.shape))
-        c0 = b0
-        la0 = b0 * digamma(base.shape) - c0 * math.log(base.rate)
+        la0 = b0 * digamma(base.shape) - b0 * math.log(base.rate)
         if fam.kind == "invgamma":
             la0 = -la0
-        s0.append(base.shape)
-        r0.append(base.rate)
-        d0.append(base.rate)
-        e0.append(1.0)
-        b0_s.append(b0)
-        c0_s.append(c0)
-        log_a0.append(la0)
+        sides.append((base.rate, 1.0, la0, b0, b0, base.shape, base.rate))
+    d0, e0, log_a0, b0_s, c0_s, s0, r0 = zip(*sides)
     return HyperPriors(
         lambda0=5.0,
         m0=0.0,
         tau0=1.0,
         c0_tau=0.01,
         b0_tau=100.0,
-        d0=tuple(d0),
-        e0=tuple(e0),
-        log_a0=tuple(log_a0),
-        b0_s=tuple(b0_s),
-        c0_s=tuple(c0_s),
-        s0=tuple(s0),
-        r0=tuple(r0),
+        d0=d0,
+        e0=e0,
+        log_a0=log_a0,
+        b0_s=b0_s,
+        c0_s=c0_s,
+        s0=s0,
+        r0=r0,
         families=families,
     )
 
@@ -177,10 +171,6 @@ def update_responsibilities(data, expectations: ExpectationCache, families):
     cache = _DataCache(finite_data(data))
     g, stats, _, _ = _responsibility_pass(cache, expectations, families)
     return _assemble_gamma(cache, g), stats
-
-
-def _mirrored_xbar(stats: SufficientStats) -> np.ndarray:
-    return np.array([stats.xbar[1], -stats.xbar[2]])
 
 
 def update_pi(stats: SufficientStats, priors: HyperPriors) -> np.ndarray:
@@ -214,12 +204,11 @@ def update_r(stats: SufficientStats, priors: HyperPriors, e_s: np.ndarray):
     """Rate posteriors; the conjugate data statistic is the mirrored weighted
     sum for Gamma components and the mirrored reciprocal sum for
     inverse-Gamma ones."""
-    mirrored = _mirrored_xbar(stats)
     d_hat = np.empty(2)
     e_hat = np.empty(2)
     for k, fam in enumerate(priors.families):
         d_hat[k] = priors.d0[k] + e_s[k] * stats.n[k + 1]
-        stat = mirrored[k] if fam.kind == "gamma" else stats.recip_x[k]
+        stat = fam.sign * stats.xbar[k + 1] if fam.kind == "gamma" else stats.recip_x[k]
         e_hat[k] = priors.e0[k] + stat
     return d_hat, e_hat
 

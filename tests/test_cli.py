@@ -96,7 +96,9 @@ def test_fit_json_layout(tmp_path, value_file, model):
         assert set(doc) == _COMMON_KEYS | {"loglik_trace", "params"}
         assert doc["kind"] == "ml"
         assert set(doc["params"]) == {"pi", "gaussian", "positive", "negative"}
-        assert doc["params"]["positive"]["family"] == ("gamma" if model == "ggm" else "invgamma")
+        for side in ("positive", "negative"):
+            assert set(doc["params"][side]) == {"family", "shape", "rate"}
+            assert doc["params"][side]["family"] == ("gamma" if model == "ggm" else "invgamma")
 
 
 def test_fit_f64le_and_standardize(tmp_path):

@@ -14,6 +14,7 @@ from gigmix.distributions import (
     log_pdf,
 )
 from gigmix import estep, initialization, ml_em, vb_em
+from gigmix.estep import sufficient_stats
 from gigmix.initialization import init_mixture, kmeans_1d
 from gigmix.ml_em import MLFitConfig, e_step, fit_ggm, fit_gim, m_step
 
@@ -76,7 +77,7 @@ def test_m_step_all_mass_on_gaussian():
     x = rng.normal(0.4, 1.3, 500)
     gamma = np.tile([1.0, 0.0, 0.0], (500, 1))
     prev = make_params()
-    out = m_step(x, gamma, prev)
+    out = m_step(sufficient_stats(x, gamma), prev)
     assert np.allclose(out.pi, [1.0, 0.0, 0.0])
     assert out.comp1.mu == pytest.approx(x.mean(), rel=1e-12)
     assert out.comp1.variance == pytest.approx(x.var(), rel=1e-10)
@@ -90,7 +91,7 @@ def test_m_step_invgamma_moment_matching():
     a = math.sqrt(10.0)
     x = np.array([10.0 - a, 10.0 + a, -1.0])
     gamma = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    out = m_step(x, gamma, make_params(kind="invgamma"))
+    out = m_step(sufficient_stats(x, gamma), make_params(kind="invgamma"))
     assert out.comp2.shape == pytest.approx(12.0, rel=1e-12)
     assert out.comp2.rate == pytest.approx(110.0, rel=1e-12)
 
@@ -99,7 +100,7 @@ def test_m_step_negative_component_uses_mirrored_stats():
     # Data mean -5, variance 1 on component 3: Gamma moments of (5, 1).
     x = np.array([-4.0, -6.0, 0.5])
     gamma = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    out = m_step(x, gamma, make_params())
+    out = m_step(sufficient_stats(x, gamma), make_params())
     assert out.comp3.shape == pytest.approx(25.0, rel=1e-12)
     assert out.comp3.rate == pytest.approx(5.0, rel=1e-12)
     assert out.comp3.family is GAMMA_NEG
@@ -110,7 +111,7 @@ def test_m_step_pi_stays_on_simplex():
     x = rng.normal(0, 2, 200)
     raw = rng.uniform(0, 1, (200, 3))
     gamma = raw / raw.sum(axis=1, keepdims=True)
-    out = m_step(x, gamma, make_params())
+    out = m_step(sufficient_stats(x, gamma), make_params())
     assert out.pi.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(out.pi >= 0)
 
@@ -256,8 +257,8 @@ def test_m_step_from_kernel_stats_equals_m_step_from_gamma():
     params = make_params()
     cache = estep._DataCache(x)
     g, stats, _, _ = estep.point_pass(cache, params)
-    from_stats = m_step(x, stats, params)
-    from_gamma = m_step(x, estep._assemble_gamma(cache, g), params)
+    from_stats = m_step(stats, params)
+    from_gamma = m_step(sufficient_stats(x, estep._assemble_gamma(cache, g)), params)
     assert np.allclose(from_stats.pi, from_gamma.pi, rtol=1e-12, atol=0.0)
     for a, b in ((from_stats.comp1.mu, from_gamma.comp1.mu), (from_stats.comp1.tau, from_gamma.comp1.tau)):
         assert a == pytest.approx(b, rel=1e-10)

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammaln, polygamma, psi
 
+import gigmix
 from gigmix.special import (
     EULER_GAMMA,
     digamma,
@@ -122,3 +127,14 @@ def test_domain_errors(f, bad):
 def test_inv_digamma_rejects_non_finite(bad):
     with pytest.raises(ValueError):
         inv_digamma(bad)
+
+
+def test_import_gigmix_leaves_scipy_stats_unloaded():
+    # scipy.stats roughly triples the import time of the package, which every
+    # CLI run and the benchmark's set-up pay; scipy.special is all it needs.
+    src = Path(gigmix.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, gigmix; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

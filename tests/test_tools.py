@@ -27,7 +27,7 @@ def test_fit_lines_are_deterministic_and_complete(model):
     line = fit_equivalence.describe_fit(model, x, 1)
     assert line == fit_equivalence.describe_fit(model, x, 1)
     keys = [field.split("=")[0] for field in line.split()[1:]]
-    expected = ["passes", "stop", "converged", "degenerate", "gamma", "trace", "final"]
+    expected = ["passes", "stop", "converged", "degenerate", "gamma", "trace", "final", "json"]
     assert keys == expected + (["nfe"] if model.startswith("b") else [])
 
 

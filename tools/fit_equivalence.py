@@ -5,10 +5,11 @@ Every model is fitted on each map of a fixed set: the 12 dataset-1 scenarios
 at n = 4000 (2 repeats each), three dataset-2 scenarios, the criterion-10 map
 at n = 1e4 and, with ``--large``, at n = 3e5 (the fit-large map), and six
 hostile inputs. One line per fit gives its passes, stop reason, converged
-flag and degenerate rows, SHA-1s of its responsibilities, its objective trace
-and its final parameters (ML) or state and expectations (VB), and, for VB
-fits, ``negative_free_energy`` at the result. A small ``run_benchmark`` then
-prints its rows (without wall times) and its win table.
+flag and degenerate rows, SHA-1s of its responsibilities, its objective trace,
+its final parameters (ML) or state and expectations (VB) and its result
+document (``gigmix fit``'s JSON), and, for VB fits, ``negative_free_energy``
+at the result. A small ``run_benchmark`` then prints its rows (without wall
+times) and its win table.
 
 Usage: run it on two source trees and compare the outputs byte for byte,
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import json
 import os
 import sys
 import warnings
@@ -36,6 +38,7 @@ import numpy as np
 import gigmix
 from gigmix.experiments import SyntheticSpec, _fit_seed, default_grid, fit, generate, run_benchmark
 from gigmix.evaluation import win_matrix
+from gigmix.io import result_to_dict
 from gigmix.vb_em import negative_free_energy
 
 MODELS = ("bggm", "bgim", "ggm", "gim")
@@ -54,6 +57,12 @@ def _final(res) -> list:
         return [getattr(obj, f.name) for obj in parts for f in dataclasses.fields(obj)]
     p = res.params
     return [p.pi, p.comp1.mu, p.comp1.tau, p.comp2.shape, p.comp2.rate, p.comp3.shape, p.comp3.rate]
+
+
+def _json_sha1(res, model: str, seed: int) -> str:
+    """SHA-1 of the fit's result document as ``io.write_json`` lays it out."""
+    text = json.dumps(result_to_dict(res, model, seed), indent=2, sort_keys=True)
+    return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
 
 def describe_fit(model: str, x: np.ndarray, seed: int) -> str:
@@ -75,6 +84,7 @@ def describe_fit(model: str, x: np.ndarray, seed: int) -> str:
         f"gamma={_sha1([res.responsibilities])}",
         f"trace={_sha1([res.nfe_trace if vb else res.loglik_trace])}",
         f"final={_sha1(_final(res))}",
+        f"json={_json_sha1(res, model, seed)}",
     ]
     if vb:
         try:
