@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 
 @dataclass
@@ -108,8 +107,11 @@ def paired_t_test(a, b):
 
     The p-value comes from the Student CDF through the regularized
     incomplete beta. All-zero differences give p = 1; constant nonzero
-    differences give the degenerate p = 0 limit with a warning.
+    differences give the degenerate p = 0 limit with a warning. scipy is
+    imported here, not at module level, so that fitting never loads it.
     """
+    from scipy.special import betainc
+
     av = np.asarray(a, dtype=float).ravel()
     bv = np.asarray(b, dtype=float).ravel()
     if av.shape != bv.shape or av.size < 2:

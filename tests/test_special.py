@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -6,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, polygamma, psi
 
 import gigmix
+from gigmix.io import write_values_txt
 from gigmix.special import (
     EULER_GAMMA,
     digamma,
@@ -129,12 +133,94 @@ def test_inv_digamma_rejects_non_finite(bad):
         inv_digamma(bad)
 
 
-def test_import_gigmix_leaves_scipy_stats_unloaded():
-    # scipy.stats roughly triples the import time of the package, which every
-    # CLI run and the benchmark's set-up pay; scipy.special is all it needs.
+# Each function against its scipy reference over the whole domain, from the
+# smallest accepted argument up to near the largest float.
+SCIPY_REFERENCES = {
+    log_gamma: gammaln,
+    digamma: psi,
+    trigamma: lambda x: polygamma(1, x),
+    tetragamma: lambda x: polygamma(2, x),
+}
+LOG_UNIFORM_DOMAIN = st.floats(math.log(1e-300), math.log(1.7e308)).map(
+    lambda u: min(max(math.exp(u), 1e-300), 1.7e308)
+)
+
+
+@pytest.mark.parametrize("f", list(SCIPY_REFERENCES), ids=lambda f: f.__name__)
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(x=LOG_UNIFORM_DOMAIN)
+@example(x=1e-300)
+@example(x=1e-200)  # trigamma and tetragamma overflow to +inf and -inf
+@example(x=1e-154)
+@example(x=1e306)  # log_gamma overflows to +inf
+@example(x=1.7e308)
+def test_matches_scipy_over_the_whole_domain(f, x):
+    with np.errstate(over="ignore"):
+        want = float(SCIPY_REFERENCES[f](x))
+    got = f(x)
+    if math.isinf(want) or math.isinf(got):
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_inv_digamma_refuses_a_root_past_the_float_range():
+    assert math.isfinite(inv_digamma(709.0))
+    with pytest.raises(ValueError, match="float range"):
+        inv_digamma(710.0)
+
+
+# Run in a fresh interpreter: import gigmix, then fit every model (with a
+# gamma CSV), eval and simulate through the CLI, printing the scipy modules
+# loaded after each step.
+_SCIPY_FREE_RUN = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+values, scores, truth, out = sys.argv[1:]
+import gigmix
+from gigmix.cli import main
+
+loaded = {"import gigmix": scipy_modules()}
+for model in ("bggm", "bgim", "ggm", "gim"):
+    argv = ["fit", "--model", model, "--input", values, "--output", out + "/" + model + ".json",
+            "--gamma-out", out + "/" + model + ".csv"]
+    assert main(argv) == 0, model
+    loaded["fit " + model] = scipy_modules()
+assert main(["eval", "--scores", scores, "--truth", truth]) == 0
+loaded["eval"] = scipy_modules()
+argv = ["simulate", "--dataset", "1", "--snr", "3", "--sparsity", "1", "--n", "500",
+        "--output", out + "/sim.csv"]
+assert main(argv) == 0
+loaded["simulate"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_import_fit_eval_and_simulate_load_no_scipy(tmp_path):
+    # scipy (its special module alone) took about two thirds of a cold
+    # `import gigmix`, which every CLI run and the benchmark's set-up pay.
+    # Only `gigmix bench`'s paired t-test may load it, inside the function.
+    rng = np.random.default_rng(0)
+    labels = rng.choice(3, size=2000, p=[0.8, 0.1, 0.1])
+    x = rng.normal(np.array([0.0, 5.0, -5.0])[labels], 1.0)
+    paths = [tmp_path / name for name in ("values.txt", "scores.txt", "truth.txt")]
+    write_values_txt(paths[0], x)
+    write_values_txt(paths[1], np.abs(x))
+    paths[2].write_text("".join(f"{int(label != 0)}\n" for label in labels))
     src = Path(gigmix.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, gigmix; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUN, *map(str, paths), str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert list(loaded) == [
+        "import gigmix", "fit bggm", "fit bgim", "fit ggm", "fit gim", "eval", "simulate"
+    ]
+    assert loaded == {step: [] for step in loaded}

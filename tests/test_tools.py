@@ -47,3 +47,46 @@ def test_first_output_line_names_the_blas_thread_count(threads, monkeypatch, cap
     assert fit_equivalence.main([]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"OPENBLAS_NUM_THREADS={threads or 'unset'}", "row"]
+
+
+def test_compare_reports_numeric_drift_stop_mismatches_and_missing_fits(tmp_path):
+    rng = np.random.default_rng(5)
+    x = rng.normal(rng.choice([-3.0, 0.0, 3.0], 300, p=[0.1, 0.8, 0.1]), 1.0)
+    dumps = {name: tmp_path / name for name in ("a", "same", "perturbed")}
+    for path in dumps.values():
+        path.mkdir()
+        for model in ("bggm", "ggm"):
+            fit_equivalence.describe_fit(model, x, 0, str(path / f"m.{model}.npz"), "m")
+    with np.load(dumps["perturbed"] / "m.ggm.npz") as f:
+        saved = dict(f)
+    saved["gamma"] = saved["gamma"] + 1e-9
+    saved["objective"] = saved["objective"] * (1.0 + 1e-10)
+    saved["passes"] = saved["passes"] + 1
+    np.savez(dumps["perturbed"] / "m.ggm.npz", **saved)
+
+    lines, ok = fit_equivalence.compare(str(dumps["a"]), str(dumps["same"]))
+    assert ok
+    assert lines == [
+        "m bggm max|dgamma|=0 max_dobjective=0",
+        "m ggm max|dgamma|=0 max_dobjective=0",
+        "summary: 2 fits, 0 mismatched, 0 missing; max|dgamma|=0 max_dobjective=0",
+    ]
+    assert fit_equivalence.main(["--compare", str(dumps["a"]), str(dumps["same"])]) == 0
+
+    lines, ok = fit_equivalence.compare(str(dumps["a"]), str(dumps["perturbed"]))
+    assert not ok
+    passes = int(saved["passes"])
+    assert lines[0] == "m bggm max|dgamma|=0 max_dobjective=0"
+    fields = lines[1].split(" ", 4)
+    assert fields[:3] == ["m", "ggm", "max|dgamma|=1e-09"]
+    # |dobjective| / (1 + |objective|): just under the relative 1e-10 applied.
+    assert 0.9e-10 < float(fields[3].split("=")[1]) <= 1e-10
+    assert fields[4] == f"MISMATCH passes {passes - 1} != {passes}"
+    assert lines[2].startswith("summary: 2 fits, 1 mismatched, 0 missing; max|dgamma|=1e-09")
+    assert fit_equivalence.main(["--compare", str(dumps["a"]), str(dumps["perturbed"])]) == 1
+
+    (dumps["same"] / "m.bggm.npz").unlink()
+    lines, ok = fit_equivalence.compare(str(dumps["a"]), str(dumps["same"]))
+    assert not ok
+    assert lines[0] == f"m.bggm.npz missing from {dumps['same']}"
+    assert lines[2].startswith("summary: 2 fits, 0 mismatched, 1 missing")

@@ -21,6 +21,19 @@ with the same ``OPENBLAS_NUM_THREADS`` for both: the fits depend on it. The
 first line of the output names that setting, so outputs made under different
 thread counts differ from their first line on. The gigmix imported is named
 on stderr.
+
+Hashes only say that a fit differs. To see by how much, dump each fit's
+responsibilities, objective trace and stop state as ``.npz`` files, one per
+fit, and compare two dumps numerically:
+
+    PYTHONPATH=src python tools/fit_equivalence.py --large --dump new/ > new.txt
+    PYTHONPATH=/path/to/other/src python tools/fit_equivalence.py --large --dump old/ > old.txt
+    PYTHONPATH=src python tools/fit_equivalence.py --compare old/ new/
+
+``--compare`` prints per fit the max |dgamma|, the max objective drift
+|dobjective| / (1 + |objective|) and any mismatch in passes, stop reason,
+converged flag or degenerate rows, then a summary line; it exits 1 if any
+fit mismatches or is missing from either dump (a refused fit is not dumped).
 """
 
 from __future__ import annotations
@@ -65,8 +78,10 @@ def _json_sha1(res, model: str, seed: int) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
 
-def describe_fit(model: str, x: np.ndarray, seed: int) -> str:
-    """One line fingerprinting the fit of ``model`` on ``x`` from ``seed``."""
+def describe_fit(model: str, x: np.ndarray, seed: int, dump: str | None = None, label: str = "") -> str:
+    """One line fingerprinting the fit of ``model`` on ``x`` from ``seed``;
+    with ``dump``, a fit that is not refused is also saved to that ``.npz``
+    path."""
     try:
         with warnings.catch_warnings():
             # Maps with fewer than three distinct values make k-means warn.
@@ -75,6 +90,19 @@ def describe_fit(model: str, x: np.ndarray, seed: int) -> str:
     except Exception as exc:  # noqa: BLE001 - a refusal is an output too
         return f"{model} error={type(exc).__name__}: {exc}"
     vb = hasattr(res, "state")
+    trace = res.nfe_trace if vb else res.loglik_trace
+    if dump:
+        np.savez(
+            dump,
+            label=label,
+            model=model,
+            gamma=res.responsibilities,
+            objective=trace,
+            passes=res.iterations,
+            stop=res.stop_reason,
+            converged=res.converged,
+            degenerate=res.degenerate_rows,
+        )
     fields = [
         model,
         f"passes={res.iterations}",
@@ -82,7 +110,7 @@ def describe_fit(model: str, x: np.ndarray, seed: int) -> str:
         f"converged={res.converged}",
         f"degenerate={res.degenerate_rows}",
         f"gamma={_sha1([res.responsibilities])}",
-        f"trace={_sha1([res.nfe_trace if vb else res.loglik_trace])}",
+        f"trace={_sha1([trace])}",
         f"final={_sha1(_final(res))}",
         f"json={_json_sha1(res, model, seed)}",
     ]
@@ -140,15 +168,60 @@ def describe_benchmark() -> list:
     return lines
 
 
+_STATE = ("passes", "stop", "converged", "degenerate")
+
+
+def compare(dir_a: str, dir_b: str) -> tuple:
+    """(lines, ok): one line per fit in either dump and a summary line; ok
+    is False if any fit mismatches in its stop state or is missing."""
+    names = sorted({n for d in (dir_a, dir_b) for n in os.listdir(d) if n.endswith(".npz")})
+    lines, bad, missing = [], 0, 0
+    worst_gamma = worst_objective = 0.0
+    for name in names:
+        paths = [os.path.join(d, name) for d in (dir_a, dir_b)]
+        absent = [p for p in paths if not os.path.exists(p)]
+        if absent:
+            missing += 1
+            lines.append(f"{name} missing from {os.path.dirname(absent[0])}")
+            continue
+        with np.load(paths[0]) as fa, np.load(paths[1]) as fb:
+            a = {k: fa[k] for k in fa.files}
+            b = {k: fb[k] for k in fb.files}
+        diffs = [f"{k} {a[k].item()!r} != {b[k].item()!r}" for k in _STATE if a[k].item() != b[k].item()]
+        d_gamma = float(np.max(np.abs(a["gamma"] - b["gamma"]), initial=0.0))
+        m = min(a["objective"].size, b["objective"].size)
+        oa, ob = a["objective"][:m], b["objective"][:m]
+        d_objective = float(np.max(np.abs(oa - ob) / (1.0 + np.abs(oa)), initial=0.0))
+        worst_gamma = max(worst_gamma, d_gamma)
+        worst_objective = max(worst_objective, d_objective)
+        bad += bool(diffs)
+        line = f"{a['label'].item()} {a['model'].item()} max|dgamma|={d_gamma:.3g} max_dobjective={d_objective:.3g}"
+        lines.append(line + "".join(f" MISMATCH {d}" for d in diffs))
+    lines.append(
+        f"summary: {len(names)} fits, {bad} mismatched, {missing} missing; "
+        f"max|dgamma|={worst_gamma:.3g} max_dobjective={worst_objective:.3g}"
+    )
+    return lines, bad == missing == 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--large", action="store_true", help="also fit the n = 3e5 map")
+    parser.add_argument("--dump", metavar="DIR", help="also save each fit to DIR as .npz")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two dumps and exit")
     args = parser.parse_args(argv)
+    if args.compare:
+        lines, ok = compare(*args.compare)
+        print("\n".join(lines))
+        return 0 if ok else 1
+    if args.dump:
+        os.makedirs(args.dump, exist_ok=True)
     print(f"gigmix from {gigmix.__file__}", file=sys.stderr)
     print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     for label, x, seed in maps(args.large):
         for model in MODELS:
-            print(f"{label} {describe_fit(model, x, seed)}", flush=True)
+            dump = args.dump and os.path.join(args.dump, f"{label.replace('/', '_')}.{model}.npz")
+            print(f"{label} {describe_fit(model, x, seed, dump, label)}", flush=True)
     for line in describe_benchmark():
         print(line)
     return 0
