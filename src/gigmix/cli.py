@@ -54,7 +54,9 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--model", required=True, choices=MODEL_NAMES)
     p_fit.add_argument("--input", required=True)
     p_fit.add_argument("--format", default="txt", choices=("txt", "f64le"))
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument(
+        "--seed", type=int, default=0, help="accepted for compatibility; fits do not depend on it"
+    )
     p_fit.add_argument("--output", required=True)
     p_fit.add_argument("--gamma-out", default=None)
     p_fit.add_argument(

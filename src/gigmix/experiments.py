@@ -102,7 +102,8 @@ def substream(seed: int, scenario_index: int, repeat_index: int) -> np.random.Ge
 
 
 def _fit_seed(seed: int, scenario_index: int, repeat_index: int) -> int:
-    """Initialization seed for the fits of one repeat, split off the data stream."""
+    """Fit seed of one repeat, split off the data stream. It is accepted for
+    compatibility and recorded; fits do not depend on it."""
     ss = np.random.SeedSequence(seed, spawn_key=(scenario_index, repeat_index, 1))
     return int(ss.generate_state(1, np.uint64)[0] >> 1)
 
@@ -117,7 +118,8 @@ def generate(spec: SyntheticSpec, repeat_index: int, scenario_index: int = 0) ->
 
 
 def fit(model: str, data, seed: int):
-    """Fit one model by name from its seeded k-means start; returns the fit result."""
+    """Fit one model by name from its k-means start; returns the fit result.
+    ``seed`` is accepted for compatibility; fits do not depend on it."""
     if model == "bggm":
         return fit_bggm(data, VBFitConfig(seed=seed))
     if model == "bgim":

@@ -1,9 +1,9 @@
 """The one fit loop of all four learners.
 
 A learner supplies its first point and its cycle; ``fit`` does the rest: the
-seeded k-means start when no initial point is given, the pass count, the stop
-rule, which points are recorded, the timer, and the N x 3 responsibilities,
-built once from the last recorded point.
+deterministic k-means start when no initial point is given, the pass count,
+the stop rule, which points are recorded, the timer, and the N x 3
+responsibilities, built once from the last recorded point.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ class Point:
 
 @dataclass
 class FitConfig:
+    """``seed`` is accepted for compatibility; fits do not depend on it."""
+
     max_iterations: int
     rel_tolerance: float = 1e-6
     seed: int = 0
@@ -75,7 +77,7 @@ def fit(data, init, cfg: FitConfig, families, first, cycle, ascent_only: bool):
     x = finite_data(data)
     start = time.perf_counter()
     if init is None:
-        init = initialization.init_params(initialization.kmeans_1d(x, 3, cfg.seed), families)
+        init = initialization.init_params(initialization.kmeans_1d(x, 3), families)
     cache = _DataCache(x)
     recorded = first(cache, init)
     passes, degenerate = 1, recorded.degenerate

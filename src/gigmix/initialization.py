@@ -1,15 +1,14 @@
 """K-means based initialization shared by all four mixture fitters.
 
-A seeded 1-D k-means (k-means++ seeding, Lloyd iterations) splits the data
-into three clusters sorted by center. The middle cluster seeds the Gaussian,
-the outer ones seed the activation components through the method of moments
-on (mirrored) cluster statistics (``init_params``); ``init_mixture`` adds the
+A deterministic 1-D 3-means (``kmeans_1d``) splits the data into three
+clusters sorted by center. The middle cluster seeds the Gaussian, the outer
+ones seed the activation components through the method of moments on
+(mirrored) cluster statistics (``init_params``); ``init_mixture`` adds the
 responsibilities of the shared E-step kernel under those parameters.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -20,6 +19,9 @@ from .estep import e_step, finite_data
 
 _VAR_FLOOR = 1e-6
 _MAX_LLOYD_ITER = 100
+# Equal-count bins whose edges are the cut candidates of the exact search:
+# 127 candidates make about 8000 cut pairs.
+_BINS = 128
 
 # Fallback prior-style moments for a side cluster whose mirrored mean is not
 # positive (e.g. no negative cluster in very sparse data).
@@ -36,143 +38,80 @@ class KMeansResult:
     cluster_counts: np.ndarray
 
 
-def _kmeanspp_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    centers = np.empty(k)
-    centers[0] = x[rng.integers(x.size)]
-    d2 = np.full(x.size, np.inf)
-    for j in range(1, k):
-        np.minimum(d2, (x - centers[j - 1]) ** 2, out=d2)
-        total = d2.sum()
-        if total > 0:
-            centers[j] = x[rng.choice(x.size, p=d2 / total)]
-        else:
-            centers[j] = x[rng.integers(x.size)]
-    return centers
+def _sse(s1, s2, lo, hi):
+    """Within-cluster sum of squares of the sorted slices ``[lo, hi)``, from
+    prefix sums ``s1`` of the data and ``s2`` of its squares."""
+    return s2[hi] - s2[lo] - (s1[hi] - s1[lo]) ** 2 / (hi - lo)
 
 
-def _nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest center per point, ties to the lowest index."""
-    best = np.abs(x - centers[0])
-    labels = np.zeros(x.size, dtype=int)
-    for j in range(1, centers.size):
-        d = np.abs(x - centers[j])
-        labels[d < best] = j
-        np.minimum(best, d, out=best)
-    return labels
+def _three_means_cuts(xs: np.ndarray, valid: np.ndarray) -> tuple:
+    """Cuts ``(a, b)`` that split sorted data into ``xs[:a]``, ``xs[a:b]``
+    and ``xs[b:]``, chosen from ``valid``: the (at least two) indices where
+    a new value starts, so that no cut splits a run of equal values.
 
-
-def _sorted_runs(xs: np.ndarray, centers: np.ndarray):
-    """Nearest-center labels of sorted data as runs ``(starts, labels)``.
-
-    Both are tuples of ints. Run ``r`` covers ``xs[starts[r]:starts[r + 1]]``;
-    runs are non-empty and neighbouring runs carry different labels, so equal
-    labelings give equal runs. The labels are exactly those of ``_nearest``
-    (float distances, ties to the lowest index). Between two neighbouring
-    distinct centers the rounded distance comparison is monotone in x, so
-    each boundary is a binary search. A farther center can only tie the
-    nearest one when two centers are equal or within rounding of the largest
-    distance; then clusters need not be contiguous and every point is
-    labelled.
+    In 1-D the optimal clusters are contiguous runs of the sorted data.
+    Every cut pair among the candidates is searched for the least total sum
+    of squares. The candidates are, for each edge of ``_BINS`` equal-count
+    bins, the nearest valid cut at or below it in the lower half of the data
+    and at or above it in the upper half, so mirrored data get mirrored
+    candidates; for n <= ``_BINS`` every valid cut is one, and the search is
+    exact. Lloyd steps from the best pair then move both cuts to the
+    midpoints of the cluster means until they stop. The data are centred and
+    divided by their range first, so the cuts do not change when the data
+    are multiplied by a power of two.
     """
-    order = np.argsort(centers, kind="stable")
-    values, labels = centers[order].tolist(), order.tolist()
-    span = max(abs(xs.item(-1) - values[0]), abs(values[-1] - xs.item(0)))
-    if not all(b - a > 2.0 * math.ulp(span) for a, b in zip(values, values[1:])):
-        point_labels = _nearest(xs, centers)
-        starts = np.flatnonzero(np.concatenate(([True], point_labels[1:] != point_labels[:-1])))
-        return tuple(starts.tolist()), tuple(point_labels[starts].tolist())
-    los = xs.searchsorted(values[:-1], side="right").tolist()
-    his = xs.searchsorted(values[1:], side="left").tolist()
-    bounds = [0]
-    for i, (lo, hi) in enumerate(zip(los, his)):
-        left, right = values[i], values[i + 1]
-        right_wins_ties = labels[i + 1] < labels[i]
-        # First point that goes to the right center.
-        while lo < hi:
-            mid = (lo + hi) // 2
-            x = xs.item(mid)
-            d_left, d_right = abs(x - left), abs(x - right)
-            if d_right < d_left or (d_right == d_left and right_wins_ties):
-                hi = mid
-            else:
-                lo = mid + 1
-        bounds.append(lo)
-    bounds.append(xs.size)
-    starts, labels = zip(*((lo, j) for lo, hi, j in zip(bounds, bounds[1:], labels) if lo < hi))
-    return starts, labels
-
-
-def _assign(x: np.ndarray, xs: np.ndarray, starts, labels) -> np.ndarray:
-    """Per-point labels of ``x`` from the runs of its sorted copy ``xs``."""
-    return np.asarray(labels)[np.searchsorted(xs[list(starts[1:])], x, side="right")]
+    n = xs.size
+    c = (xs - xs.mean()) / (xs[-1] - xs[0])
+    s1 = np.concatenate(([0.0], np.cumsum(c)))
+    s2 = np.concatenate(([0.0], np.cumsum(c * c)))
+    edges = np.arange(1, _BINS) * (n / _BINS)
+    low, high = edges[edges <= n / 2], edges[edges >= n / 2]
+    at = np.concatenate((valid.searchsorted(low, "right") - 1, valid.searchsorted(high)))
+    cand = np.unique(valid[np.clip(at, 0, valid.size - 1)])
+    i, j = (cand[k] for k in np.triu_indices(cand.size, 1))
+    best = np.argmin(_sse(s1, s2, 0, i) + _sse(s1, s2, i, j) + _sse(s1, s2, j, n))
+    cuts = (int(i[best]), int(j[best]))
+    for _ in range(_MAX_LLOYD_ITER):
+        bounds = (0, *cuts, n)
+        m = [(s1[hi] - s1[lo]) / (hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+        new = tuple(c.searchsorted([(m[0] + m[1]) / 2, (m[1] + m[2]) / 2]).tolist())
+        # A step that would empty a cluster is not taken.
+        if new == cuts or not 0 < new[0] < new[1] < n:
+            break
+        cuts = new
+    return cuts
 
 
 def kmeans_1d(data, k: int = 3, seed: int = 0) -> KMeansResult:
-    """Lloyd's algorithm on scalars with k-means++ seeding.
+    """Deterministic 3-means on scalars; clusters sorted by center ascending.
 
-    Deterministic given ``seed``; clusters are returned sorted by center
-    ascending. Degenerate all-equal data collapses to a single cluster
-    duplicated ``k`` times with a floored variance.
-
-    In 1-D every cluster is a contiguous run of the sorted data, so the data
-    are sorted once and each Lloyd step finds the cluster boundaries by
-    binary search and the new centers as slice means. Each step assigns
-    every point to its nearest center, ties to the lowest cluster index.
-    The slice means can differ from means over the points in input order by
-    rounding, so a point that ties two centers to the last bit can fall the
-    other way; the final cluster statistics are taken over the points in
-    input order.
+    ``k`` must be 3. ``seed`` is accepted for compatibility; the result does
+    not depend on it. The cut search is ``_three_means_cuts``. With fewer
+    than three distinct values the clusters are the support sides instead:
+    negatives, zeros and positives. The cluster statistics are taken over the
+    points in input order; ``centers`` are the cluster means. An empty
+    cluster gets the center of its nearest non-empty one (the lower one on a
+    tie) and the floored variance.
     """
+    if k != 3:
+        raise ValueError(f"kmeans_1d fits k=3 clusters, got k={k}")
     x = finite_data(data)
     if x.size < k:
         raise ValueError(f"need at least k={k} samples, got {x.size}")
 
-    if np.ptp(x) == 0.0:
-        warnings.warn("k-means input is constant; duplicating a single cluster")
-        v = float(x[0])
-        assignments = np.full(x.size, k // 2, dtype=int)
-        counts = np.zeros(k, dtype=int)
-        counts[k // 2] = x.size
-        return KMeansResult(
-            centers=np.full(k, v),
-            assignments=assignments,
-            cluster_means=np.full(k, v),
-            cluster_vars=np.full(k, _VAR_FLOOR),
-            cluster_counts=counts,
-        )
-
-    rng = np.random.default_rng(seed)
-    centers = _kmeanspp_seed(x, k, rng)
     xs = np.sort(x)
-    runs = None
-    for _ in range(_MAX_LLOYD_ITER):
-        starts, labels = _sorted_runs(xs, centers)
-        if (starts, labels) == runs:
-            break
-        runs = starts, labels
-        sums = [0.0] * k
-        counts = [0] * k
-        for lo, hi, j in zip(starts, starts[1:] + (xs.size,), labels):
-            sums[j] += float(xs[lo:hi].sum())
-            counts[j] += hi - lo
-        assignments = None
-        for j in range(k):
-            if counts[j]:
-                centers[j] = sums[j] / counts[j]
-            else:
-                # Reseed an empty cluster at the point farthest from its center.
-                if assignments is None:
-                    assignments = _assign(x, xs, starts, labels)
-                centers[j] = x[np.argmax(np.abs(x - centers[assignments]))]
-
-    order = np.argsort(centers, kind="stable")
-    centers = centers[order]
-    remap = np.empty(k, dtype=int)
-    remap[order] = np.arange(k)
-    assignments = remap[_assign(x, xs, *runs)]
+    valid = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+    if valid.size >= 2:
+        cuts = _three_means_cuts(xs, valid)
+    else:
+        warnings.warn("k-means input has fewer than 3 distinct values; splitting it by sign")
+        cuts = (xs.searchsorted(0.0, side="left"), xs.searchsorted(0.0, side="right"))
+    # No cut splits equal values, so the first value after each cut labels x.
+    lo, hi = np.append(xs, np.inf)[list(cuts)]
+    assignments = (x >= lo).astype(int) + (x >= hi)
 
     means = np.empty(k)
-    variances = np.empty(k)
+    variances = np.full(k, _VAR_FLOOR)
     counts = np.zeros(k, dtype=int)
     for j in range(k):
         member = x[assignments == j]
@@ -180,10 +119,10 @@ def kmeans_1d(data, k: int = 3, seed: int = 0) -> KMeansResult:
         if member.size:
             means[j] = member.mean()
             variances[j] = max(member.var(), _VAR_FLOOR)
-        else:
-            means[j] = centers[j]
-            variances[j] = _VAR_FLOOR
-    return KMeansResult(centers, assignments, means, variances, counts)
+    full = np.flatnonzero(counts)
+    for j in np.flatnonzero(counts == 0):
+        means[j] = means[full[np.argmin(np.abs(full - j))]]
+    return KMeansResult(means.copy(), assignments, means, variances, counts)
 
 
 def _side_component(mean: float, variance: float, family):

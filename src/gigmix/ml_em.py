@@ -127,7 +127,7 @@ def fit_ggm(
     data, init: MixtureParams | None = None, cfg: MLFitConfig | None = None
 ) -> MLFitResult:
     """ML EM for the Gaussian + Gamma mixture (model GGM); ``init=None`` starts
-    from the seeded k-means initialization."""
+    from the deterministic k-means initialization."""
     return _fit_ml(data, init, cfg or MLFitConfig(), "gamma", "fit_ggm")
 
 
@@ -135,5 +135,5 @@ def fit_gim(
     data, init: MixtureParams | None = None, cfg: MLFitConfig | None = None
 ) -> MLFitResult:
     """ML EM for the Gaussian + inverse-Gamma mixture (model GIM); ``init=None``
-    starts from the seeded k-means initialization."""
+    starts from the deterministic k-means initialization."""
     return _fit_ml(data, init, cfg or MLFitConfig(), "invgamma", "fit_gim")

@@ -73,6 +73,21 @@ def test_fit_deterministic_json(tmp_path, value_file, model):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("model", ["bggm", "bgim", "ggm", "gim"])
+def test_fit_does_not_depend_on_the_seed(tmp_path, value_file, model):
+    docs, gammas = [], []
+    for seed in ("0", "12345"):
+        out, gamma_out = tmp_path / f"{seed}.json", tmp_path / f"{seed}.csv"
+        args = ["fit", "--model", model, "--input", str(value_file), "--seed", seed,
+                "--output", str(out), "--gamma-out", str(gamma_out)]
+        assert main(args) == 0
+        docs.append(json.loads(out.read_text()))
+        gammas.append(gamma_out.read_bytes())
+    assert gammas[0] == gammas[1]
+    assert (docs[0].pop("seed"), docs[1].pop("seed")) == (0, 12345)
+    assert docs[0] == docs[1]
+
+
 _COMMON_KEYS = {
     "schema_version", "kind", "model", "seed", "converged", "stop_reason",
     "iterations", "degenerate_rows", "n", "standardized",

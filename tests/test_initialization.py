@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from gigmix.cli import main
 from gigmix.distributions import GAMMA_NEG, GAMMA_POS, INVGAMMA_NEG, INVGAMMA_POS
+from gigmix.experiments import MODEL_NAMES
 from gigmix.initialization import KMeansResult, init_mixture, kmeans_1d
+from gigmix.io import write_values_txt
 
 
 def separable_data(seed=0, n=300):
@@ -26,11 +31,13 @@ def test_kmeans_separates_well_separated_triples():
 
 
 def test_kmeans_deterministic_given_seed():
+    # The seed is accepted for compatibility: every seed gives the same result.
     x = separable_data(seed=3)
     a = kmeans_1d(x, 3, seed=7)
-    b = kmeans_1d(x, 3, seed=7)
-    assert np.array_equal(a.centers, b.centers)
-    assert np.array_equal(a.assignments, b.assignments)
+    for seed in (7, 0, 2**31 - 1):
+        b = kmeans_1d(x, 3, seed=seed)
+        assert np.array_equal(a.centers, b.centers)
+        assert np.array_equal(a.assignments, b.assignments)
 
 
 def _lloyd_sse(x, centers):
@@ -71,11 +78,42 @@ def test_kmeans_degenerate_constant_data():
     assert km.cluster_counts.sum() == 50
 
 
+@pytest.mark.parametrize(
+    "values, counts, means",
+    [
+        ([0.1, 5.0, 5.0, 0.1, 0.1, 5.0], [0, 0, 6], [2.55, 2.55, 2.55]),
+        ([0.0, 0.0, 0.1, 0.1, 0.1, 0.0], [0, 3, 3], [0.0, 0.0, 0.1]),
+        ([2.5] * 50, [0, 0, 50], [2.5, 2.5, 2.5]),
+        ([-1.0, -1.0, 5.0, 5.0], [2, 0, 2], [-1.0, -1.0, 5.0]),
+    ],
+)
+def test_fewer_than_three_distinct_values_split_by_sign(tmp_path, values, counts, means):
+    # Negatives, zeros and positives; an empty cluster takes the center of
+    # its nearest non-empty one (the lower on a tie) and the floored variance.
+    x = np.asarray(values)
+    with pytest.warns(UserWarning, match="fewer than 3 distinct"):
+        km = kmeans_1d(x, 3)
+    assert list(km.cluster_counts) == counts
+    assert np.allclose(km.cluster_means, means, rtol=1e-15, atol=0.0)
+    assert np.array_equal(km.cluster_vars[km.cluster_counts == 0], [1e-6] * counts.count(0))
+    assert np.array_equal(km.assignments, 1 + np.sign(x).astype(int))
+    # Every model fits from this start or refuses with exit status 2.
+    path = tmp_path / "values.txt"
+    write_values_txt(path, x)
+    for model in MODEL_NAMES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = main(["fit", "--model", model, "--input", str(path), "--output", str(tmp_path / "r.json")])
+        assert rc in (0, 2)
+
+
 def test_kmeans_rejects_tiny_or_bad_input():
     with pytest.raises(ValueError):
         kmeans_1d(np.array([1.0, 2.0]), 3)
     with pytest.raises(ValueError):
         kmeans_1d(np.array([1.0, np.nan, 2.0, 3.0]), 3)
+    with pytest.raises(ValueError, match="k=3"):
+        kmeans_1d(np.array([1.0, 2.0, 3.0, 4.0]), 2)
 
 
 def test_init_mixture_mapping_and_gamma():

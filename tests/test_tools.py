@@ -6,6 +6,8 @@ import pathlib
 import numpy as np
 import pytest
 
+from gigmix.experiments import SyntheticSpec, generate
+
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "fit_equivalence.py"
 _SPEC = importlib.util.spec_from_file_location("fit_equivalence", _PATH)
 fit_equivalence = importlib.util.module_from_spec(_SPEC)
@@ -13,10 +15,14 @@ _SPEC.loader.exec_module(fit_equivalence)
 
 
 def test_map_set_has_34_maps_and_35_with_the_large_one():
-    small = [label for label, _, _ in fit_equivalence.maps(False)]
-    assert len(small) == len(set(small)) == 34
-    assert sum(label.startswith("hostile/") for label in small) == 6
-    large = [label for label, x, _ in fit_equivalence.maps(True) if x.size == 300_000]
+    small = list(fit_equivalence.maps(False))
+    labels = [label for label, _, _, _ in small]
+    assert len(labels) == len(set(labels)) == 34
+    # The generated maps carry their truth; the six hostile inputs do not.
+    assert [label for label, _, truth, _ in small if truth is None] == labels[-6:]
+    assert all(label.startswith("hostile/") for label in labels[-6:])
+    assert all(truth.shape == x.shape for _, x, truth, _ in small[:-6])
+    large = [label for label, x, _, _ in fit_equivalence.maps(True) if x.size == 300_000]
     assert large == ["criterion10/n300000"]
 
 
@@ -50,43 +56,53 @@ def test_first_output_line_names_the_blas_thread_count(threads, monkeypatch, cap
 
 
 def test_compare_reports_numeric_drift_stop_mismatches_and_missing_fits(tmp_path):
-    rng = np.random.default_rng(5)
-    x = rng.normal(rng.choice([-3.0, 0.0, 3.0], 300, p=[0.1, 0.8, 0.1]), 1.0)
+    ds = generate(SyntheticSpec(dataset=1, snr=3.0, sparsity=1, n=300, seed=5), 0)
     dumps = {name: tmp_path / name for name in ("a", "same", "perturbed")}
     for path in dumps.values():
         path.mkdir()
         for model in ("bggm", "ggm"):
-            fit_equivalence.describe_fit(model, x, 0, str(path / f"m.{model}.npz"), "m")
+            fit_equivalence.describe_fit(model, ds.values, 0, str(path / f"m.{model}.npz"), "m", ds.truth)
+        # An input without truth is dumped without an AUC.
+        fit_equivalence.describe_fit("gim", ds.values, 0, str(path / "h.gim.npz"), "h")
     with np.load(dumps["perturbed"] / "m.ggm.npz") as f:
         saved = dict(f)
+    assert set(saved) >= {"pi", "auc"}
     saved["gamma"] = saved["gamma"] + 1e-9
     saved["objective"] = saved["objective"] * (1.0 + 1e-10)
-    saved["passes"] = saved["passes"] + 1
+    saved["pi"] = saved["pi"] + [0.0, 0.25, -0.125]
+    saved["auc"] = saved["auc"] + 0.5
+    saved["passes"] = 2 * saved["passes"]
     np.savez(dumps["perturbed"] / "m.ggm.npz", **saved)
 
+    unchanged = "max|dgamma|=0 max_dobjective=0 |dpi2|+|dpi3|=0"
     lines, ok = fit_equivalence.compare(str(dumps["a"]), str(dumps["same"]))
     assert ok
     assert lines == [
-        "m bggm max|dgamma|=0 max_dobjective=0",
-        "m ggm max|dgamma|=0 max_dobjective=0",
-        "summary: 2 fits, 0 mismatched, 0 missing; max|dgamma|=0 max_dobjective=0",
+        f"h gim {unchanged} pass_ratio=1",
+        f"m bggm {unchanged} dauc=0 pass_ratio=1",
+        f"m ggm {unchanged} dauc=0 pass_ratio=1",
+        "summary: 3 fits, 0 mismatched, 0 missing; max|dgamma|=0 max_dobjective=0",
+        "median bggm over 1 fits: |dpi2|+|dpi3|=0 dauc=0 (1 with truth) pass_ratio=1",
+        "median ggm over 1 fits: |dpi2|+|dpi3|=0 dauc=0 (1 with truth) pass_ratio=1",
+        "median gim over 1 fits: |dpi2|+|dpi3|=0 pass_ratio=1",
     ]
     assert fit_equivalence.main(["--compare", str(dumps["a"]), str(dumps["same"])]) == 0
 
     lines, ok = fit_equivalence.compare(str(dumps["a"]), str(dumps["perturbed"]))
     assert not ok
-    passes = int(saved["passes"])
-    assert lines[0] == "m bggm max|dgamma|=0 max_dobjective=0"
-    fields = lines[1].split(" ", 4)
+    passes = int(saved["passes"]) // 2
+    assert lines[1] == f"m bggm {unchanged} dauc=0 pass_ratio=1"
+    fields = lines[2].split(" ", 4)
     assert fields[:3] == ["m", "ggm", "max|dgamma|=1e-09"]
     # |dobjective| / (1 + |objective|): just under the relative 1e-10 applied.
     assert 0.9e-10 < float(fields[3].split("=")[1]) <= 1e-10
-    assert fields[4] == f"MISMATCH passes {passes - 1} != {passes}"
-    assert lines[2].startswith("summary: 2 fits, 1 mismatched, 0 missing; max|dgamma|=1e-09")
+    assert fields[4] == f"|dpi2|+|dpi3|=0.375 dauc=0.5 pass_ratio=2 MISMATCH passes {passes} != {2 * passes}"
+    assert lines[3].startswith("summary: 3 fits, 1 mismatched, 0 missing; max|dgamma|=1e-09")
+    assert lines[5] == "median ggm over 1 fits: |dpi2|+|dpi3|=0.375 dauc=0.5 (1 with truth) pass_ratio=2"
     assert fit_equivalence.main(["--compare", str(dumps["a"]), str(dumps["perturbed"])]) == 1
 
     (dumps["same"] / "m.bggm.npz").unlink()
     lines, ok = fit_equivalence.compare(str(dumps["a"]), str(dumps["same"]))
     assert not ok
-    assert lines[0] == f"m.bggm.npz missing from {dumps['same']}"
-    assert lines[2].startswith("summary: 2 fits, 0 mismatched, 1 missing")
+    assert lines[1] == f"m.bggm.npz missing from {dumps['same']}"
+    assert lines[3].startswith("summary: 3 fits, 0 mismatched, 1 missing")

@@ -23,17 +23,21 @@ thread counts differ from their first line on. The gigmix imported is named
 on stderr.
 
 Hashes only say that a fit differs. To see by how much, dump each fit's
-responsibilities, objective trace and stop state as ``.npz`` files, one per
-fit, and compare two dumps numerically:
+responsibilities, objective trace, stop state, mixing weights pi (ML's
+``params.pi``, VB's ``expectations.pi``) and, on the generated maps, its
+restricted AUC against their truth as ``.npz`` files, one per fit, and
+compare two dumps numerically:
 
     PYTHONPATH=src python tools/fit_equivalence.py --large --dump new/ > new.txt
     PYTHONPATH=/path/to/other/src python tools/fit_equivalence.py --large --dump old/ > old.txt
     PYTHONPATH=src python tools/fit_equivalence.py --compare old/ new/
 
 ``--compare`` prints per fit the max |dgamma|, the max objective drift
-|dobjective| / (1 + |objective|) and any mismatch in passes, stop reason,
-converged flag or degenerate rows, then a summary line; it exits 1 if any
-fit mismatches or is missing from either dump (a refused fit is not dumped).
+|dobjective| / (1 + |objective|), |dpi2| + |dpi3|, the AUC change (second
+dump minus first), the pass ratio (second over first) and any mismatch in
+passes, stop reason, converged flag or degenerate rows, then a summary line
+and, per model, the medians of the last three; it exits 1 if any fit
+mismatches or is missing from either dump (a refused fit is not dumped).
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import numpy as np
 
 import gigmix
 from gigmix.experiments import SyntheticSpec, _fit_seed, default_grid, fit, generate, run_benchmark
-from gigmix.evaluation import win_matrix
+from gigmix.evaluation import restricted_auc, win_matrix
 from gigmix.io import result_to_dict
 from gigmix.vb_em import negative_free_energy
 
@@ -78,10 +82,13 @@ def _json_sha1(res, model: str, seed: int) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
 
-def describe_fit(model: str, x: np.ndarray, seed: int, dump: str | None = None, label: str = "") -> str:
+def describe_fit(
+    model: str, x: np.ndarray, seed: int, dump: str | None = None, label: str = "", truth=None
+) -> str:
     """One line fingerprinting the fit of ``model`` on ``x`` from ``seed``;
     with ``dump``, a fit that is not refused is also saved to that ``.npz``
-    path."""
+    path, with its restricted AUC when the component labels ``truth`` are
+    given."""
     try:
         with warnings.catch_warnings():
             # Maps with fewer than three distinct values make k-means warn.
@@ -92,16 +99,20 @@ def describe_fit(model: str, x: np.ndarray, seed: int, dump: str | None = None, 
     vb = hasattr(res, "state")
     trace = res.nfe_trace if vb else res.loglik_trace
     if dump:
+        gamma = res.responsibilities
+        extra = {} if truth is None else {"auc": restricted_auc(gamma[:, 1] + gamma[:, 2], truth != 1)}
         np.savez(
             dump,
             label=label,
             model=model,
-            gamma=res.responsibilities,
+            gamma=gamma,
             objective=trace,
+            pi=res.expectations.pi if vb else res.params.pi,
             passes=res.iterations,
             stop=res.stop_reason,
             converged=res.converged,
             degenerate=res.degenerate_rows,
+            **extra,
         )
     fields = [
         model,
@@ -126,27 +137,31 @@ def describe_fit(model: str, x: np.ndarray, seed: int, dump: str | None = None, 
 
 
 def maps(large: bool):
-    """(label, values, fit seed) for every map of the set."""
+    """(label, values, truth, fit seed) for every map of the set; ``truth``
+    holds the component labels of a generated map and is None for the hostile
+    inputs."""
     for index, spec in enumerate(default_grid(seed=0, n=4000, repeats=2)):
         for rep in range(spec.repeats):
-            values = generate(spec, rep, index).values
-            yield f"{spec.scenario_id}/r{rep}", values, _fit_seed(0, index, rep)
+            ds = generate(spec, rep, index)
+            yield f"{spec.scenario_id}/r{rep}", ds.values, ds.truth, _fit_seed(0, index, rep)
     for index, (snr, sparsity) in enumerate(((5.0, 1), (3.0, 2), (2.0, 3))):
         spec = SyntheticSpec(dataset=2, snr=snr, sparsity=sparsity, n=4000, repeats=1, seed=11)
-        yield spec.scenario_id, generate(spec, 0, index).values, _fit_seed(11, index, 0)
+        ds = generate(spec, 0, index)
+        yield spec.scenario_id, ds.values, ds.truth, _fit_seed(11, index, 0)
     for n in (10_000, 300_000) if large else (10_000,):
         spec = SyntheticSpec(dataset=1, snr=2.0, sparsity=1, n=n, repeats=1, seed=10)
-        yield f"criterion10/n{n}", generate(spec, 0, 0).values, 0
+        ds = generate(spec, 0, 0)
+        yield f"criterion10/n{n}", ds.values, ds.truth, 0
     rng = np.random.default_rng(2024)
     mixture = rng.normal(rng.choice([-3.0, 0.0, 3.0], 500, p=[0.1, 0.8, 0.1]), 1.0)
     zeros = mixture.copy()
     zeros[:100] = 0.0
-    yield "hostile/n3", np.array([-1.0, 0.5, 2.0]), 0
-    yield "hostile/ties", np.round(rng.normal(0.0, 2.0, 400)), 0
-    yield "hostile/lognormal", rng.lognormal(0.0, 1.5, 500), 0
-    yield "hostile/cauchy", rng.standard_cauchy(500), 0
-    yield "hostile/scale1e-150", mixture * 1e-150, 0
-    yield "hostile/zeros", zeros, 0
+    yield "hostile/n3", np.array([-1.0, 0.5, 2.0]), None, 0
+    yield "hostile/ties", np.round(rng.normal(0.0, 2.0, 400)), None, 0
+    yield "hostile/lognormal", rng.lognormal(0.0, 1.5, 500), None, 0
+    yield "hostile/cauchy", rng.standard_cauchy(500), None, 0
+    yield "hostile/scale1e-150", mixture * 1e-150, None, 0
+    yield "hostile/zeros", zeros, None, 0
 
 
 def describe_benchmark() -> list:
@@ -172,11 +187,13 @@ _STATE = ("passes", "stop", "converged", "degenerate")
 
 
 def compare(dir_a: str, dir_b: str) -> tuple:
-    """(lines, ok): one line per fit in either dump and a summary line; ok
-    is False if any fit mismatches in its stop state or is missing."""
+    """(lines, ok): one line per fit in either dump, a summary line and one
+    line of medians per model; ok is False if any fit mismatches in its stop
+    state or is missing."""
     names = sorted({n for d in (dir_a, dir_b) for n in os.listdir(d) if n.endswith(".npz")})
     lines, bad, missing = [], 0, 0
     worst_gamma = worst_objective = 0.0
+    shifts = {}
     for name in names:
         paths = [os.path.join(d, name) for d in (dir_a, dir_b)]
         absent = [p for p in paths if not os.path.exists(p)]
@@ -195,12 +212,29 @@ def compare(dir_a: str, dir_b: str) -> tuple:
         worst_gamma = max(worst_gamma, d_gamma)
         worst_objective = max(worst_objective, d_objective)
         bad += bool(diffs)
-        line = f"{a['label'].item()} {a['model'].item()} max|dgamma|={d_gamma:.3g} max_dobjective={d_objective:.3g}"
+        d_pi = float(np.sum(np.abs(a["pi"][1:] - b["pi"][1:])))
+        d_auc = float(b["auc"] - a["auc"]) if "auc" in a and "auc" in b else None
+        ratio = int(b["passes"]) / int(a["passes"])
+        model = a["model"].item()
+        shifts.setdefault(model, []).append((d_pi, d_auc, ratio))
+        line = (
+            f"{a['label'].item()} {model} max|dgamma|={d_gamma:.3g} max_dobjective={d_objective:.3g}"
+            f" |dpi2|+|dpi3|={d_pi:.3g}" + ("" if d_auc is None else f" dauc={d_auc:.3g}")
+            + f" pass_ratio={ratio:.3g}"
+        )
         lines.append(line + "".join(f" MISMATCH {d}" for d in diffs))
     lines.append(
         f"summary: {len(names)} fits, {bad} mismatched, {missing} missing; "
         f"max|dgamma|={worst_gamma:.3g} max_dobjective={worst_objective:.3g}"
     )
+    for model, rows in sorted(shifts.items()):
+        d_pi, d_auc, ratio = zip(*rows)
+        aucs = [d for d in d_auc if d is not None]
+        lines.append(
+            f"median {model} over {len(rows)} fits: |dpi2|+|dpi3|={np.median(d_pi):.3g}"
+            + (f" dauc={np.median(aucs):.3g} ({len(aucs)} with truth)" if aucs else "")
+            + f" pass_ratio={np.median(ratio):.3g}"
+        )
     return lines, bad == missing == 0
 
 
@@ -218,10 +252,10 @@ def main(argv=None) -> int:
         os.makedirs(args.dump, exist_ok=True)
     print(f"gigmix from {gigmix.__file__}", file=sys.stderr)
     print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
-    for label, x, seed in maps(args.large):
+    for label, x, truth, seed in maps(args.large):
         for model in MODELS:
             dump = args.dump and os.path.join(args.dump, f"{label.replace('/', '_')}.{model}.npz")
-            print(f"{label} {describe_fit(model, x, seed, dump, label)}", flush=True)
+            print(f"{label} {describe_fit(model, x, seed, dump, label, truth)}", flush=True)
     for line in describe_benchmark():
         print(line)
     return 0
