@@ -54,11 +54,12 @@ def _three_means_cuts(xs: np.ndarray, valid: np.ndarray) -> tuple:
     of squares. The candidates are, for each edge of ``_BINS`` equal-count
     bins, the nearest valid cut at or below it in the lower half of the data
     and at or above it in the upper half, so mirrored data get mirrored
-    candidates; for n <= ``_BINS`` every valid cut is one, and the search is
-    exact. Lloyd steps from the best pair then move both cuts to the
-    midpoints of the cluster means until they stop. The data are centred and
-    divided by their range first, so the cuts do not change when the data
-    are multiplied by a power of two.
+    candidates, together with the first and last valid cuts; for
+    n <= ``_BINS`` every valid cut is one, and the search is exact. Lloyd
+    steps from the best pair then move both cuts to the midpoints of the
+    cluster means until they stop. The data are centred and divided by their
+    range first, so the cuts do not change when the data are multiplied by a
+    power of two.
     """
     n = xs.size
     c = (xs - xs.mean()) / (xs[-1] - xs[0])
@@ -67,7 +68,10 @@ def _three_means_cuts(xs: np.ndarray, valid: np.ndarray) -> tuple:
     edges = np.arange(1, _BINS) * (n / _BINS)
     low, high = edges[edges <= n / 2], edges[edges >= n / 2]
     at = np.concatenate((valid.searchsorted(low, "right") - 1, valid.searchsorted(high)))
-    cand = np.unique(valid[np.clip(at, 0, valid.size - 1)])
+    # The first and last valid cuts are always candidates: when one value
+    # fills most of the data, every bin edge can map to the same cut.
+    at = np.concatenate(([0, valid.size - 1], np.clip(at, 0, valid.size - 1)))
+    cand = np.unique(valid[at])
     i, j = (cand[k] for k in np.triu_indices(cand.size, 1))
     best = np.argmin(_sse(s1, s2, 0, i) + _sse(s1, s2, i, j) + _sse(s1, s2, j, n))
     cuts = (int(i[best]), int(j[best]))

@@ -97,14 +97,32 @@ def test_fewer_than_three_distinct_values_split_by_sign(tmp_path, values, counts
     assert np.allclose(km.cluster_means, means, rtol=1e-15, atol=0.0)
     assert np.array_equal(km.cluster_vars[km.cluster_counts == 0], [1e-6] * counts.count(0))
     assert np.array_equal(km.assignments, 1 + np.sign(x).astype(int))
-    # Every model fits from this start or refuses with exit status 2.
+    # Every model fits from this start.
+    assert_every_model_fits(tmp_path, x)
+
+
+@pytest.mark.parametrize(
+    "values, counts",
+    [
+        ([0.0] * 995 + [1.0, 2.0, 3.0, 4.0, 5.0], [996, 2, 2]),
+        ([1.0, 2.0, 3.0, 4.0, 5.0] + [10.0] * 995, [2, 3, 995]),
+    ],
+)
+def test_one_value_filling_the_data_is_clustered_and_fitted(tmp_path, values, counts):
+    # Above 128 points every quantile-bin edge falls on the same cut here.
+    x = np.asarray(values)
+    assert list(kmeans_1d(x, 3).cluster_counts) == counts
+    assert_every_model_fits(tmp_path, x)
+
+
+def assert_every_model_fits(tmp_path, x):
     path = tmp_path / "values.txt"
     write_values_txt(path, x)
     for model in MODEL_NAMES:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rc = main(["fit", "--model", model, "--input", str(path), "--output", str(tmp_path / "r.json")])
-        assert rc in (0, 2)
+        assert rc == 0, model
 
 
 def test_kmeans_rejects_tiny_or_bad_input():

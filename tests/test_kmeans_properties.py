@@ -221,3 +221,32 @@ def test_matches_oracle_on_benchmark_maps(dataset, snr, sparsity, n, data_seed, 
     mine = sum(_segment_sse(x[km.assignments == j]) for j in range(3))
     assert best * (1 - 1e-9) <= mine <= best * (1 + 1e-3)
     assert_well_formed(x, km)
+
+
+# One value fills at least 127/128 of the data, so every quantile-bin edge
+# falls on the same cut; the first and last valid cuts stay candidates.
+DOMINANT_END = [
+    [0.0] * 995 + [1.0, 2.0, 3.0, 4.0, 5.0],
+    [1.0, 2.0, 3.0, 4.0, 5.0] + [10.0] * 995,
+    [-10.0] * 995 + [-5.0, -4.0, -3.0, -2.0, -1.0],
+    [0.0] * 998 + [7.0, 9.0],
+]
+
+
+@pytest.mark.parametrize("values", DOMINANT_END)
+def test_matches_oracle_when_one_value_fills_the_data(values):
+    x = np.asarray(values)
+    km = kmeans_1d(x, 3)
+    mine = sum(_segment_sse(x[km.assignments == j]) for j in range(3))
+    assert mine <= _prefix_brute_force_sse(x) * (1 + 1e-12) + 1e-12
+    assert_well_formed(x, km)
+
+
+def test_fit_large_map_is_well_formed():
+    # The fit-large benchmark map (n = 3e5), too large for the brute force:
+    # the start is checked for form and its cluster counts are pinned.
+    spec = SyntheticSpec(dataset=1, snr=2.0, sparsity=1, n=300_000, repeats=1, seed=10)
+    x = generate(spec, 0, 0).values
+    km = kmeans_1d(x, 3)
+    assert km.cluster_counts.tolist() == [73272, 152699, 74029]
+    assert_well_formed(x, km)
