@@ -6,7 +6,15 @@ one two-way softmax per support side, each over its side record (``_Side``,
 built once per fit; the negative side is the positive one mirrored), and
 returns the activation responsibilities of each side, the sufficient
 statistics every parameter update needs, and the total log-sum-exp. A side is
-swept in blocks through work buffers that stay in a core's L2 cache.
+swept in blocks through its own work buffers, which stay in a core's L2 cache,
+and every weighted sum is taken inside the block loop while the block is
+still there. No sum goes through a BLAS call long enough for OpenBLAS to split
+it across threads, so the results do not depend on the BLAS thread count.
+When both sides hold at least ``_BLOCK`` points and two CPUs are usable, a
+worker thread sweeps the negative side while the calling thread sweeps the
+positive one. The two sweeps share no buffer and their results are combined
+in side order, so the bits do not depend on the thread that ran a side
+either.
 
 Its coefficients come as an ``ExpectationCache``. The variational learners
 fill it with posterior expectations. The maximum-likelihood log-densities
@@ -18,6 +26,7 @@ log-sum-exp is the observed-data log-likelihood.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +42,19 @@ _DIRECT_GAUSSIAN_SHARE = 1e-3
 
 # Points per block of the per-side sweep. A block's four work buffers (1 MiB)
 # stay in a core's 2 MiB L2 cache while its slices of the side arrays stream
-# through.
+# through. Each side has its own buffers, so the two sides can be swept on
+# two cores at once; a side of fewer points than this is not worth a thread.
 _BLOCK = 32768
+
+# The longest side whose weighted sums are BLAS dot products, one per value
+# row over the whole side. OpenBLAS runs a dot of at most 10 000 values on one
+# thread, in an order that does not depend on its thread count, and splits
+# longer dots across its threads. A longer side takes its sums per block with
+# one einsum call for all value rows: einsum uses no BLAS and, unlike numpy's
+# BLAS dot products, releases the interpreter lock, so the other side's
+# thread runs meanwhile. On one thread the BLAS dots are the faster, and they
+# keep the pinned results of the fits at n = 1e4, whose sides are shorter.
+_BLAS_DOT_MAX = 8192
 
 # Floor of the shifted activation log-weight b - m before its exp. Below about
 # -708 exp leaves the normal range, and numpy's exp drops off its vectorised
@@ -92,19 +112,23 @@ class _Side:
 
     ``rows`` are their indices in x, ``vals`` their mirrored values
     ``sign * x[rows]``, and ``sq``, ``logs`` and ``invs`` the square, log and
-    reciprocal of ``vals``. ``blocks`` are the side's blocks for the
-    responsibility pass.
+    reciprocal of ``vals``: the rows of ``stack``, in that order. ``blocks``
+    are the side's blocks for the responsibility pass, with views of the
+    side's own work buffers; a side with no points has none.
     """
 
-    __slots__ = ("sign", "rows", "vals", "sq", "logs", "invs", "blocks")
+    __slots__ = ("sign", "rows", "stack", "vals", "sq", "logs", "invs", "blocks")
 
     def __init__(self, x: np.ndarray, sign: float):
         self.sign = sign
         self.rows = np.nonzero(sign * x > 0)[0]
-        self.vals = _aligned(sign * x[self.rows])
-        self.sq = _aligned(self.vals * self.vals)
-        self.logs = _aligned(np.log(self.vals))
-        self.invs = _aligned(1.0 / self.vals)
+        self.stack = _aligned_rows(4, self.rows.size)
+        self.vals, self.sq, self.logs, self.invs = self.stack
+        np.multiply(x[self.rows], sign, out=self.vals)
+        np.multiply(self.vals, self.vals, out=self.sq)
+        np.log(self.vals, out=self.logs)
+        np.divide(1.0, self.vals, out=self.invs)
+        self.blocks = _side_blocks(self)
 
 
 class _DataCache:
@@ -113,10 +137,14 @@ class _DataCache:
 
     The responsibility pass only ever combines these arrays with scalar
     coefficients, so everything data-dependent is computed exactly once per
-    fit.
+    fit, each side's four work buffers included. ``parallel`` says whether the
+    two sides are swept at the same time: both sides hold at least ``_BLOCK``
+    points and at least two CPUs are usable. The worker thread that then
+    sweeps the negative side is started by the first pass (``worker``) and
+    ends with the cache.
     """
 
-    __slots__ = ("x", "sides", "n_zero", "sum_x", "sum_sq")
+    __slots__ = ("x", "sides", "n_zero", "sum_x", "sum_sq", "parallel", "worker")
 
     def __init__(self, x: np.ndarray):
         self.x = x
@@ -124,13 +152,16 @@ class _DataCache:
         self.n_zero = x.size - sum(side.rows.size for side in self.sides)
         self.sum_x = float(x.sum())
         self.sum_sq = float((x * x).sum())
-        # The responsibility pass's four work buffers, allocated once per fit
-        # and shared by the sides' blocks.
-        length = min(_BLOCK, max(side.vals.size for side in self.sides))
-        stride = -(-length // 8) * 8
-        work = _aligned_empty(4 * stride).reshape(4, stride)[:, :length]
-        for side in self.sides:
-            side.blocks = _side_blocks(work, side)
+        self.parallel = min(len(side.rows) for side in self.sides) >= _BLOCK and _usable_cpus() >= 2
+        self.worker = None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _aligned_empty(n: int) -> np.ndarray:
@@ -148,21 +179,23 @@ def _aligned_empty(n: int) -> np.ndarray:
     return raw[start : start + n]
 
 
-def _aligned(values: np.ndarray) -> np.ndarray:
-    """A copy of a float array starting on a 64-byte boundary."""
-    out = _aligned_empty(values.size)
-    out[:] = values
-    return out
+def _aligned_rows(rows: int, n: int) -> np.ndarray:
+    """An uninitialised ``rows`` x ``n`` float array whose rows each start on
+    a 64-byte boundary."""
+    stride = -(-n // 8) * 8
+    return _aligned_empty(rows * stride).reshape(rows, stride)[:, :n]
 
 
-def _side_blocks(work: np.ndarray, side: _Side) -> list:
+def _side_blocks(side: _Side) -> list:
     """One side cut into blocks of ``_BLOCK`` points. A block is (lo, hi,
-    views of vals, sq, logs and invs, and views of the four work buffers)."""
+    views of vals, sq, logs and invs, the block's view of ``stack``, and views
+    of the side's four work buffers)."""
+    work = _aligned_rows(4, min(_BLOCK, side.vals.size))
     blocks = []
     for lo in range(0, side.vals.size, _BLOCK):
         hi = min(lo + _BLOCK, side.vals.size)
-        views = tuple(v[lo:hi] for v in (side.vals, side.sq, side.logs, side.invs))
-        blocks.append((lo, hi) + views + tuple(work[:, : hi - lo]))
+        stack = side.stack[:, lo:hi]
+        blocks.append((lo, hi, tuple(stack), stack, tuple(work[:, : hi - lo])))
     return blocks
 
 
@@ -214,17 +247,24 @@ def _side_pass(e: ExpectationCache, k: int, fam, side: _Side, g, direct: bool):
 
     The pass sweeps the side's blocks, writes the activation
     responsibilities into ``g`` and returns the side's log-sum-exp total, its
-    degenerate points (activation 0, left out of the total) and, if
-    ``direct``, the Gaussian's count, mirrored sum and sum of squares on the
-    side, else zeros. With a the Gaussian's and b the activation's log-weight
-    and m = max(a, b), b - m is floored at ``_EXP_FLOOR`` unless the
-    activation has a zero proportion.
+    degenerate points (activation 0, left out of the total) and its sums over
+    the mirrored values v: if ``direct``, the Gaussian's count and its sums of
+    v and v**2 on the side, else the activation's count and its sums of v,
+    v**2, log v and 1/v. Each sum is taken per block, while the block is in
+    cache (how: ``_BLAS_DOT_MAX``), and the block sums are added in block
+    order. With a the Gaussian's and b the activation's log-weight and
+    m = max(a, b), b - m is floored at ``_EXP_FLOOR`` unless the activation
+    has a zero proportion.
     """
     c_sq, c_x, c0 = _gaussian_coefficients(e, side.sign)
     const, c_log, c_lin, inverse = _activation_coefficients(e, k, fam)
     floor = _EXP_FLOOR if math.isfinite(const) else -math.inf
-    lse, degenerate, n1, sx1, sxx1 = 0.0, 0, 0.0, 0.0, 0.0
-    for lo, hi, vals, sq, logs, invs, a, b, m, t in side.blocks:
+    lse, degenerate = 0.0, 0
+    rows = 2 if direct else 4
+    blas = side.vals.size <= _BLAS_DOT_MAX
+    sums = [0.0] * (rows + 1)
+    for lo, hi, values, stack, (a, b, m, t) in side.blocks:
+        vals, sq, logs, invs = values
         gb = g[lo:hi]
         np.multiply(sq, c_sq, out=a)
         np.multiply(vals, c_x, out=t)
@@ -255,11 +295,44 @@ def _side_pass(e: ExpectationCache, k: int, fam, side: _Side, g, direct: bool):
             degenerate += ok.size - int(np.count_nonzero(ok))
             block = float(t[ok].sum())
         lse += block
-        if direct:
-            n1 += float(a.sum())
-            sx1 += float(a @ vals)
-            sxx1 += float(a @ sq)
-    return lse, degenerate, (n1, sx1, sxx1)
+        w = a if direct else gb
+        if not blas:
+            block_sums = [float(w.sum()), *np.einsum("ij,j->i", stack[:rows], w).tolist()]
+        else:
+            block_sums = [float(w.sum()), float(vals @ w), float(sq @ w)]
+            if not direct:
+                block_sums += [float(logs @ w), float(invs @ w)]
+        sums = block_sums if lo == 0 else [total + part for total, part in zip(sums, block_sums)]
+    return lse, degenerate, sums
+
+
+def _in_errstate(err: dict, fn, *args):
+    """``fn(*args)`` under numpy's floating-point error handling ``err``."""
+    with np.errstate(**err):
+        return fn(*args)
+
+
+def _sweep(cache: _DataCache, e: ExpectationCache, families, g, direct: bool) -> list:
+    """``_side_pass`` over both sides, in side order. With ``cache.parallel``
+    the worker thread sweeps the negative side, under the caller's
+    floating-point error handling, while this thread sweeps the positive one;
+    either way both sides are swept before this returns or raises (the
+    positive side's error first)."""
+    if not cache.parallel:
+        sides = enumerate(cache.sides)
+        return [_side_pass(e, k, families[k], side, g[k], direct) for k, side in sides]
+    if cache.worker is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        cache.worker = ThreadPoolExecutor(1, thread_name_prefix="gigmix-estep")
+    negative = cache.worker.submit(
+        _in_errstate, np.geterr(), _side_pass, e, 1, families[1], cache.sides[1], g[1], direct
+    )
+    try:
+        positive = _side_pass(e, 0, families[0], cache.sides[0], g[0], direct)
+    finally:
+        negative.exception()  # waits for the worker's side
+    return [positive, negative.result()]
 
 
 def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families):
@@ -271,25 +344,25 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families):
     density under every component it can belong to is degenerate: it goes to
     the Gaussian and is left out of the total LSE.
     """
+    g = [_aligned_empty(side.vals.size) for side in cache.sides]
     lse_total, degenerate = 0.0, 0
-    # The Gaussian's sums start from the data totals; each side's are taken
-    # off right after its sweep. ``xbar`` holds the signed sums.
+    # The Gaussian's sums start from the data totals and each side's are
+    # taken off in side order. ``xbar`` holds the signed sums.
     n1, sx1, sxx1 = cache.x.size, cache.sum_x, cache.sum_sq
-    g, n, xbar, sq, log_x, recip_x = [], [], [], [], [], []
-    for k, side in enumerate(cache.sides):
-        gk = _aligned_empty(side.vals.size)
-        g.append(gk)
-        lse, bad, _ = _side_pass(e, k, families[k], side, gk, False)
+    n, xbar, sq, log_x, recip_x = [], [], [], [], []
+    for side, (lse, bad, (nk, sxk, sqk, logk, recipk)) in zip(
+        cache.sides, _sweep(cache, e, families, g, False)
+    ):
         lse_total += lse
         degenerate += bad
-        n.append(float(gk.sum()))
-        xbar.append(side.sign * float(gk @ side.vals))
-        sq.append(float(gk @ side.sq))
-        log_x.append(float(gk @ side.logs))
-        recip_x.append(float(gk @ side.invs))
-        n1 -= n[k]
-        sx1 -= xbar[k]
-        sxx1 -= sq[k]
+        n.append(nk)
+        xbar.append(side.sign * sxk)
+        sq.append(sqk)
+        log_x.append(logk)
+        recip_x.append(recipk)
+        n1 -= nk
+        sx1 -= xbar[-1]
+        sxx1 -= sqk
     lse_zero = cache.n_zero * _gaussian_const(e) if cache.n_zero else 0.0
     if math.isfinite(lse_zero):
         lse_total += lse_zero
@@ -298,8 +371,7 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families):
     if n1 < _DIRECT_GAUSSIAN_SHARE * cache.x.size or sxx1 < _DIRECT_GAUSSIAN_SHARE * cache.sum_sq:
         # The same sweep again, summing the Gaussian's side weights directly.
         n1, sx1, sxx1 = cache.n_zero, 0.0, 0.0
-        for k, side in enumerate(cache.sides):
-            nk, sxk, sqk = _side_pass(e, k, families[k], side, g[k], True)[2]
+        for side, (_, _, (nk, sxk, sqk)) in zip(cache.sides, _sweep(cache, e, families, g, True)):
             n1 += nk
             sx1 += side.sign * sxk
             sxx1 += sqk

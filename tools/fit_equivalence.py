@@ -17,10 +17,12 @@ Usage: run it on two source trees and compare the outputs byte for byte,
     PYTHONPATH=/path/to/other/src python tools/fit_equivalence.py --large > old.txt
     cmp old.txt new.txt
 
-with the same ``OPENBLAS_NUM_THREADS`` for both: the fits depend on it. The
-first line of the output names that setting, so outputs made under different
-thread counts differ from their first line on. The gigmix imported is named
-on stderr.
+with the same ``OPENBLAS_NUM_THREADS`` for both. The first line of the output
+names that setting, so outputs made under different settings differ in that
+line. The fit lines do not depend on it: the E-step adds its weighted sums
+in an order that no BLAS thread count changes (before that, fits of the
+n = 3e5 map differed between thread counts).
+The gigmix imported is named on stderr.
 
 Hashes only say that a fit differs. To see by how much, dump each fit's
 responsibilities, objective trace, stop state, mixing weights pi (ML's
