@@ -3,13 +3,14 @@
 Each sample competes only between the Gaussian and the activation component
 on its own side of zero; exact zeros belong to the Gaussian. The kernel runs
 one two-way softmax per support side, each over its side record (``_Side``,
-built once per fit; the negative side is the positive one mirrored), and
-returns the activation responsibilities of each side, the sufficient
-statistics every parameter update needs, and the total log-sum-exp. A side is
-swept in blocks through its own work buffers, which stay in a core's L2 cache,
-and every weighted sum is taken inside the block loop while the block is
-still there. No sum goes through a BLAS call long enough for OpenBLAS to split
-it across threads, so the results do not depend on the BLAS thread count.
+built once per fit; the negative side is the positive one mirrored), writes
+the activation responsibilities of each side into the side's buffer, and
+returns the sufficient statistics every parameter update needs and the total
+log-sum-exp. A side is swept in blocks through its own work buffers, which
+stay in a core's L2 cache, and every weighted sum is taken inside the block
+loop while the block is still there. No sum goes through a BLAS call long
+enough for OpenBLAS to split it across threads, so the results do not
+depend on the BLAS thread count.
 When both sides hold at least ``_BLOCK`` points and two CPUs are usable, a
 worker thread sweeps the negative side while the calling thread sweeps the
 positive one. The two sweeps share no buffer and their results are combined
@@ -25,6 +26,7 @@ log-sum-exp is the observed-data log-likelihood.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from dataclasses import dataclass
@@ -112,12 +114,13 @@ class _Side:
 
     ``rows`` are their indices in x, ``vals`` their mirrored values
     ``sign * x[rows]``, and ``sq``, ``logs`` and ``invs`` the square, log and
-    reciprocal of ``vals``: the rows of ``stack``, in that order. ``blocks``
-    are the side's blocks for the responsibility pass, with views of the
-    side's own work buffers; a side with no points has none.
+    reciprocal of ``vals``: the rows of ``stack``, in that order. Each pass
+    writes the side's activation responsibilities to ``g``. ``blocks`` are
+    the side's blocks for the pass, with views of ``g`` and of the side's own
+    work buffers; a side with no points has none.
     """
 
-    __slots__ = ("sign", "rows", "stack", "vals", "sq", "logs", "invs", "blocks")
+    __slots__ = ("sign", "rows", "stack", "vals", "sq", "logs", "invs", "g", "blocks")
 
     def __init__(self, x: np.ndarray, sign: float):
         self.sign = sign
@@ -128,6 +131,7 @@ class _Side:
         np.multiply(self.vals, self.vals, out=self.sq)
         np.log(self.vals, out=self.logs)
         np.divide(1.0, self.vals, out=self.invs)
+        self.g = _aligned_empty(self.rows.size)
         self.blocks = _side_blocks(self)
 
 
@@ -137,14 +141,16 @@ class _DataCache:
 
     The responsibility pass only ever combines these arrays with scalar
     coefficients, so everything data-dependent is computed exactly once per
-    fit, each side's four work buffers included. ``parallel`` says whether the
-    two sides are swept at the same time: both sides hold at least ``_BLOCK``
+    fit, each side's work and responsibility buffers included. Those hold
+    the responsibilities of the last complete pass, and ``coefficients`` its
+    ``ExpectationCache`` (None before one). ``parallel`` says whether the two
+    sides are swept at the same time: both sides hold at least ``_BLOCK``
     points and at least two CPUs are usable. The worker thread that then
     sweeps the negative side is started by the first pass (``worker``) and
     ends with the cache.
     """
 
-    __slots__ = ("x", "sides", "n_zero", "sum_x", "sum_sq", "parallel", "worker")
+    __slots__ = ("x", "sides", "n_zero", "sum_x", "sum_sq", "coefficients", "parallel", "worker")
 
     def __init__(self, x: np.ndarray):
         self.x = x
@@ -152,6 +158,7 @@ class _DataCache:
         self.n_zero = x.size - sum(side.rows.size for side in self.sides)
         self.sum_x = float(x.sum())
         self.sum_sq = float((x * x).sum())
+        self.coefficients = None
         self.parallel = min(len(side.rows) for side in self.sides) >= _BLOCK and _usable_cpus() >= 2
         self.worker = None
 
@@ -187,15 +194,15 @@ def _aligned_rows(rows: int, n: int) -> np.ndarray:
 
 
 def _side_blocks(side: _Side) -> list:
-    """One side cut into blocks of ``_BLOCK`` points. A block is (lo, hi,
-    views of vals, sq, logs and invs, the block's view of ``stack``, and views
-    of the side's four work buffers)."""
+    """One side cut into blocks of ``_BLOCK`` points. A block is (its first
+    point, views of vals, sq, logs and invs, the block's view of ``stack``,
+    views of the side's four work buffers, and the block's view of ``g``)."""
     work = _aligned_rows(4, min(_BLOCK, side.vals.size))
     blocks = []
     for lo in range(0, side.vals.size, _BLOCK):
         hi = min(lo + _BLOCK, side.vals.size)
         stack = side.stack[:, lo:hi]
-        blocks.append((lo, hi, tuple(stack), stack, tuple(work[:, : hi - lo])))
+        blocks.append((lo, tuple(stack), stack, tuple(work[:, : hi - lo]), side.g[lo:hi]))
     return blocks
 
 
@@ -242,13 +249,13 @@ def _activation_coefficients(e: ExpectationCache, k: int, fam):
     return const, -(e.s[k] + 1.0), -e.r[k], True
 
 
-def _side_pass(e: ExpectationCache, k: int, fam, side: _Side, g, direct: bool):
+def _side_pass(e: ExpectationCache, k: int, fam, side: _Side, direct: bool):
     """Two-way softmax of (Gaussian, activation k) over one support side.
 
     The pass sweeps the side's blocks, writes the activation
-    responsibilities into ``g`` and returns the side's log-sum-exp total, its
-    degenerate points (activation 0, left out of the total) and its sums over
-    the mirrored values v: if ``direct``, the Gaussian's count and its sums of
+    responsibilities into ``side.g`` and returns the side's log-sum-exp
+    total, its degenerate points (activation 0, left out of the total) and
+    its sums over the mirrored values v: if ``direct``, the Gaussian's count and its sums of
     v and v**2 on the side, else the activation's count and its sums of v,
     v**2, log v and 1/v. Each sum is taken per block, while the block is in
     cache (how: ``_BLAS_DOT_MAX``), and the block sums are added in block
@@ -263,9 +270,8 @@ def _side_pass(e: ExpectationCache, k: int, fam, side: _Side, g, direct: bool):
     rows = 2 if direct else 4
     blas = side.vals.size <= _BLAS_DOT_MAX
     sums = [0.0] * (rows + 1)
-    for lo, hi, values, stack, (a, b, m, t) in side.blocks:
+    for lo, values, stack, (a, b, m, t), gb in side.blocks:
         vals, sq, logs, invs = values
-        gb = g[lo:hi]
         np.multiply(sq, c_sq, out=a)
         np.multiply(vals, c_x, out=t)
         a += t
@@ -306,52 +312,47 @@ def _side_pass(e: ExpectationCache, k: int, fam, side: _Side, g, direct: bool):
     return lse, degenerate, sums
 
 
-def _in_errstate(err: dict, fn, *args):
-    """``fn(*args)`` under numpy's floating-point error handling ``err``."""
-    with np.errstate(**err):
-        return fn(*args)
-
-
-def _sweep(cache: _DataCache, e: ExpectationCache, families, g, direct: bool) -> list:
+def _sweep(cache: _DataCache, e: ExpectationCache, families, direct: bool) -> list:
     """``_side_pass`` over both sides, in side order. With ``cache.parallel``
-    the worker thread sweeps the negative side, under the caller's
-    floating-point error handling, while this thread sweeps the positive one;
-    either way both sides are swept before this returns or raises (the
-    positive side's error first)."""
+    the worker thread sweeps the negative side in a copy of the caller's
+    context, and so under its floating-point error handling (numpy keeps it
+    in a context variable), while this thread sweeps the positive one; either
+    way both sides are swept before this returns or raises (the positive
+    side's error first)."""
     if not cache.parallel:
         sides = enumerate(cache.sides)
-        return [_side_pass(e, k, families[k], side, g[k], direct) for k, side in sides]
+        return [_side_pass(e, k, families[k], side, direct) for k, side in sides]
     if cache.worker is None:
         from concurrent.futures import ThreadPoolExecutor
 
         cache.worker = ThreadPoolExecutor(1, thread_name_prefix="gigmix-estep")
     negative = cache.worker.submit(
-        _in_errstate, np.geterr(), _side_pass, e, 1, families[1], cache.sides[1], g[1], direct
+        contextvars.copy_context().run, _side_pass, e, 1, families[1], cache.sides[1], direct
     )
     try:
-        positive = _side_pass(e, 0, families[0], cache.sides[0], g[0], direct)
+        positive = _side_pass(e, 0, families[0], cache.sides[0], direct)
     finally:
         negative.exception()  # waits for the worker's side
     return [positive, negative.result()]
 
 
 def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families):
-    """One packed pass: the activation responsibilities of each side,
-    sufficient stats, total LSE and the number of degenerate points.
+    """One packed pass: sufficient stats, total LSE and the number of
+    degenerate points; the responsibilities stay in ``cache`` (under ``e``).
 
     Off-support responsibilities are identically zero by construction; data
     points at exactly zero are assigned to the Gaussian. A point with zero
     density under every component it can belong to is degenerate: it goes to
     the Gaussian and is left out of the total LSE.
     """
-    g = [_aligned_empty(side.vals.size) for side in cache.sides]
+    cache.coefficients = None
     lse_total, degenerate = 0.0, 0
     # The Gaussian's sums start from the data totals and each side's are
     # taken off in side order. ``xbar`` holds the signed sums.
     n1, sx1, sxx1 = cache.x.size, cache.sum_x, cache.sum_sq
     n, xbar, sq, log_x, recip_x = [], [], [], [], []
     for side, (lse, bad, (nk, sxk, sqk, logk, recipk)) in zip(
-        cache.sides, _sweep(cache, e, families, g, False)
+        cache.sides, _sweep(cache, e, families, False)
     ):
         lse_total += lse
         degenerate += bad
@@ -371,7 +372,7 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families):
     if n1 < _DIRECT_GAUSSIAN_SHARE * cache.x.size or sxx1 < _DIRECT_GAUSSIAN_SHARE * cache.sum_sq:
         # The same sweep again, summing the Gaussian's side weights directly.
         n1, sx1, sxx1 = cache.n_zero, 0.0, 0.0
-        for side, (_, _, (nk, sxk, sqk)) in zip(cache.sides, _sweep(cache, e, families, g, True)):
+        for side, (_, _, (nk, sxk, sqk)) in zip(cache.sides, _sweep(cache, e, families, True)):
             n1 += nk
             sx1 += side.sign * sxk
             sxx1 += sqk
@@ -383,7 +384,8 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families):
         recip_x=np.array(recip_x),
         sq_x=np.array(sq),
     )
-    return g, stats, lse_total, degenerate
+    cache.coefficients = e
+    return stats, lse_total, degenerate
 
 
 def point_pass(cache: _DataCache, params: MixtureParams):
@@ -393,12 +395,13 @@ def point_pass(cache: _DataCache, params: MixtureParams):
         return _responsibility_pass(cache, point_coefficients(params), params.families)
 
 
-def _assemble_gamma(cache: _DataCache, g) -> np.ndarray:
+def _assemble_gamma(cache: _DataCache) -> np.ndarray:
+    """The N x 3 responsibilities of the last pass, from the side buffers."""
     gamma = np.zeros((cache.x.size, 3))
     gamma[:, 0] = 1.0
-    for k, (side, gk) in enumerate(zip(cache.sides, g)):
-        gamma[side.rows, 0] = 1.0 - gk
-        gamma[side.rows, k + 1] = gk
+    for k, side in enumerate(cache.sides):
+        gamma[side.rows, 0] = 1.0 - side.g
+        gamma[side.rows, k + 1] = side.g
     return gamma
 
 
@@ -406,12 +409,17 @@ def e_step(data, params: MixtureParams) -> np.ndarray:
     """N x 3 responsibilities under a point estimate; rows sum to 1 and
     respect the support signs."""
     cache = _DataCache(finite_data(data))
-    return _assemble_gamma(cache, point_pass(cache, params)[0])
+    point_pass(cache, params)
+    return _assemble_gamma(cache)
 
 
 def sufficient_stats(data, gamma: np.ndarray) -> SufficientStats:
-    """Soft-count statistics of an arbitrary N x 3 responsibility matrix."""
-    cache = _DataCache(np.asarray(data, dtype=float).ravel())
+    """Soft-count statistics of an arbitrary N x 3 responsibility matrix;
+    ValueError unless the data are finite and ``gamma`` is N x 3."""
+    cache = _DataCache(finite_data(data))
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (cache.x.size, 3):
+        raise ValueError(f"gamma must have shape ({cache.x.size}, 3), got {gamma.shape}")
     sq = cache.x * cache.x
     sides = tuple(enumerate(cache.sides, start=1))
     return SufficientStats(

@@ -3,7 +3,9 @@
 A learner supplies its first point and its cycle; ``fit`` does the rest: the
 deterministic k-means start when no initial point is given, the pass count,
 the stop rule, which points are recorded, the timer, and the N x 3
-responsibilities, built once from the last recorded point.
+responsibilities of the last recorded point. The data cache holds the
+responsibilities of its last pass; when that pass was not at the recorded
+point, ``fit`` makes one more, which does not count as an iteration.
 """
 
 from __future__ import annotations
@@ -15,22 +17,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import initialization
-from .estep import ExpectationCache, SufficientStats, _assemble_gamma, _DataCache, finite_data
+from .estep import (
+    ExpectationCache,
+    SufficientStats,
+    _assemble_gamma,
+    _DataCache,
+    _responsibility_pass,
+    finite_data,
+)
 
 
 @dataclass
 class Point:
-    """Parameters after one E-step pass at them. ``g`` holds the activation
-    responsibilities of each support side; they are dropped (set to None)
-    once the fit can no longer end here;
-    ``expectations`` are the variational coefficients of the pass."""
+    """Parameters after one E-step pass at them: the pass's statistics,
+    objective and degenerate points, and ``expectations``, the kernel
+    coefficients it ran with (posterior expectations for VB, the point
+    values for ML). The pass's responsibilities stay in the data cache."""
 
     params: object  # MixtureParams (ML) or VBState (VB)
     stats: SufficientStats
     objective: float
-    g: list | None
     degenerate: int
-    expectations: ExpectationCache | None = None
+    expectations: ExpectationCache
 
 
 @dataclass
@@ -98,8 +106,11 @@ def fit(data, init, cfg: FitConfig, families, first, cycle, ascent_only: bool):
         if settled:
             stop_reason = "tolerance"
             break
+    if cache.coefficients is not recorded.expectations:
+        # A later pass overwrote the recorded point's responsibilities.
+        _responsibility_pass(cache, recorded.expectations, families)
     return recorded, np.asarray(trace), dict(
-        responsibilities=_assemble_gamma(cache, recorded.g),
+        responsibilities=_assemble_gamma(cache),
         iterations=passes,
         wall_time_seconds=time.perf_counter() - start,
         converged=stop_reason != "max_iterations",

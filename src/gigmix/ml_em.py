@@ -55,8 +55,8 @@ class MLFitResult(FitResult):
     loglik_trace: np.ndarray
 
 
-# The shared kernel under point estimates: side responsibilities, sufficient
-# statistics, observed-data log-likelihood, degenerate-row count. A module
+# The shared kernel under point estimates: sufficient statistics,
+# observed-data log-likelihood, degenerate-row count. A module
 # global that ``_point`` looks up at call time, so a wrapper put in its place
 # sees every pass.
 _e_step = point_pass
@@ -102,9 +102,9 @@ def m_step(stats: SufficientStats, prev: MixtureParams) -> MixtureParams:
 
 
 def _point(cache: _DataCache, params: MixtureParams) -> Point:
-    """One E-step pass at ``params``."""
-    g, stats, loglik, ndeg = _e_step(cache, params)
-    return Point(params, stats, loglik, g, ndeg)
+    """One E-step pass at ``params``, with the coefficients it ran with."""
+    stats, loglik, ndeg = _e_step(cache, params)
+    return Point(params, stats, loglik, ndeg, cache.coefficients)
 
 
 def _cycle(cache: _DataCache, recorded: Point, passes: int):

@@ -169,8 +169,8 @@ def _log_rho(cache: _DataCache, e: ExpectationCache, families) -> np.ndarray:
 def update_responsibilities(data, expectations: ExpectationCache, families):
     """Responsibilities and sufficient statistics for one pass over the data."""
     cache = _DataCache(finite_data(data))
-    g, stats, _, _ = _responsibility_pass(cache, expectations, families)
-    return _assemble_gamma(cache, g), stats
+    stats = _responsibility_pass(cache, expectations, families)[0]
+    return _assemble_gamma(cache), stats
 
 
 def update_pi(stats: SufficientStats, priors: HyperPriors) -> np.ndarray:
@@ -184,20 +184,17 @@ def update_mu(stats: SufficientStats, priors: HyperPriors, e_tau: float):
 
 
 def _update_tau_from_stats(
-    n1: float, sx: float, sxx: float, priors: HyperPriors, e_mu: float, e_mu2: float
+    stats: SufficientStats, priors: HyperPriors, e_mu: float, e_mu2: float
 ):
+    n1, sx = float(stats.n[0]), float(stats.xbar[0])
     c_hat = priors.c0_tau + 0.5 * n1
-    quad = sxx - 2.0 * e_mu * sx + n1 * e_mu2
+    quad = stats.sxx1 - 2.0 * e_mu * sx + n1 * e_mu2
     b_hat = 1.0 / (1.0 / priors.b0_tau + 0.5 * quad)
     return c_hat, b_hat
 
 
 def update_tau(data, gamma: np.ndarray, priors: HyperPriors, e_mu: float, e_mu2: float):
-    x = np.asarray(data, dtype=float).ravel()
-    g1 = gamma[:, 0]
-    return _update_tau_from_stats(
-        float(g1.sum()), float(g1 @ x), float(g1 @ (x * x)), priors, e_mu, e_mu2
-    )
+    return _update_tau_from_stats(sufficient_stats(data, gamma), priors, e_mu, e_mu2)
 
 
 def update_r(stats: SufficientStats, priors: HyperPriors, e_s: np.ndarray):
@@ -363,14 +360,7 @@ def negative_free_energy(
 def _update_state(stats: SufficientStats, priors: HyperPriors, e_tau: float, e_s) -> VBState:
     lam = update_pi(stats, priors)
     m_hat, tau_hat = update_mu(stats, priors, e_tau)
-    c_hat, b_hat = _update_tau_from_stats(
-        float(stats.n[0]),
-        float(stats.xbar[0]),
-        stats.sxx1,
-        priors,
-        m_hat,
-        m_hat * m_hat + 1.0 / tau_hat,
-    )
+    c_hat, b_hat = _update_tau_from_stats(stats, priors, m_hat, m_hat * m_hat + 1.0 / tau_hat)
     d_hat, e_hat = update_r(stats, priors, np.asarray(e_s, dtype=float))
     log_a_hat, b_hat_s, c_hat_s = update_shape(stats, priors)
     return VBState(lam, m_hat, tau_hat, c_hat, b_hat, d_hat, e_hat, log_a_hat, b_hat_s, c_hat_s)
@@ -413,13 +403,13 @@ def _unpack(theta: np.ndarray) -> VBState:
 def _evaluate(cache: _DataCache, state: VBState, priors: HyperPriors) -> Point:
     """One E-step pass at ``state`` and the negative free energy there."""
     e = expectations(state, priors)
-    g, stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families)
+    stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families)
     nfe = lse_total - _kl_total(state, priors, e)
     # Expected log-proportions are finite, so a point without a finite
     # log-sum-exp means the expectations overflowed.
     if ndeg or not math.isfinite(nfe):
         raise VBNumericError(f"negative free energy diverged: {nfe}")
-    return Point(state, stats, nfe, g, ndeg, e)
+    return Point(state, stats, nfe, ndeg, e)
 
 
 def _step(point: Point, priors: HyperPriors) -> VBState:
@@ -441,13 +431,6 @@ def _step_length(r: np.ndarray, v: np.ndarray, step_max: float) -> float:
     return max(min(-1.0, -math.sqrt(math.fsum(r * r) / math.fsum(v * v))), -step_max)
 
 
-def _drop_lower(a: Point, b: Point) -> None:
-    """Free the side responsibilities of whichever of two points has the lower
-    NFE, once the cycle can no longer return it."""
-    lower = a if a.objective < b.objective else b
-    lower.g = None
-
-
 def _extrapolated(cache: _DataCache, theta, priors: HyperPriors):
     """The SQUAREM candidate: F(theta') and the pass at it for its NFE.
 
@@ -466,7 +449,7 @@ def _extrapolated(cache: _DataCache, theta, priors: HyperPriors):
                     return None, 0
                 e = expectations(_unpack(theta), priors)
                 passes = 1
-                stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families)[1:]
+                stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families)
                 if ndeg or not math.isfinite(lse_total):
                     return None, passes
             state = _update_state(stats, priors, e.tau, e.s)
@@ -505,7 +488,6 @@ def _cycle(cache: _DataCache, p0: Point, priors: HyperPriors, step_max: float, r
     if room == 1:
         return p1, 1, step_max
     theta2 = _step(p1, priors)
-    p1.g = None
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             t0, t1 = _pack(p0.params), _pack(p1.params)
@@ -518,7 +500,6 @@ def _cycle(cache: _DataCache, p0: Point, priors: HyperPriors, step_max: float, r
         return _evaluate(cache, theta2, priors), 2, step_max
     if alpha == -1.0:
         p2 = _evaluate(cache, theta2, priors)
-        _drop_lower(p2, p0)
         candidate, n = _extrapolated(cache, p2, priors)
         passes = 2 + n
     else:
@@ -533,8 +514,6 @@ def _cycle(cache: _DataCache, p0: Point, priors: HyperPriors, step_max: float, r
             and p1.objective >= p0.objective
             and candidate.objective >= 2.0 * p1.objective - p0.objective
         ):
-            if candidate is not None:
-                _drop_lower(candidate, p0)
             p2 = _evaluate(cache, theta2, priors)
             passes += 1
     kept = candidate is not None and (p2 is None or candidate.objective >= p2.objective)
@@ -556,7 +535,7 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
         # are the E[tau] and E[s] of the first update.
         e = point_coefficients(init)
         with np.errstate(invalid="ignore"):
-            stats = _responsibility_pass(cache, e, families)[1]
+            stats = _responsibility_pass(cache, e, families)[0]
         return _evaluate(cache, _update_state(stats, priors, e.tau, e.s), priors)
 
     def cycle(cache, recorded, passes):

@@ -65,11 +65,12 @@ def _start(x, families):
 def _pass_bytes(cache, params):
     """A pass's side responsibilities, statistics, LSE and degenerate count
     as bytes."""
-    g, stats, lse, degenerate = estep._responsibility_pass(
+    stats, lse, degenerate = estep._responsibility_pass(
         cache, estep.point_coefficients(params), params.families
     )
     fields = [np.asarray(getattr(stats, f)).tobytes() for f in stats.__dataclass_fields__]
-    return [gk.tobytes() for gk in g], fields, np.float64(lse).tobytes(), degenerate
+    g = [side.g.tobytes() for side in cache.sides]
+    return g, fields, np.float64(lse).tobytes(), degenerate
 
 
 def _serial(x):
@@ -87,8 +88,8 @@ def test_two_sides_engage_the_worker_only_from_a_block_each(x, monkeypatch):
     one_sided = estep._DataCache(np.abs(x))
     assert not one_sided.parallel and one_sided.sides[1].blocks == []
     params = _start(np.abs(x), (GAMMA_POS, GAMMA_NEG))
-    g = estep.point_pass(one_sided, params)[0]
-    assert g[1].size == 0 and one_sided.worker is None
+    estep.point_pass(one_sided, params)
+    assert one_sided.sides[1].g.size == 0 and one_sided.worker is None
     monkeypatch.setattr(estep, "_usable_cpus", lambda: 1)
     assert not estep._DataCache(x).parallel
 
@@ -106,9 +107,9 @@ def test_pass_equals_the_sides_swept_in_turn(x, two_cpus, monkeypatch, families,
     threads = []
     side_pass = estep._side_pass
 
-    def spy(e, k, fam, side, g, is_direct):
+    def spy(e, k, fam, side, is_direct):
         threads.append((k, is_direct, threading.current_thread() is threading.main_thread()))
-        return side_pass(e, k, fam, side, g, is_direct)
+        return side_pass(e, k, fam, side, is_direct)
 
     monkeypatch.setattr(estep, "_side_pass", spy)
     cache = estep._DataCache(x)
@@ -128,8 +129,8 @@ def test_long_side_sums_match_the_dense_statistics(x, two_cpus, families):
     params = _start(x, families)
     cache = estep._DataCache(x)
     assert min(side.vals.size for side in cache.sides) > estep._BLAS_DOT_MAX
-    g, stats, _, _ = estep.point_pass(cache, params)
-    want = estep.sufficient_stats(x, estep._assemble_gamma(cache, g))
+    stats = estep.point_pass(cache, params)[0]
+    want = estep.sufficient_stats(x, estep._assemble_gamma(cache))
     for field in stats.__dataclass_fields__:
         np.testing.assert_allclose(getattr(stats, field), getattr(want, field), rtol=1e-12)
 
@@ -172,17 +173,29 @@ def test_overflow_on_the_workers_side_raises_in_the_caller(x, two_cpus):
     cache = estep._DataCache(y)
     assert cache.parallel
     e = estep.point_coefficients(params)
-    g = [estep._aligned_empty(side.vals.size) for side in cache.sides]
     with np.errstate(over="raise"):
-        estep._side_pass(e, 0, params.families[0], cache.sides[0], g[0], False)
+        estep._side_pass(e, 0, params.families[0], cache.sides[0], False)
         with pytest.raises(FloatingPointError):
-            estep._side_pass(e, 1, params.families[1], cache.sides[1], g[1], False)
+            estep._side_pass(e, 1, params.families[1], cache.sides[1], False)
         with pytest.raises(FloatingPointError):
             estep._responsibility_pass(cache, e, params.families)
     # The cache's worker and buffers stay usable: the next pass equals a
     # fresh cache's.
     start = _start(y, (INVGAMMA_POS, INVGAMMA_NEG))
     assert _pass_bytes(cache, start) == _pass_bytes(estep._DataCache(y), start)
+
+
+def test_worker_calls_the_callers_error_callback(x, two_cpus):
+    # numpy keeps its error handling, the callback included, in a context
+    # variable: the worker runs in a copy of the caller's context.
+    y, params = _overflowing(x)
+    e = estep.point_coefficients(params)
+    calls = {}
+    for cache in (_serial(y), estep._DataCache(y)):
+        seen = calls.setdefault(cache.parallel, [])
+        with np.errstate(over="call", call=lambda kind, flag: seen.append(kind)):
+            estep._responsibility_pass(cache, e, params.families)
+    assert calls[True] == calls[False] and set(calls[True]) == {"overflow"}
 
 
 def test_worker_keeps_the_callers_ignored_warnings(x, two_cpus):
@@ -194,7 +207,7 @@ def test_worker_keeps_the_callers_ignored_warnings(x, two_cpus):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(invalid="ignore"):
-            degenerate = estep._responsibility_pass(cache, e, params.families)[3]
+            degenerate = estep._responsibility_pass(cache, e, params.families)[2]
     assert degenerate == cache.sides[1].vals.size
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
         estep._responsibility_pass(cache, e, params.families)

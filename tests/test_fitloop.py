@@ -1,5 +1,5 @@
-"""The shared fit loop: pinned pass counts, and the functions the benchmark's
-tracer wraps.
+"""The shared fit loop: pinned pass counts, the responsibilities a fit
+reports, and the functions the benchmark's tracer wraps.
 
 ``perfbench/tracing.py`` times the layers of a fit by replacing module
 globals (``vb_em._fit_vb``, ``ml_em.m_step``, ...) from outside the program.
@@ -9,16 +9,18 @@ another name blinds the tracer without failing any fit, so these tests patch
 each name and check that a fit goes through the patched version.
 """
 
+import dataclasses
 import inspect
 import math
 
 import numpy as np
 import pytest
 
-from gigmix import initialization, ml_em, vb_em
+from gigmix import estep, fitloop, initialization, ml_em, vb_em
+from gigmix.estep import e_step
 from gigmix.experiments import SyntheticSpec, _fit_seed, fit, generate
 from gigmix.ml_em import MLFitConfig
-from gigmix.vb_em import VBFitConfig
+from gigmix.vb_em import VBFitConfig, update_responsibilities
 
 VB_MODELS = ("bggm", "bgim")
 ML_MODELS = ("ggm", "gim")
@@ -129,6 +131,61 @@ def test_pass_counts_are_pinned(model):
     assert (r.iterations, r.stop_reason, float(trace[-1])) == PINNED[model]
     assert r.converged
     assert r.degenerate_rows == 0
+
+
+@pytest.fixture(scope="module")
+def criterion10():
+    """The criterion-10 map (seed 10) at n = 1e4, where bgim stops with
+    "no_ascent", and at n = 1e5, where both support sides hold more than one
+    E-step block."""
+    spec = SyntheticSpec(dataset=1, snr=2.0, sparsity=1, n=100_000, repeats=1, seed=10)
+    return {n: generate(dataclasses.replace(spec, n=n), 0, 0).values for n in (10_000, 100_000)}
+
+
+# (n, model, max_iterations or None for the default, stop reason, extra passes)
+# An ML fit records every point, so its last pass is always at the recorded
+# one; a VB fit that stops with "no_ascent" always needs the extra pass.
+FINAL_GAMMA = (
+    (10_000, "bggm", None, "tolerance", 1),
+    (10_000, "bgim", None, "no_ascent", 1),
+    (10_000, "ggm", None, "tolerance", 0),
+    (10_000, "gim", None, "tolerance", 0),
+    (10_000, "bggm", 9, "max_iterations", 0),
+    (10_000, "bgim", 23, "max_iterations", 1),
+    (10_000, "ggm", 9, "max_iterations", 0),
+    (10_000, "gim", 23, "max_iterations", 0),
+    (100_000, "bggm", None, "tolerance", 1),
+    (100_000, "bgim", None, "tolerance", 0),
+    (100_000, "ggm", None, "tolerance", 0),
+    (100_000, "gim", None, "tolerance", 0),
+)
+
+
+@pytest.mark.parametrize("n, model, cap, stop, extra", FINAL_GAMMA)
+def test_fit_responsibilities_are_a_pass_at_the_reported_point(
+    criterion10, n, model, cap, stop, extra, monkeypatch
+):
+    # A fit's responsibilities are those the data cache holds at its end:
+    # from the pass at the recorded point, or from one more pass there when
+    # a later pass overwrote them. Either way they are, byte for byte, a
+    # fresh pass at the point the fit reports.
+    monkeypatch.setattr(estep, "_usable_cpus", lambda: 2)
+    passes = []
+    monkeypatch.setattr(
+        fitloop, "_responsibility_pass", _counting(fitloop._responsibility_pass, passes)
+    )
+    x = criterion10[n]
+    assert estep._DataCache(x).parallel == (n == 100_000)
+    fitter = getattr(vb_em if model in VB_MODELS else ml_em, "fit_" + model)
+    if model in VB_MODELS:
+        r = fitter(x, VBFitConfig() if cap is None else VBFitConfig(max_iterations=cap))
+        want = update_responsibilities(x, r.expectations, r.priors.families)[0]
+    else:
+        r = fitter(x, None, MLFitConfig() if cap is None else MLFitConfig(max_iterations=cap))
+        want = e_step(x, r.params)
+    assert r.stop_reason == stop
+    assert len(passes) == extra
+    assert r.responsibilities.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("config", [MLFitConfig, VBFitConfig])

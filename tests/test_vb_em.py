@@ -194,6 +194,22 @@ def test_update_tau_matches_formula():
     assert b == pytest.approx(1.0 / (1.0 / pr.b0_tau + 0.5 * quadsum), rel=1e-12)
 
 
+def _tau(data, gamma):
+    return update_tau(data, gamma, default_hyperpriors(*GAMMA_FAMS), e_mu=0.0, e_mu2=0.0)
+
+
+@pytest.mark.parametrize("statistic", [sufficient_stats, _tau], ids=["sufficient_stats", "update_tau"])
+def test_statistics_reject_non_finite_data_and_misshapen_gamma(statistic):
+    data, gamma = np.array([0.5, 1.0, -1.0]), np.tile([0.5, 0.25, 0.25], (3, 1))
+    statistic(data, gamma)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            statistic(np.array([bad, 1.0, -1.0]), gamma)
+    for misshapen in (gamma[:, :2], gamma[:2], gamma.ravel()):
+        with pytest.raises(ValueError, match="shape"):
+            statistic(data, misshapen)
+
+
 def test_update_r_prior_recovery_and_positivity():
     for fams in (GAMMA_FAMS, INVGAMMA_FAMS):
         pr = default_hyperpriors(*fams)
