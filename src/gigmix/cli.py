@@ -16,6 +16,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .evaluation import restricted_auc, standardize
 from .experiments import (
@@ -101,16 +103,22 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_fit(args) -> int:
-    data = read_values(args.input, args.format)
-    if args.standardize:
-        data = standardize(data)
+    values = read_values(args.input, args.format)
+    data = standardize(values) if args.standardize else values
     result = fit(args.model, data, args.seed)
     doc = result_to_dict(result, args.model, args.seed, include_timing=args.timing)
     doc["n"] = int(data.size)
     doc["standardized"] = bool(args.standardize)
     write_json(args.output, doc)
     if args.gamma_out:
-        write_gamma_csv(args.gamma_out, result.responsibilities)
+        gamma = result.responsibilities
+        if data.size != values.size:
+            # One row per input value: the exact zeros that standardize
+            # dropped belong to the Gaussian, as they do in the E-step.
+            gamma = np.zeros((values.size, 3))
+            gamma[:, 0] = 1.0
+            gamma[values != 0.0] = result.responsibilities
+        write_gamma_csv(args.gamma_out, gamma)
     return 0
 
 

@@ -21,7 +21,10 @@ Its coefficients come as an ``ExpectationCache``. The variational learners
 fill it with posterior expectations. The maximum-likelihood log-densities
 have the same form with point values in place of expectations
 (``point_coefficients``, run by ``point_pass``), and then the total
-log-sum-exp is the observed-data log-likelihood.
+log-sum-exp is the observed-data log-likelihood. A pass takes only the sums
+its learner reads: a variational pass the activation's count and its sums
+of v, v**2, log v and 1/v per side, a maximum-likelihood pass the count and
+the sums of v and v**2, which is all the M-step reads.
 """
 
 from __future__ import annotations
@@ -90,7 +93,10 @@ class SufficientStats:
     ``xbar`` is the signed weighted sum per component and ``sxx1`` the
     Gaussian's weighted sum of squares; ``log_x``, ``recip_x`` and ``sq_x``
     accumulate log, reciprocal and square of the mirrored values for the two
-    activation components.
+    activation components. The vector fields of a kernel pass are views of
+    one array. After a maximum-likelihood pass (``point_pass``) ``log_x`` and
+    ``recip_x`` are NaN: the M-step does not read them, so the pass does not
+    take them.
     """
 
     n: np.ndarray
@@ -107,6 +113,16 @@ def finite_data(data) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("data must be finite")
     return x
+
+
+def finite_data_and_gamma(data, gamma):
+    """``finite_data(data)`` and ``gamma`` as a float array; ValueError unless
+    ``gamma`` has one row of three responsibilities per value."""
+    x = finite_data(data)
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (x.size, 3):
+        raise ValueError(f"gamma must have shape ({x.size}, 3), got {gamma.shape}")
+    return x, gamma
 
 
 class _Side:
@@ -249,25 +265,25 @@ def _activation_coefficients(e: ExpectationCache, k: int, fam):
     return const, -(e.s[k] + 1.0), -e.r[k], True
 
 
-def _side_pass(e: ExpectationCache, k: int, fam, side: _Side, direct: bool):
+def _side_pass(e: ExpectationCache, k: int, fam, side: _Side, rows: int, direct: bool):
     """Two-way softmax of (Gaussian, activation k) over one support side.
 
     The pass sweeps the side's blocks, writes the activation
     responsibilities into ``side.g`` and returns the side's log-sum-exp
     total, its degenerate points (activation 0, left out of the total) and
-    its sums over the mirrored values v: if ``direct``, the Gaussian's count and its sums of
-    v and v**2 on the side, else the activation's count and its sums of v,
-    v**2, log v and 1/v. Each sum is taken per block, while the block is in
+    its sums over the mirrored values v: the count and the sums of the first
+    ``rows`` rows of the side's stack (v, v**2, log v, 1/v), weighted by the
+    Gaussian's responsibilities on the side if ``direct``, else by the
+    activation's. Each sum is taken per block, while the block is in
     cache (how: ``_BLAS_DOT_MAX``), and the block sums are added in block
-    order. With a the Gaussian's and b the activation's log-weight and
-    m = max(a, b), b - m is floored at ``_EXP_FLOOR`` unless the activation
-    has a zero proportion.
+    order; a sum does not depend on how many rows are taken. With a the
+    Gaussian's and b the activation's log-weight and m = max(a, b), b - m is
+    floored at ``_EXP_FLOOR`` unless the activation has a zero proportion.
     """
     c_sq, c_x, c0 = _gaussian_coefficients(e, side.sign)
     const, c_log, c_lin, inverse = _activation_coefficients(e, k, fam)
     floor = _EXP_FLOOR if math.isfinite(const) else -math.inf
     lse, degenerate = 0.0, 0
-    rows = 2 if direct else 4
     blas = side.vals.size <= _BLAS_DOT_MAX
     sums = [0.0] * (rows + 1)
     for lo, values, stack, (a, b, m, t), gb in side.blocks:
@@ -306,13 +322,13 @@ def _side_pass(e: ExpectationCache, k: int, fam, side: _Side, direct: bool):
             block_sums = [float(w.sum()), *np.einsum("ij,j->i", stack[:rows], w).tolist()]
         else:
             block_sums = [float(w.sum()), float(vals @ w), float(sq @ w)]
-            if not direct:
+            if rows == 4:
                 block_sums += [float(logs @ w), float(invs @ w)]
         sums = block_sums if lo == 0 else [total + part for total, part in zip(sums, block_sums)]
     return lse, degenerate, sums
 
 
-def _sweep(cache: _DataCache, e: ExpectationCache, families, direct: bool) -> list:
+def _sweep(cache: _DataCache, e: ExpectationCache, families, rows: int, direct: bool) -> list:
     """``_side_pass`` over both sides, in side order. With ``cache.parallel``
     the worker thread sweeps the negative side in a copy of the caller's
     context, and so under its floating-point error handling (numpy keeps it
@@ -321,24 +337,29 @@ def _sweep(cache: _DataCache, e: ExpectationCache, families, direct: bool) -> li
     side's error first)."""
     if not cache.parallel:
         sides = enumerate(cache.sides)
-        return [_side_pass(e, k, families[k], side, direct) for k, side in sides]
+        return [_side_pass(e, k, families[k], side, rows, direct) for k, side in sides]
     if cache.worker is None:
         from concurrent.futures import ThreadPoolExecutor
 
         cache.worker = ThreadPoolExecutor(1, thread_name_prefix="gigmix-estep")
     negative = cache.worker.submit(
-        contextvars.copy_context().run, _side_pass, e, 1, families[1], cache.sides[1], direct
+        contextvars.copy_context().run, _side_pass, e, 1, families[1], cache.sides[1], rows, direct
     )
     try:
-        positive = _side_pass(e, 0, families[0], cache.sides[0], direct)
+        positive = _side_pass(e, 0, families[0], cache.sides[0], rows, direct)
     finally:
         negative.exception()  # waits for the worker's side
     return [positive, negative.result()]
 
 
-def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families):
+def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families, rows: int = 4):
     """One packed pass: sufficient stats, total LSE and the number of
     degenerate points; the responsibilities stay in ``cache`` (under ``e``).
+
+    ``rows`` is 4 for the variational updates, which read every statistic,
+    and 2 for the maximum-likelihood M-step, which reads only the counts and
+    the sums of x and x**2: the pass then skips the activation sums of log v
+    and 1/v, and ``log_x`` and ``recip_x`` are NaN.
 
     Off-support responsibilities are identically zero by construction; data
     points at exactly zero are assigned to the Gaussian. A point with zero
@@ -350,17 +371,20 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families):
     # The Gaussian's sums start from the data totals and each side's are
     # taken off in side order. ``xbar`` holds the signed sums.
     n1, sx1, sxx1 = cache.x.size, cache.sum_x, cache.sum_sq
-    n, xbar, sq, log_x, recip_x = [], [], [], [], []
-    for side, (lse, bad, (nk, sxk, sqk, logk, recipk)) in zip(
-        cache.sides, _sweep(cache, e, families, False)
+    # The activation sums of log v and 1/v, positive side first; NaN unless
+    # the pass takes them.
+    n, xbar, sq, log_recip = [], [], [], [math.nan] * 4
+    for k, (side, (lse, bad, sums)) in enumerate(
+        zip(cache.sides, _sweep(cache, e, families, rows, False))
     ):
         lse_total += lse
         degenerate += bad
+        nk, sxk, sqk = sums[:3]
         n.append(nk)
         xbar.append(side.sign * sxk)
         sq.append(sqk)
-        log_x.append(logk)
-        recip_x.append(recipk)
+        if rows == 4:
+            log_recip[k], log_recip[k + 2] = sums[3:]
         n1 -= nk
         sx1 -= xbar[-1]
         sxx1 -= sqk
@@ -372,27 +396,31 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families):
     if n1 < _DIRECT_GAUSSIAN_SHARE * cache.x.size or sxx1 < _DIRECT_GAUSSIAN_SHARE * cache.sum_sq:
         # The same sweep again, summing the Gaussian's side weights directly.
         n1, sx1, sxx1 = cache.n_zero, 0.0, 0.0
-        for side, (_, _, (nk, sxk, sqk)) in zip(cache.sides, _sweep(cache, e, families, True)):
+        for side, (_, _, (nk, sxk, sqk)) in zip(cache.sides, _sweep(cache, e, families, 2, True)):
             n1 += nk
             sx1 += side.sign * sxk
             sxx1 += sqk
+    # One array holds every vector statistic; the fields are views of it.
+    flat = np.array([n1, *n, sx1, *xbar, *sq, *log_recip])
     stats = SufficientStats(
-        n=np.array([n1] + n),
-        xbar=np.array([sx1] + xbar),
+        n=flat[0:3],
+        xbar=flat[3:6],
         sxx1=sxx1,
-        log_x=np.array(log_x),
-        recip_x=np.array(recip_x),
-        sq_x=np.array(sq),
+        sq_x=flat[6:8],
+        log_x=flat[8:10],
+        recip_x=flat[10:12],
     )
     cache.coefficients = e
     return stats, lse_total, degenerate
 
 
 def point_pass(cache: _DataCache, params: MixtureParams):
-    """The kernel under a point estimate: the maximum-likelihood E-step. A zero
-    proportion can leave points degenerate, whose NaNs are expected."""
+    """The kernel under a point estimate: the maximum-likelihood E-step. It
+    takes only the sums the M-step reads, so the statistics' ``log_x`` and
+    ``recip_x`` are NaN. A zero proportion can leave points degenerate, whose
+    NaNs are expected."""
     with np.errstate(invalid="ignore"):
-        return _responsibility_pass(cache, point_coefficients(params), params.families)
+        return _responsibility_pass(cache, point_coefficients(params), params.families, 2)
 
 
 def _assemble_gamma(cache: _DataCache) -> np.ndarray:
@@ -416,10 +444,8 @@ def e_step(data, params: MixtureParams) -> np.ndarray:
 def sufficient_stats(data, gamma: np.ndarray) -> SufficientStats:
     """Soft-count statistics of an arbitrary N x 3 responsibility matrix;
     ValueError unless the data are finite and ``gamma`` is N x 3."""
-    cache = _DataCache(finite_data(data))
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (cache.x.size, 3):
-        raise ValueError(f"gamma must have shape ({cache.x.size}, 3), got {gamma.shape}")
+    x, gamma = finite_data_and_gamma(data, gamma)
+    cache = _DataCache(x)
     sq = cache.x * cache.x
     sides = tuple(enumerate(cache.sides, start=1))
     return SufficientStats(

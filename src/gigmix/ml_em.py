@@ -6,13 +6,17 @@
 sufficient statistics feed the M-step, which updates the Gaussian with
 weighted moments and converts the weighted (mirrored) moments of the
 activation components into shape/rate parameters by the method of moments
-instead of numerical shape optimization. A fit runs in ``fitloop.fit``,
-one M-step and one E-step pass per cycle, and records every log-likelihood,
-falling ones included: the moment-matched update is not an ascent.
+instead of numerical shape optimization. The M-step reads only the soft
+counts and the weighted sums of x and x**2, so each pass takes only those
+(``point_pass``), and the M-step works on them as Python floats. A fit runs
+in ``fitloop.fit``, one M-step and one E-step pass per cycle, and records
+every log-likelihood, falling ones included: the moment-matched update is
+not an ascent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,19 +89,23 @@ def m_step(stats: SufficientStats, prev: MixtureParams) -> MixtureParams:
     previous parameters (their mixing proportion still shrinks with the
     count), which keeps near-empty components well defined.
     """
-    n_k = stats.n
-    pi = n_k / n_k.sum()
+    n_k = stats.n.tolist()
+    xbar = stats.xbar.tolist()
+    sq_x = stats.sq_x.tolist()
+    # numpy's order for the sum of three; a zero total gives NaN proportions,
+    # which MixtureParams refuses.
+    total = (n_k[0] + n_k[1]) + n_k[2]
+    pi = [n / total for n in n_k] if total else [math.nan] * 3
 
     comp1 = prev.comp1
     if n_k[0] >= _MIN_COMPONENT_MASS:
-        mean, var = _moments(float(stats.xbar[0]), stats.sxx1, n_k[0])
+        mean, var = _moments(xbar[0], stats.sxx1, n_k[0])
         comp1 = GaussianParams(mean, 1.0 / var)
     sides = [prev.comp2, prev.comp3]
     for k, comp in enumerate(sides):
         if n_k[k + 1] >= _MIN_COMPONENT_MASS:
             family = comp.family
-            total = family.sign * float(stats.xbar[k + 1])
-            sides[k] = _side_update(total, float(stats.sq_x[k]), n_k[k + 1], family)
+            sides[k] = _side_update(family.sign * xbar[k + 1], sq_x[k], n_k[k + 1], family)
     return MixtureParams(pi, comp1, *sides)
 
 

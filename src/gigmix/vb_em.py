@@ -42,6 +42,7 @@ from .estep import (
     _gaussian_coefficients,
     _responsibility_pass,
     finite_data,
+    finite_data_and_gamma,
     point_coefficients,
     sufficient_stats,
 )
@@ -344,9 +345,10 @@ def negative_free_energy(
     KL divergences of every parameter factor from its prior. Terms of the
     form 0 * (-inf) arising from out-of-support responsibilities contribute
     zero by convention. ``expectations_cache`` must be
-    ``expectations(state, priors)``.
+    ``expectations(state, priors)``. ValueError unless the data are finite and
+    ``gamma`` is N x 3, as in ``sufficient_stats``.
     """
-    x = np.asarray(data, dtype=float).ravel()
+    x, gamma = finite_data_and_gamma(data, gamma)
     log_rho = _log_rho(_DataCache(x), expectations_cache, priors.families)
     with np.errstate(invalid="ignore", divide="ignore"):
         coupled = np.where(gamma > 0, gamma * log_rho, 0.0)

@@ -142,6 +142,26 @@ def test_fit_f64le_and_standardize(tmp_path):
     assert doc["n"] == 2000  # zeros masked before fitting
 
 
+@pytest.mark.parametrize("model", ["bggm", "ggm"])
+def test_standardized_gamma_csv_has_one_row_per_input_value(tmp_path, model):
+    # standardize drops the exact zeros before the fit; the CSV still has one
+    # row per input value, in input order, with the Gaussian's (1, 0, 0) at
+    # each zero and the fit's rows everywhere else.
+    x = np.array([0.3, 0.0, -1.2, 4.0, 0.0, -0.1, 2.5, 0.0, 0.8, -3.1, 0.05])
+    path = tmp_path / "values.txt"
+    write_values_txt(path, x)
+    out, gamma_out = tmp_path / "result.json", tmp_path / "gamma.csv"
+    argv = ["fit", "--model", model, "--input", str(path), "--standardize"]
+    assert main(argv + ["--output", str(out), "--gamma-out", str(gamma_out)]) == 0
+    rows = np.loadtxt(gamma_out, delimiter=",", skiprows=1)
+    assert rows.shape == (x.size, 3)
+    zero = x == 0.0
+    assert np.array_equal(rows[zero], np.tile([1.0, 0.0, 0.0], (3, 1)))
+    fitted = experiments.fit(model, gigmix.standardize(x), 0).responsibilities
+    assert np.array_equal(rows[~zero], fitted)
+    assert json.loads(out.read_text())["n"] == 8
+
+
 def test_fit_timing_flag_adds_wall_time(tmp_path, value_file):
     out = tmp_path / "t.json"
     rc = main(

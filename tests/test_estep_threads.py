@@ -31,6 +31,7 @@ from gigmix.distributions import (
 )
 from gigmix.experiments import SyntheticSpec, generate
 from gigmix.initialization import init_params, kmeans_1d
+from gigmix.ml_em import m_step
 
 N = 100_000
 
@@ -107,9 +108,9 @@ def test_pass_equals_the_sides_swept_in_turn(x, two_cpus, monkeypatch, families,
     threads = []
     side_pass = estep._side_pass
 
-    def spy(e, k, fam, side, is_direct):
+    def spy(e, k, fam, side, rows, is_direct):
         threads.append((k, is_direct, threading.current_thread() is threading.main_thread()))
-        return side_pass(e, k, fam, side, is_direct)
+        return side_pass(e, k, fam, side, rows, is_direct)
 
     monkeypatch.setattr(estep, "_side_pass", spy)
     cache = estep._DataCache(x)
@@ -129,10 +130,42 @@ def test_long_side_sums_match_the_dense_statistics(x, two_cpus, families):
     params = _start(x, families)
     cache = estep._DataCache(x)
     assert min(side.vals.size for side in cache.sides) > estep._BLAS_DOT_MAX
-    stats = estep.point_pass(cache, params)[0]
+    stats = estep._responsibility_pass(cache, estep.point_coefficients(params), families)[0]
     want = estep.sufficient_stats(x, estep._assemble_gamma(cache))
     for field in stats.__dataclass_fields__:
         np.testing.assert_allclose(getattr(stats, field), getattr(want, field), rtol=1e-12)
+
+
+@pytest.mark.parametrize("families", [(GAMMA_POS, GAMMA_NEG), (INVGAMMA_POS, INVGAMMA_NEG)])
+@pytest.mark.parametrize("n", [10_000, N])
+def test_point_pass_takes_the_m_step_sums_of_a_full_pass(x, two_cpus, n, families):
+    # A maximum-likelihood pass takes only the sums the M-step reads: BLAS
+    # dots on the sides of the n = 1e4 map, einsum rows on two threads on the
+    # longer sides of the n = 1e5 one. Those sums, the responsibilities, the
+    # log-likelihood and the M-step are the full pass's, bit for bit.
+    if n != N:
+        y = generate(SyntheticSpec(dataset=1, snr=2.0, sparsity=1, n=n, seed=10), 0, 0).values
+    else:
+        y = x
+    params = _start(y, families)
+    ml_cache, full_cache = estep._DataCache(y), estep._DataCache(y)
+    sizes = [side.vals.size for side in ml_cache.sides]
+    assert (max(sizes) <= estep._BLAS_DOT_MAX) == (n == 10_000)
+    assert ml_cache.parallel == (n == N)
+    stats, lse, degenerate = estep.point_pass(ml_cache, params)
+    want, want_lse, want_degenerate = estep._responsibility_pass(
+        full_cache, estep.point_coefficients(params), families
+    )
+    for field in ("n", "xbar", "sxx1", "sq_x"):
+        have = np.asarray(getattr(stats, field)).tobytes()
+        assert have == np.asarray(getattr(want, field)).tobytes()
+    assert np.isnan(stats.log_x).all() and np.isnan(stats.recip_x).all()
+    assert not np.isnan(want.log_x).any() and not np.isnan(want.recip_x).any()
+    assert (lse, degenerate) == (want_lse, want_degenerate)
+    assert [s.g.tobytes() for s in ml_cache.sides] == [s.g.tobytes() for s in full_cache.sides]
+    got, expected = m_step(stats, params), m_step(want, params)
+    assert got.pi.tobytes() == expected.pi.tobytes()
+    assert (got.comp1, got.comp2, got.comp3) == (expected.comp1, expected.comp2, expected.comp3)
 
 
 def test_concurrent_passes_on_their_own_caches_keep_their_bits(x, two_cpus):
@@ -174,9 +207,9 @@ def test_overflow_on_the_workers_side_raises_in_the_caller(x, two_cpus):
     assert cache.parallel
     e = estep.point_coefficients(params)
     with np.errstate(over="raise"):
-        estep._side_pass(e, 0, params.families[0], cache.sides[0], False)
+        estep._side_pass(e, 0, params.families[0], cache.sides[0], 4, False)
         with pytest.raises(FloatingPointError):
-            estep._side_pass(e, 1, params.families[1], cache.sides[1], False)
+            estep._side_pass(e, 1, params.families[1], cache.sides[1], 4, False)
         with pytest.raises(FloatingPointError):
             estep._responsibility_pass(cache, e, params.families)
     # The cache's worker and buffers stay usable: the next pass equals a

@@ -479,6 +479,24 @@ def test_nfe_kl_terms_vanish_at_prior():
         assert nfe == pytest.approx(coupled, abs=1e-10)
 
 
+def test_nfe_validates_data_and_gamma_like_sufficient_stats():
+    pr = default_hyperpriors(*GAMMA_FAMS)
+    st = prior_state(pr)
+    e = expectations(st, pr)
+    data = np.array([0.4, -0.7, 1.2, 2.0])
+    gamma, _ = update_responsibilities(data, e, GAMMA_FAMS)
+    bad_data = data.copy()
+    bad_data[1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        negative_free_energy(bad_data, gamma, st, pr, e)
+    for bad_gamma in (gamma[:, :2], gamma[:3], gamma.ravel()):
+        with pytest.raises(ValueError, match=r"gamma must have shape \(4, 3\)"):
+            negative_free_energy(data, bad_gamma, st, pr, e)
+    # A valid call accepts the data and gamma as lists.
+    want = negative_free_energy(data, gamma, st, pr, e)
+    assert negative_free_energy(data.tolist(), gamma.tolist(), st, pr, e) == want
+
+
 def test_nfe_entropy_zero_for_one_hot_rows():
     pr = default_hyperpriors(*GAMMA_FAMS)
     st = prior_state(pr)
