@@ -13,6 +13,7 @@ Exit codes: 0 on success, 1 on usage errors, 2 on runtime errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -47,6 +48,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# Built once per process; each parse_args call fills a fresh namespace.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gigmix", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"gigmix {__version__}")

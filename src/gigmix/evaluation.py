@@ -53,18 +53,32 @@ def activation_map(gamma: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     )
 
 
-def _roc_vertices(scores: np.ndarray, active: np.ndarray):
-    """Tie-grouped ROC curve vertices, starting at (0, 0). A vertex sits at the
-    end of a group of equal scores, where the counts do not depend on the order
-    inside the group, so the sort need not be stable."""
-    order = np.argsort(-scores)
-    act = active[order]
+def _roc_vertices(scores: np.ndarray, active: np.ndarray, fpr_max: float):
+    """Tie-grouped ROC curve vertices, starting at (0, 0), up to at least the
+    first vertex whose FPR exceeds ``fpr_max``: all that the restricted AUC
+    integrates.
+
+    Only the top k + 1 scores are sorted, k = n_pos + floor(fpr_max * n_neg)
+    + 2 (at most n - 1), together with every score tied with the last of
+    them. Those hold at least floor(fpr_max * n_neg) + 3 negatives, so their
+    last vertex lies past ``fpr_max``, and each vertex is the same as with a
+    sort of all n scores. A vertex sits at the end of a group of equal
+    scores, where the counts do not depend on the order inside the group, so
+    the sort need not be stable.
+    """
+    n = scores.size
     n_pos = int(active.sum())
-    n_neg = active.size - n_pos
+    n_neg = n - n_pos
+    k = min(n_pos + math.floor(fpr_max * n_neg) + 2, n - 1)
+    # The (k + 1)-th largest score; keeping every score at least as large
+    # keeps its tie group whole.
+    top = np.flatnonzero(scores >= np.partition(scores, n - 1 - k)[n - 1 - k])
+    order = top[np.argsort(-scores[top])]
+    act = active[order]
     tp = np.cumsum(act)
     fp = np.cumsum(~act)
     group_end = np.nonzero(np.diff(scores[order]))[0]
-    idx = np.append(group_end, scores.size - 1)
+    idx = np.append(group_end, order.size - 1)
     tpr = np.concatenate([[0.0], tp[idx] / n_pos])
     fpr = np.concatenate([[0.0], fp[idx] / n_neg])
     return fpr, tpr
@@ -89,7 +103,7 @@ def restricted_auc(scores, active, fpr_max: float = 0.05) -> float:
     if a.all() or not a.any():
         raise ValueError("restricted AUC is undefined with single-class truth")
 
-    fpr, tpr = _roc_vertices(s, a)
+    fpr, tpr = _roc_vertices(s, a, fpr_max)
     f0, f1 = fpr[:-1], fpr[1:]
     t0, t1 = tpr[:-1], tpr[1:]
     full = f1 <= fpr_max

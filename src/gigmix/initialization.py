@@ -44,34 +44,52 @@ def _sse(s1, s2, lo, hi):
     return s2[hi] - s2[lo] - (s1[hi] - s1[lo]) ** 2 / (hi - lo)
 
 
-def _three_means_cuts(xs: np.ndarray, valid: np.ndarray) -> tuple:
-    """Cuts ``(a, b)`` that split sorted data into ``xs[:a]``, ``xs[a:b]``
-    and ``xs[b:]``, chosen from ``valid``: the (at least two) indices where
-    a new value starts, so that no cut splits a run of equal values.
+def _candidate_cuts(xs: np.ndarray, first: int, last: int) -> np.ndarray:
+    """Sorted candidate cuts of the sorted data ``xs`` for the search in
+    ``_three_means_cuts``; ``first`` and ``last`` are the first and last
+    valid cuts (the end of the first run of equal values and the start of
+    the last), with ``first < last``.
 
-    In 1-D the optimal clusters are contiguous runs of the sorted data.
-    Every cut pair among the candidates is searched for the least total sum
-    of squares. The candidates are, for each edge of ``_BINS`` equal-count
-    bins, the nearest valid cut at or below it in the lower half of the data
-    and at or above it in the upper half, so mirrored data get mirrored
-    candidates, together with the first and last valid cuts; for
-    n <= ``_BINS`` every valid cut is one, and the search is exact. Lloyd
-    steps from the best pair then move both cuts to the midpoints of the
-    cluster means until they stop. The data are centred and divided by their
-    range first, so the cuts do not change when the data are multiplied by a
-    power of two.
+    A valid cut is an index where a new value starts, so that no cut splits
+    a run of equal values. For each edge e of ``_BINS`` equal-count bins the
+    candidate is the nearest valid cut at or below e in the lower half of the
+    data, found as the start of the run holding ``xs[floor(e)]``, and at or
+    above e in the upper half, found as the end of the run holding
+    ``xs[ceil(e) - 1]``, so mirrored data get mirrored candidates. A run that
+    starts at 0 or ends at n has no such cut, and the candidate is ``first``
+    or ``last`` instead; both are always candidates, since when one value
+    fills most of the data every edge can map to the same cut. For
+    n <= ``_BINS`` every valid cut is one, and the search is exact.
     """
     n = xs.size
-    c = (xs - xs.mean()) / (xs[-1] - xs[0])
-    s1 = np.concatenate(([0.0], np.cumsum(c)))
-    s2 = np.concatenate(([0.0], np.cumsum(c * c)))
     edges = np.arange(1, _BINS) * (n / _BINS)
     low, high = edges[edges <= n / 2], edges[edges >= n / 2]
-    at = np.concatenate((valid.searchsorted(low, "right") - 1, valid.searchsorted(high)))
-    # The first and last valid cuts are always candidates: when one value
-    # fills most of the data, every bin edge can map to the same cut.
-    at = np.concatenate(([0, valid.size - 1], np.clip(at, 0, valid.size - 1)))
-    cand = np.unique(valid[at])
+    starts = xs.searchsorted(xs[np.floor(low).astype(int)], "left")
+    ends = xs.searchsorted(xs[np.ceil(high).astype(int) - 1], "right")
+    return np.unique(np.clip(np.concatenate(([first, last], starts, ends)), first, last))
+
+
+def _three_means_cuts(xs: np.ndarray, first: int, last: int) -> tuple:
+    """Cuts ``(a, b)`` that split sorted data into ``xs[:a]``, ``xs[a:b]``
+    and ``xs[b:]``, from the first and last valid cuts (``_candidate_cuts``).
+
+    In 1-D the optimal clusters are contiguous runs of the sorted data.
+    Every pair of ``_candidate_cuts`` is searched for the least total sum of
+    squares. Lloyd steps from the best pair then move both cuts to the
+    midpoints of the cluster means until they stop. The data are centred and
+    divided by their range first, so the cuts do not change when the data
+    are multiplied by a power of two.
+    """
+    n = xs.size
+    c = xs - xs.mean()
+    c /= xs[-1] - xs[0]
+    # Prefix sums of c and c*c, with a leading 0, written in place.
+    s1, s2 = np.empty(n + 1), np.empty(n + 1)
+    s1[0] = s2[0] = 0.0
+    np.cumsum(c, out=s1[1:])
+    np.multiply(c, c, out=s2[1:])
+    np.cumsum(s2[1:], out=s2[1:])
+    cand = _candidate_cuts(xs, first, last)
     i, j = (cand[k] for k in np.triu_indices(cand.size, 1))
     best = np.argmin(_sse(s1, s2, 0, i) + _sse(s1, s2, i, j) + _sse(s1, s2, j, n))
     cuts = (int(i[best]), int(j[best]))
@@ -104,21 +122,25 @@ def kmeans_1d(data, k: int = 3, seed: int = 0) -> KMeansResult:
         raise ValueError(f"need at least k={k} samples, got {x.size}")
 
     xs = np.sort(x)
-    valid = np.flatnonzero(xs[1:] != xs[:-1]) + 1
-    if valid.size >= 2:
-        cuts = _three_means_cuts(xs, valid)
+    # The end of the first run of equal values and the start of the last:
+    # at least three distinct values leave a run between them.
+    first, last = xs.searchsorted(xs[0], "right"), xs.searchsorted(xs[-1], "left")
+    if first < last:
+        cuts = _three_means_cuts(xs, first, last)
     else:
         warnings.warn("k-means input has fewer than 3 distinct values; splitting it by sign")
         cuts = (xs.searchsorted(0.0, side="left"), xs.searchsorted(0.0, side="right"))
     # No cut splits equal values, so the first value after each cut labels x.
-    lo, hi = np.append(xs, np.inf)[list(cuts)]
-    assignments = (x >= lo).astype(int) + (x >= hi)
+    lo, hi = (xs[cut] if cut < xs.size else np.inf for cut in cuts)
+    at_lo, at_hi = x >= lo, x >= hi
+    assignments = at_lo.astype(int) + at_hi
 
     means = np.empty(k)
     variances = np.full(k, _VAR_FLOOR)
     counts = np.zeros(k, dtype=int)
-    for j in range(k):
-        member = x[assignments == j]
+    # hi >= lo, so at_hi implies at_lo and the middle cluster is at_lo ^ at_hi.
+    for j, mask in enumerate((~at_lo, at_lo ^ at_hi, at_hi)):
+        member = x.take(np.flatnonzero(mask))
         counts[j] = member.size
         if member.size:
             means[j] = member.mean()

@@ -32,13 +32,38 @@ def _text_lines(path):
                 yield lineno, line
 
 
+def _parse_text(path, parse) -> list:
+    """``parse`` mapped over the lines that ``_text_lines`` yields, from one
+    read of the whole file.
+
+    The text is split on ``"\n"`` alone: after the text layer's newline
+    translation (``\r\n`` and ``\r`` become ``\n``) that is where
+    iterating the file breaks lines. ``str.split()`` and ``splitlines()``
+    would also break at ``\x1c``-``\x1e``, ``\x85`` and ``\u2028``, and so
+    accept ``1.0\x1c2.0`` as two values. Raises ``ValueError`` on any line
+    that ``parse`` refuses, without saying which; callers then rerun the line
+    loop for the message.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    return list(map(parse, [s for s in map(str.strip, lines) if s and s[0] != "#"]))
+
+
 def read_values_txt(path) -> np.ndarray:
-    values = []
-    for lineno, line in _text_lines(path):
-        try:
-            values.append(float(line))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: not a decimal value: {line!r}") from exc
+    """Decimal values, one per line; blank and ``#`` lines are skipped.
+
+    The file is read and parsed at once (``_parse_text``). If that fails, the
+    line loop reads it again to name the first bad line and its number.
+    """
+    try:
+        values = _parse_text(path, float)
+    except ValueError:
+        values = []
+        for lineno, line in _text_lines(path):
+            try:
+                values.append(float(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: not a decimal value: {line!r}") from exc
     return np.asarray(values, dtype=float)
 
 
@@ -78,25 +103,52 @@ def read_values(path, fmt: str) -> np.ndarray:
 
 
 def read_labels_txt(path) -> np.ndarray:
-    """Activation labels, one integer in {-1, 0, 1} per line."""
-    labels = []
-    for lineno, line in _text_lines(path):
-        try:
-            v = int(line)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: not an integer label: {line!r}") from exc
-        if v not in (-1, 0, 1):
-            raise ValueError(f"{path}:{lineno}: label must be -1, 0 or 1, got {v}")
-        labels.append(v)
+    """Activation labels, one integer in {-1, 0, 1} per line; blank and ``#``
+    lines are skipped.
+
+    As in ``read_values_txt``, the file is parsed at once, and the line loop
+    runs only to report the first bad line: one that is not an integer or a
+    label outside {-1, 0, 1}.
+    """
+    try:
+        labels = _parse_text(path, int)
+        if not set(labels) <= {-1, 0, 1}:
+            raise ValueError("label out of range")
+    except ValueError:
+        labels = []
+        for lineno, line in _text_lines(path):
+            try:
+                v = int(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: not an integer label: {line!r}") from exc
+            if v not in (-1, 0, 1):
+                raise ValueError(f"{path}:{lineno}: label must be -1, 0 or 1, got {v}")
+            labels.append(v)
     return np.asarray(labels, dtype=np.int8)
 
 
+# Rows formatted and written per block: one write and one list of Python
+# floats per 8192 rows.
+_CSV_BLOCK = 8192
+
+
 def write_gamma_csv(path, gamma) -> None:
+    """Responsibilities as CSV: a ``gamma1,gamma2,gamma3`` header, then one
+    row per sample, each value in its shortest round-trip ``repr``.
+
+    ``gamma`` must be an N x 3 matrix; anything else raises ``ValueError``
+    before the file is opened. Each block of rows becomes Python floats with
+    one ``tolist()`` and one string with one ``%`` format, so the cost is
+    close to that of the ``repr`` calls alone.
+    """
     g = np.asarray(gamma, dtype=float)
+    if g.ndim != 2 or g.shape[1] != 3:
+        raise ValueError(f"gamma must be an N x 3 matrix, got shape {g.shape}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("gamma1,gamma2,gamma3\n")
-        for row in g:
-            fh.write(f"{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}\n")
+        for lo in range(0, len(g), _CSV_BLOCK):
+            block = g[lo : lo + _CSV_BLOCK]
+            fh.write(("%r,%r,%r\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_labeled_csv(path, values, labels) -> None:

@@ -130,14 +130,32 @@ def tie_heavy_scores(draw):
     return scores * draw(st.sampled_from([1.0, 0.1, 1e-300])), active
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(tie_heavy_scores(), st.sampled_from([0.05, 0.3, 1.0]))
-def test_restricted_auc_is_bit_identical_to_a_stable_sort(case, fpr_max):
-    scores, active = case
+def _assert_auc_matches_a_full_stable_sort(scores, active, fpr_max):
     auc = restricted_auc(scores, active, fpr_max)
-    with mock.patch.object(evaluation, "_roc_vertices", _stable_roc_vertices):
+    # The reference sorts all n scores; it has no use for fpr_max.
+    full_sort = lambda s, a, fpr_max: _stable_roc_vertices(s, a)  # noqa: E731
+    with mock.patch.object(evaluation, "_roc_vertices", full_sort):
         reference = restricted_auc(scores, active, fpr_max)
     assert np.float64(auc).tobytes() == np.float64(reference).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tie_heavy_scores(), st.sampled_from([1e-3, 0.05, 0.3, 1.0]))
+def test_restricted_auc_is_bit_identical_to_a_stable_sort(case, fpr_max):
+    _assert_auc_matches_a_full_stable_sort(*case, fpr_max)
+
+
+@pytest.mark.parametrize("fpr_max", [1e-3, 0.05, 1.0])
+@pytest.mark.parametrize("top", [1, 30, 400, 2999])
+def test_restricted_auc_keeps_a_top_tie_group_whole(top, fpr_max):
+    # The highest `top` scores are one tie group, so the partial sort's
+    # cut-off can fall inside it.
+    rng = np.random.default_rng(top)
+    scores = rng.uniform(0.0, 1.0, 3000)
+    scores[rng.permutation(3000)[:top]] = 2.0
+    active = rng.uniform(size=3000) < 0.1
+    active[:2] = True, False
+    _assert_auc_matches_a_full_stable_sort(scores, active, fpr_max)
 
 
 def test_restricted_auc_errors():

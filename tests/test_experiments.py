@@ -17,6 +17,7 @@ from gigmix.io import (
     read_labels_txt,
     read_values_f64le,
     read_values_txt,
+    write_gamma_csv,
     write_values_f64le,
     write_values_txt,
 )
@@ -249,6 +250,69 @@ def test_label_reader_comments_and_errors(tmp_path):
         with pytest.raises(ValueError) as exc:
             read_labels_txt(p)
         assert str(exc.value) == f"{p}:4: {message}"
+
+
+# Text files that stress line breaking and stripping: (file bytes, what
+# read_values_txt gives, what read_labels_txt gives). A result is the list of
+# values or the (line number, line) of the first bad line.
+_HOSTILE_TEXT = [
+    (b"# h\r\n1\r\n\r\n-1\r\n0\r\n", [1, -1, 0], [1, -1, 0]),
+    (b"# h\r1\r\r-1\r0\r", [1, -1, 0], [1, -1, 0]),
+    (b"1\n-1\n0", [1, -1, 0], [1, -1, 0]),
+    (b"  \n\t\n   # indented\n\t# tab\n 1 \n\t-1\t\n", [1, -1], [1, -1]),
+    (b"1\x0c\n0\x0c\n", [1, 0], [1, 0]),
+    (b"", [], []),
+    (b"1\n2\n", [1, 2], (2, "2")),
+    (b"1\r\n1e0\r\n", [1, 1], (2, "1e0")),
+] + [
+    # Two numbers on line 2: the readers break lines at \n, \r\n and \r
+    # only, so each of these separators leaves one bad line.
+    (f"0\n1{sep}0\n-1\n".encode("utf-8"), (2, f"1{sep}0"), (2, f"1{sep}0"))
+    for sep in (" ", "\t", "\x1c", "\x85", "\u2028")
+]
+
+
+@pytest.mark.parametrize("reader", ["values", "labels"])
+@pytest.mark.parametrize("content, values, labels", _HOSTILE_TEXT)
+def test_text_readers_on_hostile_files(tmp_path, reader, content, values, labels):
+    p = tmp_path / "hostile.txt"
+    p.write_bytes(content)
+    read, expected = (read_values_txt, values) if reader == "values" else (read_labels_txt, labels)
+    if isinstance(expected, list):
+        out = read(p)
+        assert out.dtype == (float if reader == "values" else np.int8)
+        assert out.tolist() == expected
+        return
+    lineno, line = expected
+    if reader == "values":
+        message = f"not a decimal value: {line!r}"
+    elif line.lstrip("-").isdigit():
+        message = f"label must be -1, 0 or 1, got {int(line)}"
+    else:
+        message = f"not an integer label: {line!r}"
+    with pytest.raises(ValueError) as exc:
+        read(p)
+    assert str(exc.value) == f"{p}:{lineno}: {message}"
+
+
+def test_gamma_csv_round_trips_every_value(tmp_path):
+    rng = np.random.default_rng(8)
+    gamma = rng.dirichlet([1.0, 1.0, 1.0], 8192 * 2 + 5)
+    gamma[:3] = [[1.0, 0.0, 0.0], [0.0, 5e-324, 1.0], [1 / 3, 0.1, 0.2]]
+    p = tmp_path / "gamma.csv"
+    write_gamma_csv(p, gamma)
+    lines = p.read_text().splitlines()
+    assert lines[0] == "gamma1,gamma2,gamma3"
+    assert lines[1:4] == ["1.0,0.0,0.0", "0.0,5e-324,1.0", "0.3333333333333333,0.1,0.2"]
+    assert np.array_equal(np.array([[float(v) for v in l.split(",")] for l in lines[1:]]), gamma)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (5, 2), (5,), (2, 3, 1)])
+def test_gamma_csv_refuses_a_matrix_that_is_not_n_by_3(tmp_path, shape):
+    p = tmp_path / "gamma.csv"
+    with pytest.raises(ValueError, match="N x 3"):
+        write_gamma_csv(p, np.full(shape, 0.25))
+    assert not p.exists()
 
 
 def test_f64le_truncation_detected(tmp_path):

@@ -12,11 +12,14 @@ largest magnitude in [0.5, 1), so that inputs at 1e+-150 and 1e+-250 neither
 overflow nor underflow when squared.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gigmix import initialization
 from gigmix.experiments import SyntheticSpec, generate
 from gigmix.initialization import kmeans_1d
 
@@ -250,3 +253,114 @@ def test_fit_large_map_is_well_formed():
     km = kmeans_1d(x, 3)
     assert km.cluster_counts.tolist() == [73272, 152699, 74029]
     assert_well_formed(x, km)
+
+
+def _reference_candidates(xs):
+    """The candidate cuts by the valid-array rule: every index where a new
+    value starts is a valid cut, and each bin edge maps to the nearest valid
+    cut at or below it (lower half) or at or above it (upper half), clipped
+    to the first and last valid cuts, which are candidates too. Needs at
+    least two valid cuts (three distinct values)."""
+    n = xs.size
+    valid = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+    edges = np.arange(1, initialization._BINS) * (n / initialization._BINS)
+    low, high = edges[edges <= n / 2], edges[edges >= n / 2]
+    at = np.concatenate((valid.searchsorted(low, "right") - 1, valid.searchsorted(high)))
+    at = np.concatenate(([0, valid.size - 1], np.clip(at, 0, valid.size - 1)))
+    return valid, np.unique(valid[at])
+
+
+def _reference_kmeans(x):
+    """The 3-means start as it was before the O(n) shortcuts: cuts from the
+    valid array, prefix sums by concatenation, labels from an appended
+    sentinel and members by comparing the label array."""
+    xs = np.sort(x)
+    n = xs.size
+    valid = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+    if valid.size >= 2:
+        cand = _reference_candidates(xs)[1]
+        c = (xs - xs.mean()) / (xs[-1] - xs[0])
+        s1 = np.concatenate(([0.0], np.cumsum(c)))
+        s2 = np.concatenate(([0.0], np.cumsum(c * c)))
+        sse = initialization._sse
+        i, j = (cand[k] for k in np.triu_indices(cand.size, 1))
+        best = np.argmin(sse(s1, s2, 0, i) + sse(s1, s2, i, j) + sse(s1, s2, j, n))
+        cuts = (int(i[best]), int(j[best]))
+        for _ in range(initialization._MAX_LLOYD_ITER):
+            bounds = (0, *cuts, n)
+            m = [(s1[hi] - s1[lo]) / (hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+            new = tuple(c.searchsorted([(m[0] + m[1]) / 2, (m[1] + m[2]) / 2]).tolist())
+            if new == cuts or not 0 < new[0] < new[1] < n:
+                break
+            cuts = new
+    else:
+        cuts = (xs.searchsorted(0.0, side="left"), xs.searchsorted(0.0, side="right"))
+    lo, hi = np.append(xs, np.inf)[list(cuts)]
+    assignments = (x >= lo).astype(int) + (x >= hi)
+    means = np.empty(3)
+    variances = np.full(3, initialization._VAR_FLOOR)
+    counts = np.zeros(3, dtype=int)
+    for j in range(3):
+        member = x[assignments == j]
+        counts[j] = member.size
+        if member.size:
+            means[j] = member.mean()
+            variances[j] = max(member.var(), initialization._VAR_FLOOR)
+    full = np.flatnonzero(counts)
+    for j in np.flatnonzero(counts == 0):
+        means[j] = means[full[np.argmin(np.abs(full - j))]]
+    return initialization.KMeansResult(means.copy(), assignments, means, variances, counts)
+
+
+@st.composite
+def tie_runs(draw):
+    """Tie-heavy data with n from 3 to 5000: a few levels, runs about as long
+    as a quantile bin (so they cross bin edges), one value filling 127/128 of
+    the data, two distinct values, or continuous values; in shuffled order."""
+    n = draw(st.integers(3, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("levels", "bin_runs", "dominant", "two", "continuous")))
+    if kind == "levels":
+        x = rng.integers(-3, 4, n).astype(float)
+    elif kind == "bin_runs":
+        lengths = rng.integers(1, 2 * max(1, n // 128) + 2, n)
+        x = np.repeat(np.arange(n, dtype=float), lengths)[:n]
+    elif kind == "dominant":
+        x = np.full(n, float(rng.integers(-5, 6)))
+        rest = max(3, n // 128) if n > 3 else 2
+        x[:rest] = rng.integers(-20, 21, rest)
+    elif kind == "two":
+        values = rng.normal(size=2)
+        x = rng.choice(values, n)
+        x[:2] = values
+    else:
+        x = rng.normal(rng.choice([-3.0, 0.0, 3.0], n, p=[0.1, 0.8, 0.1]), 1.0)
+    return rng.permutation(x) * draw(st.sampled_from((1.0, -0.5, 2.0**-500)))
+
+
+@SETTINGS
+@given(tie_runs())
+def test_candidate_cuts_match_the_valid_array_rule(x):
+    xs = np.sort(x)
+    valid = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+    first, last = int(xs.searchsorted(xs[0], "right")), int(xs.searchsorted(xs[-1], "left"))
+    assert (first < last) == (valid.size >= 2)
+    if valid.size >= 2:
+        assert (first, last) == (valid[0], valid[-1])
+        expected = _reference_candidates(xs)[1]
+        cand = initialization._candidate_cuts(xs, first, last)
+        assert cand.dtype == expected.dtype
+        assert np.array_equal(cand, expected)
+
+
+@SETTINGS
+@given(tie_runs())
+def test_kmeans_result_is_bit_identical_to_the_reference(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        km = kmeans_1d(x, 3)
+    reference = _reference_kmeans(x)
+    for name in ("centers", "assignments", "cluster_means", "cluster_vars", "cluster_counts"):
+        mine, theirs = getattr(km, name), getattr(reference, name)
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, name
+        assert mine.tobytes() == theirs.tobytes(), name

@@ -30,11 +30,14 @@ def test_map_set_has_34_maps_and_35_with_the_large_one():
 def test_fit_lines_are_deterministic_and_complete(model):
     rng = np.random.default_rng(3)
     x = rng.normal(rng.choice([-3.0, 0.0, 3.0], 600, p=[0.1, 0.8, 0.1]), 1.0)
-    line = fit_equivalence.describe_fit(model, x, 1)
-    assert line == fit_equivalence.describe_fit(model, x, 1)
-    keys = [field.split("=")[0] for field in line.split()[1:]]
-    expected = ["passes", "stop", "converged", "degenerate", "gamma", "trace", "final", "json"]
-    assert keys == expected + (["nfe"] if model.startswith("b") else [])
+    truth = np.where(np.abs(x) > 2.0, 2, 1)
+    nfe = ["nfe"] if model.startswith("b") else []
+    expected = ["passes", "stop", "converged", "degenerate", "gamma", "trace", "final", "json", "csv"]
+    for labels, auc in ((None, []), (truth, ["auc"])):
+        line = fit_equivalence.describe_fit(model, x, 1, truth=labels)
+        assert line == fit_equivalence.describe_fit(model, x, 1, truth=labels)
+        keys = [field.split("=")[0] for field in line.split()[1:]]
+        assert keys == expected + auc + nfe
 
 
 def test_a_refused_fit_is_reported_not_raised():

@@ -6,9 +6,11 @@ at n = 4000 (2 repeats each), three dataset-2 scenarios, the criterion-10 map
 at n = 1e4 and, with ``--large``, at n = 3e5 (the fit-large map), and six
 hostile inputs. One line per fit gives its passes, stop reason, converged
 flag and degenerate rows, SHA-1s of its responsibilities, its objective trace,
-its final parameters (ML) or state and expectations (VB) and its result
-document (``gigmix fit``'s JSON), and, for VB fits, ``negative_free_energy``
-at the result. A small ``run_benchmark`` then prints its rows (without wall
+its final parameters (ML) or state and expectations (VB), its result
+document (``gigmix fit``'s JSON) and the bytes ``io.write_gamma_csv`` writes
+for its responsibilities, the ``repr`` of its restricted AUC against the
+truth of a generated map, and, for VB fits, ``negative_free_energy`` at the
+result. A small ``run_benchmark`` then prints its rows (without wall
 times) and its win table.
 
 Usage: run it on two source trees and compare the outputs byte for byte,
@@ -50,6 +52,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -57,7 +60,7 @@ import numpy as np
 import gigmix
 from gigmix.experiments import SyntheticSpec, _fit_seed, default_grid, fit, generate, run_benchmark
 from gigmix.evaluation import restricted_auc, win_matrix
-from gigmix.io import result_to_dict
+from gigmix.io import result_to_dict, write_gamma_csv
 from gigmix.vb_em import negative_free_energy
 
 MODELS = ("bggm", "bgim", "ggm", "gim")
@@ -84,13 +87,22 @@ def _json_sha1(res, model: str, seed: int) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
 
+def _csv_sha1(gamma) -> str:
+    """SHA-1 of the bytes ``io.write_gamma_csv`` writes for ``gamma``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "gamma.csv")
+        write_gamma_csv(path, gamma)
+        with open(path, "rb") as fh:
+            return hashlib.sha1(fh.read()).hexdigest()
+
+
 def describe_fit(
     model: str, x: np.ndarray, seed: int, dump: str | None = None, label: str = "", truth=None
 ) -> str:
-    """One line fingerprinting the fit of ``model`` on ``x`` from ``seed``;
+    """One line fingerprinting the fit of ``model`` on ``x`` from ``seed``,
+    with its restricted AUC when the component labels ``truth`` are given;
     with ``dump``, a fit that is not refused is also saved to that ``.npz``
-    path, with its restricted AUC when the component labels ``truth`` are
-    given."""
+    path, the AUC included."""
     try:
         with warnings.catch_warnings():
             # Maps with fewer than three distinct values make k-means warn.
@@ -100,9 +112,9 @@ def describe_fit(
         return f"{model} error={type(exc).__name__}: {exc}"
     vb = hasattr(res, "state")
     trace = res.nfe_trace if vb else res.loglik_trace
+    gamma = res.responsibilities
+    extra = {} if truth is None else {"auc": restricted_auc(gamma[:, 1] + gamma[:, 2], truth != 1)}
     if dump:
-        gamma = res.responsibilities
-        extra = {} if truth is None else {"auc": restricted_auc(gamma[:, 1] + gamma[:, 2], truth != 1)}
         np.savez(
             dump,
             label=label,
@@ -126,7 +138,10 @@ def describe_fit(
         f"trace={_sha1([trace])}",
         f"final={_sha1(_final(res))}",
         f"json={_json_sha1(res, model, seed)}",
+        f"csv={_csv_sha1(gamma)}",
     ]
+    if extra:
+        fields.append(f"auc={extra['auc']!r}")
     if vb:
         try:
             gamma, state, priors, e = res.responsibilities, res.state, res.priors, res.expectations
