@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estep import finite_data
+
 
 @dataclass
 class ComparisonTable:
@@ -26,9 +28,7 @@ class ComparisonTable:
 
 def standardize(data) -> np.ndarray:
     """Drop exact zeros, then scale to zero mean and unit population variance."""
-    x = np.asarray(data, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("data must be finite")
+    x = finite_data(data)
     x = x[x != 0.0]
     if x.size < 2:
         raise ValueError("need at least 2 nonzero values to standardize")

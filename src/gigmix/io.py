@@ -3,7 +3,8 @@
 Two value-vector formats are supported:
 
 * ``txt`` — one decimal value per line, UTF-8, '.' decimal separator,
-  ``#``-prefixed comment lines and blank lines ignored.
+  ``#``-prefixed comment lines and blank lines ignored. The file is read
+  once, so a pipe or FIFO can be the input.
 * ``f64le`` — an 8-byte unsigned little-endian count header followed by that
   many little-endian 64-bit floats.
 
@@ -21,56 +22,41 @@ import numpy as np
 RESULT_SCHEMA_VERSION = 1
 
 
-def _text_lines(path):
-    """(line number, stripped line) for each line of a UTF-8 text file that is
-    neither blank nor a ``#`` comment."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            # line[0], not startswith: it offsets the generator's per-line cost.
-            if line and line[0] != "#":
-                yield lineno, line
+def _read_text(path, parse, check) -> list:
+    """``parse`` of the stripped lines of a UTF-8 text file that are neither
+    blank nor a ``#`` comment, from one read of the file.
 
-
-def _parse_text(path, parse) -> list:
-    """``parse`` mapped over the lines that ``_text_lines`` yields, from one
-    read of the whole file.
-
-    The text is split on ``"\n"`` alone: after the text layer's newline
-    translation (``\r\n`` and ``\r`` become ``\n``) that is where
-    iterating the file breaks lines. ``str.split()`` and ``splitlines()``
-    would also break at ``\x1c``-``\x1e``, ``\x85`` and ``\u2028``, and so
-    accept ``1.0\x1c2.0`` as two values. Raises ``ValueError`` on any line
-    that ``parse`` refuses, without saying which; callers then rerun the line
-    loop for the message.
+    Lines break at ``"\n"`` alone, after the text layer's newline translation
+    (``\r\n`` and ``\r`` become ``\n``); ``str.split()`` and ``splitlines()``
+    would also break at ``\x1c``-``\x1e``, ``\x85`` and ``\u2028``. If
+    ``parse`` fails, the lines already read are walked for the first one that
+    ``check`` refuses, raised as ``path:lineno: message``. The file is opened
+    once, so a pipe or FIFO reads like any other file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    return list(map(parse, [s for s in map(str.strip, lines) if s and s[0] != "#"]))
+    try:
+        return parse([s for s in map(str.strip, lines) if s and s[0] != "#"])
+    except ValueError:
+        for lineno, line in enumerate(map(str.strip, lines), start=1):
+            if line and line[0] != "#":
+                try:
+                    check(line)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        raise
+
+
+def _decimal(line) -> float:
+    try:
+        return float(line)
+    except ValueError as exc:
+        raise ValueError(f"not a decimal value: {line!r}") from exc
 
 
 def read_values_txt(path) -> np.ndarray:
-    """Decimal values, one per line; blank and ``#`` lines are skipped.
-
-    The file is read and parsed at once (``_parse_text``). If that fails, the
-    line loop reads it again to name the first bad line and its number.
-    """
-    try:
-        values = _parse_text(path, float)
-    except ValueError:
-        values = []
-        for lineno, line in _text_lines(path):
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not a decimal value: {line!r}") from exc
-    return np.asarray(values, dtype=float)
-
-
-def write_values_txt(path, values) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in np.asarray(values, dtype=float).ravel():
-            fh.write(f"{float(v)!r}\n")
+    """Decimal values, one per line; blank and ``#`` lines are skipped."""
+    return np.asarray(_read_text(path, lambda kept: list(map(float, kept)), _decimal), dtype=float)
 
 
 def read_values_f64le(path) -> np.ndarray:
@@ -102,29 +88,27 @@ def read_values(path, fmt: str) -> np.ndarray:
     raise ValueError(f"unknown input format {fmt!r}")
 
 
+def _labels(kept) -> list:
+    labels = list(map(int, kept))
+    if not set(labels) <= {-1, 0, 1}:
+        raise ValueError("label out of range")
+    return labels
+
+
+def _label(line) -> int:
+    try:
+        v = int(line)
+    except ValueError as exc:
+        raise ValueError(f"not an integer label: {line!r}") from exc
+    if v not in (-1, 0, 1):
+        raise ValueError(f"label must be -1, 0 or 1, got {v}")
+    return v
+
+
 def read_labels_txt(path) -> np.ndarray:
     """Activation labels, one integer in {-1, 0, 1} per line; blank and ``#``
-    lines are skipped.
-
-    As in ``read_values_txt``, the file is parsed at once, and the line loop
-    runs only to report the first bad line: one that is not an integer or a
-    label outside {-1, 0, 1}.
-    """
-    try:
-        labels = _parse_text(path, int)
-        if not set(labels) <= {-1, 0, 1}:
-            raise ValueError("label out of range")
-    except ValueError:
-        labels = []
-        for lineno, line in _text_lines(path):
-            try:
-                v = int(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not an integer label: {line!r}") from exc
-            if v not in (-1, 0, 1):
-                raise ValueError(f"{path}:{lineno}: label must be -1, 0 or 1, got {v}")
-            labels.append(v)
-    return np.asarray(labels, dtype=np.int8)
+    lines are skipped."""
+    return np.asarray(_read_text(path, _labels, _label), dtype=np.int8)
 
 
 # Rows formatted and written per block: one write and one list of Python
@@ -132,32 +116,42 @@ def read_labels_txt(path) -> np.ndarray:
 _CSV_BLOCK = 8192
 
 
+def _write_table(path, header: str, row: str, table: np.ndarray) -> None:
+    """``header``, then ``row % tuple(r)`` for each row ``r`` of the float
+    matrix ``table``: one ``tolist()``, one ``%`` format and one write per
+    block of rows, so the cost is close to that of the ``repr`` calls alone."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        for lo in range(0, len(table), _CSV_BLOCK):
+            block = table[lo : lo + _CSV_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_values_txt(path, values) -> None:
+    _write_table(path, "", "%r\n", np.asarray(values, dtype=float).reshape(-1, 1))
+
+
 def write_gamma_csv(path, gamma) -> None:
     """Responsibilities as CSV: a ``gamma1,gamma2,gamma3`` header, then one
     row per sample, each value in its shortest round-trip ``repr``.
 
     ``gamma`` must be an N x 3 matrix; anything else raises ``ValueError``
-    before the file is opened. Each block of rows becomes Python floats with
-    one ``tolist()`` and one string with one ``%`` format, so the cost is
-    close to that of the ``repr`` calls alone.
+    before the file is opened.
     """
     g = np.asarray(gamma, dtype=float)
     if g.ndim != 2 or g.shape[1] != 3:
         raise ValueError(f"gamma must be an N x 3 matrix, got shape {g.shape}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("gamma1,gamma2,gamma3\n")
-        for lo in range(0, len(g), _CSV_BLOCK):
-            block = g[lo : lo + _CSV_BLOCK]
-            fh.write(("%r,%r,%r\n" * len(block)) % tuple(block.ravel().tolist()))
+    _write_table(path, "gamma1,gamma2,gamma3\n", "%r,%r,%r\n", g)
 
 
 def write_labeled_csv(path, values, labels) -> None:
+    """A ``value,label`` CSV. Labels are written as integers (exact below
+    2**53); unequal sizes raise ``ValueError`` before the file is opened."""
     v = np.asarray(values, dtype=float).ravel()
     l = np.asarray(labels).ravel()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("value,label\n")
-        for vi, li in zip(v, l):
-            fh.write(f"{float(vi)!r},{int(li)}\n")
+    if v.size != l.size:
+        raise ValueError(f"got {v.size} values but {l.size} labels")
+    _write_table(path, "value,label\n", "%r,%d\n", np.column_stack((v, l)))
 
 
 def _floats(seq):

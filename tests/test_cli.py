@@ -378,3 +378,21 @@ def test_python_m_gigmix_runs_the_cli():
     )
     assert done.returncode == 0
     assert done.stdout.startswith("usage: gigmix")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_fit_names_a_bad_line_of_piped_stdin(tmp_path):
+    # The input is a pipe, readable once: the bad line is found in the text
+    # already read.
+    src = Path(gigmix.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "gigmix", "fit", "--model", "bggm", "--input", "/dev/stdin"]
+        + ["--output", str(tmp_path / "o.json")],
+        input="1.0\n-2.0\noops\n3.0\n0.5\n",
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr == "gigmix fit: error: /dev/stdin:3: not a decimal value: 'oops'\n"

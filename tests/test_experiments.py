@@ -1,6 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gigmix
 import gigmix.experiments as experiments
 from gigmix.experiments import (
     RUNS_CSV_COLUMNS,
@@ -18,6 +24,7 @@ from gigmix.io import (
     read_values_f64le,
     read_values_txt,
     write_gamma_csv,
+    write_labeled_csv,
     write_values_f64le,
     write_values_txt,
 )
@@ -293,6 +300,152 @@ def test_text_readers_on_hostile_files(tmp_path, reader, content, values, labels
     with pytest.raises(ValueError) as exc:
         read(p)
     assert str(exc.value) == f"{p}:{lineno}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("1\n2\nx\n", "label must be -1, 0 or 1, got 2"), ("1\nx\n2\n", "not an integer label: 'x'")],
+    ids=["range-first", "integer-first"],
+)
+def test_label_reader_names_the_first_of_two_bad_lines(tmp_path, text, message):
+    p = tmp_path / "truth.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_labels_txt(p)
+    assert str(exc.value) == f"{p}:2: {message}"
+
+
+@pytest.mark.parametrize("read", [read_values_txt, read_labels_txt])
+def test_text_readers_report_the_file_offset_of_bad_utf8(tmp_path, read):
+    # The whole file is decoded at once, so the offset is the byte's own,
+    # not one within a decoder chunk.
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"1\n" * 10_000 + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError, match="in position 20000: invalid start byte"):
+        read(p)
+
+
+def _read_pipe(read, content: bytes):
+    """``read`` of a pipe holding ``content``, through its /dev/fd path."""
+    r, w = os.pipe()
+    try:
+        os.write(w, content)
+        os.close(w)
+        return read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+_needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+
+
+@_needs_dev_fd
+@pytest.mark.parametrize(
+    "read, content, message",
+    [
+        (read_values_txt, b"1.0\n-2.0\noops\n3.0\n", "not a decimal value: 'oops'"),
+        (read_labels_txt, b"1\n0\n2\n-1\n", "label must be -1, 0 or 1, got 2"),
+        (read_labels_txt, b"1\n0\nx\n-1\n", "not an integer label: 'x'"),
+    ],
+    ids=["values", "label-out-of-range", "label-not-an-integer"],
+)
+def test_text_readers_name_a_bad_line_of_a_pipe(read, content, message):
+    # A pipe can be read only once: the bad line must be found in the text
+    # already read, not by opening the file again.
+    with pytest.raises(ValueError) as exc:
+        _read_pipe(read, content)
+    assert str(exc.value).endswith(f":3: {message}")
+    assert str(exc.value).startswith("/dev/fd/")
+
+
+@_needs_dev_fd
+def test_text_readers_read_a_good_pipe():
+    assert _read_pipe(read_values_txt, b"# h\n1.5\n\n-2\n").tolist() == [1.5, -2.0]
+    labels = _read_pipe(read_labels_txt, b"1\n0\n-1\n")
+    assert labels.dtype == np.int8 and labels.tolist() == [1, 0, -1]
+
+
+_FIFO_READER = """
+import sys, threading
+from gigmix.io import read_labels_txt
+
+def feed():
+    with open(sys.argv[1], "w") as fh:
+        fh.write("1\\n0\\nx\\n")
+
+threading.Thread(target=feed, daemon=True).start()
+try:
+    read_labels_txt(sys.argv[1])
+except ValueError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_label_reader_names_a_bad_line_of_a_fifo(tmp_path):
+    # Run in a child with a timeout: a reader that opens the FIFO a second
+    # time blocks there for good, as no writer is left.
+    fifo = tmp_path / "labels.fifo"
+    os.mkfifo(fifo)
+    src = pathlib.Path(gigmix.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", _FIFO_READER, str(fifo)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.stdout == f"{fifo}:3: not an integer label: 'x'\n", done.stderr
+
+
+def _values_txt_reference(path, values):
+    """The former per-element ``write_values_txt``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for v in np.asarray(values, dtype=float).ravel():
+            fh.write(f"{float(v)!r}\n")
+
+
+def _labeled_csv_reference(path, values, labels):
+    """The former per-element ``write_labeled_csv``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("value,label\n")
+        for vi, li in zip(np.asarray(values, dtype=float).ravel(), np.asarray(labels).ravel()):
+            fh.write(f"{float(vi)!r},{int(li)}\n")
+
+
+def _hostile_values(n):
+    rng = np.random.default_rng(9)
+    x = rng.normal(0.0, 3.0, n) * 10.0 ** rng.integers(-300, 300, n)
+    special = [5e-324, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e-300, 0.0, 1 / 3]
+    # At the start, across the first block boundary and at the end.
+    for at in (0, 8192 - 4, n - len(special)):
+        x[at : at + len(special)] = special
+    return x
+
+
+@pytest.mark.parametrize("dtype, levels", [(np.int8, [-1, 0, 1]), (np.int64, [1, 2, 3])])
+def test_writers_match_the_per_element_formatters(tmp_path, dtype, levels):
+    n = 2 * 8192 + 5
+    x = _hostile_values(n)
+    labels = np.random.default_rng(10).choice(levels, n).astype(dtype)
+    for write, reference, args in (
+        (write_values_txt, _values_txt_reference, (x,)),
+        (write_labeled_csv, _labeled_csv_reference, (x, labels)),
+    ):
+        new, old = tmp_path / "new", tmp_path / "old"
+        write(new, *args)
+        reference(old, *args)
+        assert new.read_bytes() == old.read_bytes()
+    write_values_txt(new, x)
+    assert np.array_equal(read_values_txt(new), x, equal_nan=True)
+
+
+@pytest.mark.parametrize("n_labels", [1, 4])
+def test_labeled_csv_refuses_unequal_lengths(tmp_path, n_labels):
+    p = tmp_path / "labeled.csv"
+    with pytest.raises(ValueError, match=f"3 values but {n_labels} labels"):
+        write_labeled_csv(p, [1.0, 2.0, 3.0], [1] * n_labels)
+    assert not p.exists()
 
 
 def test_gamma_csv_round_trips_every_value(tmp_path):

@@ -40,6 +40,21 @@ def test_fit_lines_are_deterministic_and_complete(model):
         assert keys == expected + auc + nfe
 
 
+def test_map_lines_fingerprint_the_written_text_files(tmp_path):
+    ds = generate(SyntheticSpec(dataset=1, snr=3.0, sparsity=1, n=300, seed=5), 0)
+    line = fit_equivalence.describe_map(ds.values, ds.truth)
+    assert line == fit_equivalence.describe_map(ds.values, ds.truth)
+    keys = [field.split("=")[0] for field in line.split()]
+    assert keys == ["map", "txt", "labeled_csv"]
+    # A map without truth (a hostile input) has no labeled CSV.
+    assert fit_equivalence.describe_map(ds.values) == line.split(" labeled_csv=")[0]
+    # The hashes are of the bytes written: one changed value changes both.
+    x = ds.values.copy()
+    x[0] = np.nextafter(x[0], np.inf)
+    changed = fit_equivalence.describe_map(x, ds.truth).split()
+    assert all(a != b for a, b in zip(changed[1:], line.split()[1:]))
+
+
 def test_a_refused_fit_is_reported_not_raised():
     line = fit_equivalence.describe_fit("ggm", np.array([1.0, np.nan, 2.0]), 0)
     assert line.startswith("ggm error=ValueError")

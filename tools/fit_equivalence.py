@@ -10,8 +10,11 @@ its final parameters (ML) or state and expectations (VB), its result
 document (``gigmix fit``'s JSON) and the bytes ``io.write_gamma_csv`` writes
 for its responsibilities, the ``repr`` of its restricted AUC against the
 truth of a generated map, and, for VB fits, ``negative_free_energy`` at the
-result. A small ``run_benchmark`` then prints its rows (without wall
-times) and its win table.
+result. Before its fits, each map gets a line with the SHA-1s of the bytes
+``io.write_values_txt`` writes for its values and, for a generated map,
+``io.write_labeled_csv`` for its values and truth (what ``gigmix simulate``
+writes). A small ``run_benchmark`` then prints its rows (without wall times)
+and its win table.
 
 Usage: run it on two source trees and compare the outputs byte for byte,
 
@@ -60,7 +63,7 @@ import numpy as np
 import gigmix
 from gigmix.experiments import SyntheticSpec, _fit_seed, default_grid, fit, generate, run_benchmark
 from gigmix.evaluation import restricted_auc, win_matrix
-from gigmix.io import result_to_dict, write_gamma_csv
+from gigmix.io import result_to_dict, write_gamma_csv, write_labeled_csv, write_values_txt
 from gigmix.vb_em import negative_free_energy
 
 MODELS = ("bggm", "bgim", "ggm", "gim")
@@ -87,13 +90,23 @@ def _json_sha1(res, model: str, seed: int) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
 
-def _csv_sha1(gamma) -> str:
-    """SHA-1 of the bytes ``io.write_gamma_csv`` writes for ``gamma``."""
+def _written_sha1(write, *args) -> str:
+    """SHA-1 of the bytes ``write(path, *args)`` writes, e.g. with
+    ``io.write_gamma_csv``."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "gamma.csv")
-        write_gamma_csv(path, gamma)
+        path = os.path.join(tmp, "table")
+        write(path, *args)
         with open(path, "rb") as fh:
             return hashlib.sha1(fh.read()).hexdigest()
+
+
+def describe_map(x: np.ndarray, truth=None) -> str:
+    """One line fingerprinting the text files written for a map: its values,
+    and its values with their component labels ``truth`` when given."""
+    line = f"map txt={_written_sha1(write_values_txt, x)}"
+    if truth is not None:
+        line += f" labeled_csv={_written_sha1(write_labeled_csv, x, truth)}"
+    return line
 
 
 def describe_fit(
@@ -138,7 +151,7 @@ def describe_fit(
         f"trace={_sha1([trace])}",
         f"final={_sha1(_final(res))}",
         f"json={_json_sha1(res, model, seed)}",
-        f"csv={_csv_sha1(gamma)}",
+        f"csv={_written_sha1(write_gamma_csv, gamma)}",
     ]
     if extra:
         fields.append(f"auc={extra['auc']!r}")
@@ -270,6 +283,7 @@ def main(argv=None) -> int:
     print(f"gigmix from {gigmix.__file__}", file=sys.stderr)
     print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     for label, x, truth, seed in maps(args.large):
+        print(f"{label} {describe_map(x, truth)}")
         for model in MODELS:
             dump = args.dump and os.path.join(args.dump, f"{label.replace('/', '_')}.{model}.npz")
             print(f"{label} {describe_fit(model, x, seed, dump, label, truth)}", flush=True)
