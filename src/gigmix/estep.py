@@ -22,9 +22,9 @@ fill it with posterior expectations. The maximum-likelihood log-densities
 have the same form with point values in place of expectations
 (``point_coefficients``, run by ``point_pass``), and then the total
 log-sum-exp is the observed-data log-likelihood. A pass takes only the sums
-its learner reads: a variational pass the activation's count and its sums
-of v, v**2, log v and 1/v per side, a maximum-likelihood pass the count and
-the sums of v and v**2, which is all the M-step reads.
+its learner reads: per side the activation's count and its sums of v, v**2,
+log v and 1/v for bgim, of v, v**2 and log v for bggm, and of v and v**2
+for a maximum-likelihood pass, which is all the M-step reads.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class SufficientStats:
     accumulate log, reciprocal and square of the mirrored values for the two
     activation components. The vector fields of a kernel pass are views of
     one array. After a maximum-likelihood pass (``point_pass``) ``log_x`` and
-    ``recip_x`` are NaN: the M-step does not read them, so the pass does not
-    take them.
+    ``recip_x`` are NaN, and after a bggm pass ``recip_x``: the update that
+    follows does not read them, so the pass does not take them.
     """
 
     n: np.ndarray
@@ -140,10 +140,14 @@ class _Side:
 
     def __init__(self, x: np.ndarray, sign: float):
         self.sign = sign
-        self.rows = np.nonzero(sign * x > 0)[0]
+        # For finite x, -x > 0 exactly when x < 0, and negation is exact.
+        self.rows = np.flatnonzero(x > 0) if sign > 0 else np.flatnonzero(x < 0)
         self.stack = _aligned_rows(4, self.rows.size)
         self.vals, self.sq, self.logs, self.invs = self.stack
-        np.multiply(x[self.rows], sign, out=self.vals)
+        # "clip" spares the copy through a buffer that bounds checking makes.
+        x.take(self.rows, out=self.vals, mode="clip")
+        if sign < 0:
+            np.negative(self.vals, out=self.vals)
         np.multiply(self.vals, self.vals, out=self.sq)
         np.log(self.vals, out=self.logs)
         np.divide(1.0, self.vals, out=self.invs)
@@ -224,23 +228,28 @@ def _side_blocks(side: _Side) -> list:
 
 def point_coefficients(params: MixtureParams) -> ExpectationCache:
     """Kernel coefficients of a point estimate: log pi (-inf for a zero
-    proportion), mu, mu**2, tau, log tau, s, r, log r and log Gamma(s)."""
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(params.pi)
-    comp1, sides = params.comp1, (params.comp2, params.comp3)
-    s = np.array([c.shape for c in sides])
-    r = np.array([c.rate for c in sides])
+    proportion), mu, mu**2, tau, log tau, s, r, log r and log Gamma(s).
+    Built from Python floats: the arrays are views of one, and one
+    ``np.log`` takes the five logs of pi and r."""
+    comp1, comp2, comp3 = params.comp1, params.comp2, params.comp3
+    pi, s = params.pi.tolist(), [comp2.shape, comp3.shape]
+    flat = np.array(pi + [comp2.rate, comp3.rate] + s + [log_gamma(v) for v in s])
+    if 0.0 in pi:
+        with np.errstate(divide="ignore"):
+            logs = np.log(flat[0:5])
+    else:  # np.errstate costs more than the rest of this function
+        logs = np.log(flat[0:5])
     return ExpectationCache(
         pi=params.pi,
-        log_pi=log_pi,
+        log_pi=logs[0:3],
         mu=comp1.mu,
         mu2=comp1.mu * comp1.mu,
         tau=comp1.tau,
         log_tau=math.log(comp1.tau),
-        r=r,
-        log_r=np.log(r),
-        s=s,
-        log_gamma_s=np.array([log_gamma(float(v)) for v in s]),
+        r=flat[3:5],
+        log_r=logs[3:5],
+        s=flat[5:7],
+        log_gamma_s=flat[7:9],
     )
 
 
@@ -322,8 +331,10 @@ def _side_pass(e: ExpectationCache, k: int, fam, side: _Side, rows: int, direct:
             block_sums = [float(w.sum()), *np.einsum("ij,j->i", stack[:rows], w).tolist()]
         else:
             block_sums = [float(w.sum()), float(vals @ w), float(sq @ w)]
-            if rows == 4:
-                block_sums += [float(logs @ w), float(invs @ w)]
+            if rows > 2:
+                block_sums.append(float(logs @ w))
+            if rows > 3:
+                block_sums.append(float(invs @ w))
         sums = block_sums if lo == 0 else [total + part for total, part in zip(sums, block_sums)]
     return lse, degenerate, sums
 
@@ -356,10 +367,13 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families, rows:
     """One packed pass: sufficient stats, total LSE and the number of
     degenerate points; the responsibilities stay in ``cache`` (under ``e``).
 
-    ``rows`` is 4 for the variational updates, which read every statistic,
-    and 2 for the maximum-likelihood M-step, which reads only the counts and
-    the sums of x and x**2: the pass then skips the activation sums of log v
-    and 1/v, and ``log_x`` and ``recip_x`` are NaN.
+    The activation sums are those of the first ``rows`` rows of the side
+    stack (v, v**2, log v, 1/v); the statistics of the rows left out are NaN.
+    A pass takes what its update reads: 4 rows for the inverse-Gamma
+    variational updates, 3 for the Gamma ones, which read no sum of 1/v
+    (``recip_x`` is NaN), and 2 for the maximum-likelihood M-step, which
+    reads only the counts and the sums of x and x**2 (``log_x`` and
+    ``recip_x`` are NaN).
 
     Off-support responsibilities are identically zero by construction; data
     points at exactly zero are assigned to the Gaussian. A point with zero
@@ -383,8 +397,8 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families, rows:
         n.append(nk)
         xbar.append(side.sign * sxk)
         sq.append(sqk)
-        if rows == 4:
-            log_recip[k], log_recip[k + 2] = sums[3:]
+        for j, total in enumerate(sums[3:]):  # log v, then 1/v
+            log_recip[k + 2 * j] = total
         n1 -= nk
         sx1 -= xbar[-1]
         sxx1 -= sqk

@@ -107,8 +107,9 @@ def fit(data, init, cfg: FitConfig, families, first, cycle, ascent_only: bool):
             stop_reason = "tolerance"
             break
     if cache.coefficients is not recorded.expectations:
-        # A later pass overwrote the recorded point's responsibilities.
-        _responsibility_pass(cache, recorded.expectations, families)
+        # A later pass overwrote the recorded point's responsibilities. Only
+        # they are needed, so the pass takes the fewest sums (2 rows).
+        _responsibility_pass(cache, recorded.expectations, families, 2)
     return recorded, np.asarray(trace), dict(
         responsibilities=_assemble_gamma(cache),
         iterations=passes,

@@ -41,14 +41,8 @@ def log_gamma(x: float) -> float:
         return math.inf
 
 
-def digamma(x: float) -> float:
-    """Digamma function, the derivative of ``log_gamma``, for x > 0."""
-    x = _checked(x, "x")
-    acc = 0.0
-    while x < _SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    t = 1.0 / (x * x)
+def _digamma_tail(acc: float, x: float, t: float) -> float:
+    """``acc`` plus digamma's asymptotic series at x >= ``_SHIFT``, t = 1/x**2."""
     # sum B_2n / (2n x^2n), n = 1..7
     series = t * (
         1.0 / 12.0
@@ -69,15 +63,8 @@ def digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x - series
 
 
-def trigamma(x: float) -> float:
-    """First derivative of digamma; strictly positive on x > 0."""
-    x = _checked(x, "x")
-    acc = 0.0
-    while x < _SHIFT:
-        r = 1.0 / x
-        acc += r * r
-        x += 1.0
-    t = 1.0 / (x * x)
+def _trigamma_tail(acc: float, x: float, t: float) -> float:
+    """``acc`` plus trigamma's asymptotic series at x >= ``_SHIFT``, t = 1/x**2."""
     # (1 + 1/(2x) + sum B_2n / x^2n, n = 1..7) / x
     series = (
         1.0
@@ -103,15 +90,8 @@ def trigamma(x: float) -> float:
     return acc + series
 
 
-def tetragamma(x: float) -> float:
-    """Second derivative of digamma; strictly negative on x > 0."""
-    x = _checked(x, "x")
-    acc = 0.0
-    while x < _SHIFT:
-        r = 1.0 / x
-        acc -= 2.0 * r * r * r
-        x += 1.0
-    t = 1.0 / (x * x)
+def _tetragamma_tail(acc: float, x: float, t: float) -> float:
+    """``acc`` plus tetragamma's asymptotic series at x >= ``_SHIFT``, t = 1/x**2."""
     # -(1/x^2 + 1/x^3 + sum (2n+1) B_2n / x^(2n+2), n = 1..7)
     series = -t * (
         1.0
@@ -137,6 +117,52 @@ def tetragamma(x: float) -> float:
     return acc + series
 
 
+def digamma(x: float) -> float:
+    """Digamma function, the derivative of ``log_gamma``, for x > 0."""
+    x = _checked(x, "x")
+    acc = 0.0
+    while x < _SHIFT:
+        acc -= 1.0 / x
+        x += 1.0
+    return _digamma_tail(acc, x, 1.0 / (x * x))
+
+
+def trigamma(x: float) -> float:
+    """First derivative of digamma; strictly positive on x > 0."""
+    x = _checked(x, "x")
+    acc = 0.0
+    while x < _SHIFT:
+        r = 1.0 / x
+        acc += r * r
+        x += 1.0
+    return _trigamma_tail(acc, x, 1.0 / (x * x))
+
+
+def tetragamma(x: float) -> float:
+    """Second derivative of digamma; strictly negative on x > 0."""
+    x = _checked(x, "x")
+    acc = 0.0
+    while x < _SHIFT:
+        r = 1.0 / x
+        acc -= 2.0 * r * r * r
+        x += 1.0
+    return _tetragamma_tail(acc, x, 1.0 / (x * x))
+
+
+def trigamma_tetragamma(x: float) -> tuple:
+    """``(trigamma(x), tetragamma(x))`` from one upward recurrence, bit for
+    bit the two functions' values."""
+    x = _checked(x, "x")
+    tri = tetra = 0.0
+    while x < _SHIFT:
+        r = 1.0 / x
+        tri += r * r
+        tetra -= 2.0 * r * r * r
+        x += 1.0
+    t = 1.0 / (x * x)
+    return _trigamma_tail(tri, x, t), _tetragamma_tail(tetra, x, t)
+
+
 def inv_digamma(y: float) -> float:
     """Solve digamma(x) = y for x > 0 by Newton iteration.
 
@@ -156,10 +182,20 @@ def inv_digamma(y: float) -> float:
     else:
         x = -1.0 / (y + EULER_GAMMA)
     for _ in range(50):
-        f = digamma(x) - y
+        # digamma(x) and trigamma(x) from one upward recurrence, bit for bit
+        # the two functions' values; trigamma's series only if a step follows.
+        z = _checked(x, "x")
+        psi = tri = 0.0
+        while z < _SHIFT:
+            r = 1.0 / z
+            psi -= r
+            tri += r * r
+            z += 1.0
+        t = 1.0 / (z * z)
+        f = _digamma_tail(psi, z, t) - y
         if abs(f) < 1e-12:
             return x
-        step = f / trigamma(x)
+        step = f / _trigamma_tail(tri, z, t)
         nxt = x - step
         if nxt <= 0.0:
             nxt = 0.5 * x

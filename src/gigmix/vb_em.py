@@ -47,11 +47,30 @@ from .estep import (
     sufficient_stats,
 )
 from .fitloop import FitConfig, FitResult, Point
-from .special import digamma, inv_digamma, log_gamma, tetragamma, trigamma
+from .special import digamma, inv_digamma, log_gamma, trigamma, trigamma_tetragamma
 
 
 class VBNumericError(RuntimeError):
     """Raised when a variational quantity leaves the representable range."""
+
+
+class _PriorTerms:
+    """What the KL and the kernel pass take from the priors alone: log
+    Gamma(3 lambda0), 3 log Gamma(lambda0), log Gamma(c0_tau), log b0_tau, and
+    per activation log Gamma(d0) and log e0; and ``rows``, the rows of the
+    side stack (v, v**2, log v, 1/v) whose sums the updates read: 1/v only
+    for an inverse-Gamma rate (``update_r``)."""
+
+    __slots__ = ("lg_3lam0", "three_lg_lam0", "lg_c0_tau", "log_b0_tau", "lg_d0", "log_e0", "rows")
+
+    def __init__(self, priors: HyperPriors):
+        self.lg_3lam0 = log_gamma(3 * priors.lambda0)
+        self.three_lg_lam0 = 3 * log_gamma(priors.lambda0)
+        self.lg_c0_tau = log_gamma(priors.c0_tau)
+        self.log_b0_tau = math.log(priors.b0_tau)
+        self.lg_d0 = tuple(map(log_gamma, priors.d0))
+        self.log_e0 = tuple(map(math.log, priors.e0))
+        self.rows = 4 if any(fam.kind == "invgamma" for fam in priors.families) else 3
 
 
 @dataclass(frozen=True)
@@ -77,6 +96,9 @@ class HyperPriors:
         positives += list(self.d0) + list(self.e0) + list(self.b0_s) + list(self.c0_s)
         if not all(math.isfinite(v) and v > 0 for v in positives):
             raise ValueError("hyper-prior positivity constraint violated")
+        # Set here, not on first use: an attribute added to the instance
+        # later slows every attribute lookup on it in this Python.
+        object.__setattr__(self, "_terms", _PriorTerms(self))
 
 
 @dataclass
@@ -228,50 +250,78 @@ def _shape_laplace_mean(log_a: float, b: float, c: float, log_r: float, fam: Com
     return inv_digamma(arg)
 
 
-def _taylor_log_gamma_mean(mu: float, b: float) -> float:
-    return log_gamma(mu) + 1.0 / b + tetragamma(mu) * mu / (trigamma(mu) * b)
+def _taylor_log_gamma_mean(mu: float, b: float, tri: float, tetra: float) -> float:
+    """E[log Gamma(s)] to second order; ``tri`` and ``tetra`` are trigamma
+    and tetragamma at ``mu``."""
+    value = log_gamma(mu) + 1.0 / b + tetra * mu / (tri * b)
+    if not math.isfinite(value):
+        # Python floats pass an overflow or inf / inf on without a word. With
+        # the quotient as a numpy scalar, the caller's np.errstate decides:
+        # ``_extrapolated`` makes it raise and rejects the candidate.
+        value = float(log_gamma(mu) + 1.0 / b + np.float64(tetra * mu) / (tri * b))
+    return value
+
+
+# The special-function values of the last ``expectations`` call that the KL
+# reads again, with the state and the cache they belong to: (state, cache,
+# digamma(d_hat), digamma(c_hat), trigamma(E[s])). They cannot travel as an
+# argument, because the benchmark's tracer wraps ``expectations`` and
+# ``_kl_total`` by name and signature, nor as an ``ExpectationCache`` field,
+# which the result document would carry. ``_kl_total`` takes them only for
+# the very state and cache, and computes them otherwise.
+_shared = (None, None, None, None, None)
 
 
 def expectations(state: VBState, priors: HyperPriors) -> ExpectationCache:
-    """All posterior expectations entering the responsibility update and NFE."""
-    lam = state.lambda_hat
-    lam_tot = float(lam.sum())
+    """All posterior expectations entering the responsibility update and NFE.
+    The scalar work runs on Python floats, each state array read once."""
+    global _shared
+    lam = state.lambda_hat.tolist()
+    d_hat, e_hat = state.d_hat.tolist(), state.e_hat.tolist()
+    log_a, b_s, c_s = state.log_a_hat.tolist(), state.b_hat_s.tolist(), state.c_hat_s.tolist()
+    # Lists of fixed length are spelled out: a comprehension costs a function
+    # call in this Python.
+    lam_tot = (lam[0] + lam[1]) + lam[2]  # numpy's order for the sum of three
     psi_tot = digamma(lam_tot)
-    log_pi = np.array([digamma(float(v)) - psi_tot for v in lam])
-    log_r = np.array(
-        [digamma(float(state.d_hat[k])) - math.log(state.e_hat[k]) for k in range(2)]
-    )
-    s = np.empty(2)
-    log_gamma_s = np.empty(2)
+    log_pi = [digamma(lam[0]) - psi_tot, digamma(lam[1]) - psi_tot, digamma(lam[2]) - psi_tot]
+    psi_d = [digamma(d_hat[0]), digamma(d_hat[1])]
+    log_r = [psi_d[0] - math.log(e_hat[0]), psi_d[1] - math.log(e_hat[1])]
+    s, log_gamma_s, tri_s = [], [], []
     for k, fam in enumerate(priors.families):
-        s[k] = _shape_laplace_mean(
-            float(state.log_a_hat[k]),
-            float(state.b_hat_s[k]),
-            float(state.c_hat_s[k]),
-            float(log_r[k]),
-            fam,
-        )
-        log_gamma_s[k] = _taylor_log_gamma_mean(s[k], float(state.b_hat_s[k]))
-    return ExpectationCache(
-        pi=lam / lam_tot,
-        log_pi=log_pi,
+        mu = _shape_laplace_mean(log_a[k], b_s[k], c_s[k], log_r[k], fam)
+        tri, tetra = trigamma_tetragamma(mu)
+        s.append(mu)
+        log_gamma_s.append(_taylor_log_gamma_mean(mu, b_s[k], tri, tetra))
+        tri_s.append(tri)
+    psi_c = digamma(state.c_hat)
+    r = [d_hat[0] / e_hat[0], d_hat[1] / e_hat[1]]
+    if not math.isfinite(r[0] + r[1]):
+        # An overflow, redone on numpy arrays so that np.errstate decides (as
+        # in ``_taylor_log_gamma_mean``).
+        r = (state.d_hat / state.e_hat).tolist()
+    pi = [lam[0] / lam_tot, lam[1] / lam_tot, lam[2] / lam_tot]
+    flat = np.array(pi + log_pi + r + log_r + s + log_gamma_s)
+    e = ExpectationCache(
+        pi=flat[0:3],
+        log_pi=flat[3:6],
         mu=state.m_hat,
         mu2=state.m_hat * state.m_hat + 1.0 / state.tau_hat,
         tau=state.b_hat * state.c_hat,
-        log_tau=digamma(state.c_hat) + math.log(state.b_hat),
-        r=state.d_hat / state.e_hat,
-        log_r=log_r,
-        s=s,
-        log_gamma_s=log_gamma_s,
+        log_tau=psi_c + math.log(state.b_hat),
+        r=flat[6:8],
+        log_r=flat[8:10],
+        s=flat[10:12],
+        log_gamma_s=flat[12:14],
     )
+    _shared = (state, e, psi_d, psi_c, tri_s)
+    return e
 
 
-def _kl_dirichlet(lam_hat: np.ndarray, lam0: float, log_pi: np.ndarray) -> float:
+def _kl_dirichlet(lam_hat: list, lam0: float, log_pi: list, terms: _PriorTerms) -> float:
     """``log_pi`` is E[log pi] under ``lam_hat``, as ``expectations`` gives it."""
-    tot_hat = float(lam_hat.sum())
-    k = lam_hat.size
-    out = log_gamma(tot_hat) - log_gamma(k * lam0) + k * log_gamma(lam0)
-    for v, lp in zip(lam_hat.tolist(), log_pi.tolist()):
+    tot_hat = (lam_hat[0] + lam_hat[1]) + lam_hat[2]
+    out = log_gamma(tot_hat) - terms.lg_3lam0 + terms.three_lg_lam0
+    for v, lp in zip(lam_hat, log_pi):
         out += -log_gamma(v) + (v - lam0) * lp
     return out
 
@@ -282,28 +332,29 @@ def _kl_gaussian(m_q: float, tau_q: float, m_p: float, tau_p: float) -> float:
     )
 
 
-def _kl_gamma(d_q: float, e_q: float, d_p: float, e_p: float) -> float:
-    """KL(Gamma(d_q, rate e_q) || Gamma(d_p, rate e_p))."""
+def _kl_gamma(d_q, psi_q, e_q, log_e_q, d_p, lg_p, e_p, log_e_p) -> float:
+    """KL(Gamma(d_q, rate e_q) || Gamma(d_p, rate e_p)), given digamma(d_q),
+    log Gamma(d_p) and the logs of both rates."""
     return (
-        (d_q - d_p) * digamma(d_q)
+        (d_q - d_p) * psi_q
         - log_gamma(d_q)
-        + log_gamma(d_p)
-        + d_p * (math.log(e_q) - math.log(e_p))
+        + lg_p
+        + d_p * (log_e_q - log_e_p)
         + d_q * (e_p - e_q) / e_q
     )
 
 
-def _kl_shape(state: VBState, priors: HyperPriors, e: ExpectationCache) -> float:
+def _kl_shape(b_s: list, s: list, tri_s: list, log_r: list, priors: HyperPriors) -> float:
     """KL between the Laplace Gaussians of the posterior and prior shape
     functionals; the prior functional is evaluated at the current posterior
     mean of log r (its rate coupling), so the divergence vanishes exactly at
-    prior recovery."""
+    prior recovery. ``tri_s`` is trigamma at the posterior means ``s``."""
     out = 0.0
     for k, fam in enumerate(priors.families):
-        mu_q = float(e.s[k])
-        prec_q = float(state.b_hat_s[k]) * trigamma(mu_q)
+        mu_q = s[k]
+        prec_q = b_s[k] * tri_s[k]
         mu_p = _shape_laplace_mean(
-            priors.log_a0[k], priors.b0_s[k], priors.c0_s[k], float(e.log_r[k]), fam
+            priors.log_a0[k], priors.b0_s[k], priors.c0_s[k], log_r[k], fam
         )
         prec_p = priors.b0_s[k] * trigamma(mu_p)
         out += 0.5 * (
@@ -316,17 +367,35 @@ def _kl_shape(state: VBState, priors: HyperPriors, e: ExpectationCache) -> float
 
 
 def _kl_total(state: VBState, priors: HyperPriors, e: ExpectationCache) -> float:
+    """The KL of every factor from its prior. digamma of d_hat and c_hat and
+    trigamma of E[s] come from ``expectations`` when ``e`` is the cache it
+    made last, for this state."""
+    shared = _shared
+    d_hat, e_hat = state.d_hat.tolist(), state.e_hat.tolist()
+    s = e.s.tolist()
+    if shared[0] is state and shared[1] is e:
+        psi_d, psi_c, tri_s = shared[2:]
+    else:
+        psi_d, psi_c = [digamma(v) for v in d_hat], digamma(state.c_hat)
+        tri_s = [trigamma(v) for v in s]
+    terms = priors._terms
     try:
-        kl = _kl_dirichlet(state.lambda_hat, priors.lambda0, e.log_pi)
+        kl = _kl_dirichlet(
+            state.lambda_hat.tolist(), priors.lambda0, e.log_pi.tolist(), terms
+        )
         kl += _kl_gaussian(state.m_hat, state.tau_hat, priors.m0, priors.tau0)
         # tau's factors have scales: a rate ratio is the inverse scale ratio,
         # so the prior's scale takes the posterior's rate slot and vice versa.
-        kl += _kl_gamma(state.c_hat, priors.b0_tau, priors.c0_tau, state.b_hat)
+        kl += _kl_gamma(
+            state.c_hat, psi_c, priors.b0_tau, terms.log_b0_tau,
+            priors.c0_tau, terms.lg_c0_tau, state.b_hat, math.log(state.b_hat),
+        )
         for k in range(2):
             kl += _kl_gamma(
-                float(state.d_hat[k]), float(state.e_hat[k]), priors.d0[k], priors.e0[k]
+                d_hat[k], psi_d[k], e_hat[k], math.log(e_hat[k]),
+                priors.d0[k], terms.lg_d0[k], priors.e0[k], terms.log_e0[k],
             )
-        kl += _kl_shape(state, priors, e)
+        kl += _kl_shape(state.b_hat_s.tolist(), s, tri_s, e.log_r.tolist(), priors)
     except OverflowError as exc:
         raise VBNumericError(f"KL divergence overflowed: {exc}") from exc
     return kl
@@ -372,40 +441,49 @@ def _pack(state: VBState) -> np.ndarray:
     """The state as one vector for SQUAREM: the logs of its positive entries,
     m_hat, and log_a_hat per unit of b_hat_s. log_a_hat is a weighted sum of
     log-values that grows with n; as it is, its steps outweigh the others by
-    orders of magnitude and would set the step length alone."""
-    return np.concatenate(
-        (
-            np.log(state.lambda_hat),
-            [state.m_hat, math.log(state.tau_hat), math.log(state.c_hat), math.log(state.b_hat)],
-            np.log(state.d_hat),
-            np.log(state.e_hat),
-            state.log_a_hat / state.b_hat_s,
-            np.log(state.b_hat_s),
-            np.log(state.c_hat_s),
-        )
+    orders of magnitude and would set the step length alone. The array
+    entries' logs are taken by one ``np.log``, the scalars' by ``math.log``."""
+    log_a, b_s = state.log_a_hat.tolist(), state.b_hat_s.tolist()
+    logs = np.log(
+        state.lambda_hat.tolist()
+        + state.d_hat.tolist()
+        + state.e_hat.tolist()
+        + b_s
+        + state.c_hat_s.tolist()
+    ).tolist()
+    return np.array(
+        logs[0:3]
+        + [state.m_hat, math.log(state.tau_hat), math.log(state.c_hat), math.log(state.b_hat)]
+        + logs[3:7]
+        + [log_a[0] / b_s[0], log_a[1] / b_s[1]]
+        + logs[7:11]
     )
 
 
-def _unpack(theta: np.ndarray) -> VBState:
-    b_hat_s = np.exp(theta[13:15])
+def _unpack(theta) -> VBState:
+    """The state of a packed vector of Python floats. The exps of the array
+    entries are taken by one ``np.exp`` and are views of its result."""
+    positive = np.exp([*theta[0:3], *theta[7:11], *theta[13:17]])
+    b_hat_s = positive[7:9]
+    b_s = b_hat_s.tolist()
     return VBState(
-        lambda_hat=np.exp(theta[0:3]),
-        m_hat=float(theta[3]),
+        lambda_hat=positive[0:3],
+        m_hat=theta[3],
         tau_hat=math.exp(theta[4]),
         c_hat=math.exp(theta[5]),
         b_hat=math.exp(theta[6]),
-        d_hat=np.exp(theta[7:9]),
-        e_hat=np.exp(theta[9:11]),
-        log_a_hat=theta[11:13] * b_hat_s,
+        d_hat=positive[3:5],
+        e_hat=positive[5:7],
+        log_a_hat=np.array([theta[11] * b_s[0], theta[12] * b_s[1]]),
         b_hat_s=b_hat_s,
-        c_hat_s=np.exp(theta[15:17]),
+        c_hat_s=positive[9:11],
     )
 
 
 def _evaluate(cache: _DataCache, state: VBState, priors: HyperPriors) -> Point:
     """One E-step pass at ``state`` and the negative free energy there."""
     e = expectations(state, priors)
-    stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families)
+    stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families, priors._terms.rows)
     nfe = lse_total - _kl_total(state, priors, e)
     # Expected log-proportions are finite, so a point without a finite
     # log-sum-exp means the expectations overflowed.
@@ -427,19 +505,24 @@ def _step(point: Point, priors: HyperPriors) -> VBState:
 _STEP_MAX_FACTOR = 4.0
 
 
-def _step_length(r: np.ndarray, v: np.ndarray, step_max: float) -> float:
+def _step_length(r, v, step_max: float) -> float:
     """SQUAREM step length min(-1, -|r|/|v|), at least -step_max; the exactly
-    rounded sums keep it independent of the order of the packed entries."""
-    return max(min(-1.0, -math.sqrt(math.fsum(r * r) / math.fsum(v * v))), -step_max)
+    rounded sums keep it independent of the order of the packed entries.
+    FloatingPointError if an entry or a square of r or v overflowed."""
+    rr, vv = math.fsum([x * x for x in r]), math.fsum([x * x for x in v])
+    if not (math.isfinite(rr) and math.isfinite(vv)):
+        raise FloatingPointError(f"SQUAREM differences overflowed: |r|^2={rr}, |v|^2={vv}")
+    return max(min(-1.0, -math.sqrt(rr / vv)), -step_max)
 
 
 def _extrapolated(cache: _DataCache, theta, priors: HyperPriors):
     """The SQUAREM candidate: F(theta') and the pass at it for its NFE.
 
-    ``theta`` is theta' packed, and a pass at it gives the statistics for F;
-    or it is the point of the pass already made at theta' = theta2. Returns
-    the candidate, or None if theta' is not finite or any part fails
-    numerically (an error or a floating-point warning), and the passes made.
+    ``theta`` is theta' packed as a list of floats, and a pass at it gives
+    the statistics for F; or it is the point of the pass already made at
+    theta' = theta2. Returns the candidate, or None if theta' is not finite
+    or any part fails numerically (an error or a floating-point warning),
+    and the passes made.
     """
     passes = 0
     try:
@@ -447,11 +530,13 @@ def _extrapolated(cache: _DataCache, theta, priors: HyperPriors):
             if isinstance(theta, Point):
                 stats, e = theta.stats, theta.expectations
             else:
-                if not np.all(np.isfinite(theta)):
+                if not all(map(math.isfinite, theta)):
                     return None, 0
                 e = expectations(_unpack(theta), priors)
                 passes = 1
-                stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families)
+                stats, lse_total, ndeg = _responsibility_pass(
+                    cache, e, priors.families, priors._terms.rows
+                )
                 if ndeg or not math.isfinite(lse_total):
                     return None, passes
             state = _update_state(stats, priors, e.tau, e.s)
@@ -492,9 +577,9 @@ def _cycle(cache: _DataCache, p0: Point, priors: HyperPriors, step_max: float, r
     theta2 = _step(p1, priors)
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            t0, t1 = _pack(p0.params), _pack(p1.params)
-            r = t1 - t0
-            v = _pack(theta2) - 2.0 * t1 + t0
+            t0, t1, t2 = _pack(p0.params).tolist(), _pack(p1.params).tolist(), _pack(theta2).tolist()
+            r = [b - a for a, b in zip(t0, t1)]
+            v = [c - 2.0 * b + a for a, b, c in zip(t0, t1, t2)]
             alpha = _step_length(r, v, step_max)
     except (ValueError, ArithmeticError):
         alpha = None
@@ -506,8 +591,8 @@ def _cycle(cache: _DataCache, p0: Point, priors: HyperPriors, step_max: float, r
         passes = 2 + n
     else:
         # An overflowing theta' is rejected by _extrapolated, before any pass.
-        with np.errstate(over="ignore", invalid="ignore"):
-            theta = t0 - 2.0 * alpha * r + alpha * alpha * v
+        two_alpha, alpha_sq = 2.0 * alpha, alpha * alpha
+        theta = [a - two_alpha * b + alpha_sq * c for a, b, c in zip(t0, r, v)]
         candidate, n = _extrapolated(cache, theta, priors)
         passes = 1 + n
         p2 = None
@@ -537,7 +622,7 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
         # are the E[tau] and E[s] of the first update.
         e = point_coefficients(init)
         with np.errstate(invalid="ignore"):
-            stats = _responsibility_pass(cache, e, families)[0]
+            stats = _responsibility_pass(cache, e, families, priors._terms.rows)[0]
         return _evaluate(cache, _update_state(stats, priors, e.tau, e.s), priors)
 
     def cycle(cache, recorded, passes):

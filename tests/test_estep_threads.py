@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import gigmix
-from gigmix import estep
+from gigmix import estep, vb_em
 from gigmix.distributions import (
     GAMMA_NEG,
     GAMMA_POS,
@@ -166,6 +166,39 @@ def test_point_pass_takes_the_m_step_sums_of_a_full_pass(x, two_cpus, n, familie
     got, expected = m_step(stats, params), m_step(want, params)
     assert got.pi.tobytes() == expected.pi.tobytes()
     assert (got.comp1, got.comp2, got.comp3) == (expected.comp1, expected.comp2, expected.comp3)
+
+
+@pytest.mark.parametrize("n", [10_000, N])
+def test_gamma_pass_takes_the_vb_update_sums_of_a_full_pass(x, two_cpus, n):
+    # A bggm pass takes the sums of v, v**2 and log v but none of 1/v, which
+    # no Gamma update reads: BLAS dots on the sides of the n = 1e4 map,
+    # einsum rows on two threads on the longer sides of the n = 1e5 one.
+    # Those sums, the responsibilities, the LSE and the state the updates
+    # make of them are the full pass's, bit for bit.
+    if n != N:
+        y = generate(SyntheticSpec(dataset=1, snr=2.0, sparsity=1, n=n, seed=10), 0, 0).values
+    else:
+        y = x
+    families = (GAMMA_POS, GAMMA_NEG)
+    priors = vb_em.default_hyperpriors(*families)
+    assert priors._terms.rows == 3
+    e = estep.point_coefficients(_start(y, families))
+    vb_cache, full_cache = estep._DataCache(y), estep._DataCache(y)
+    sizes = [side.vals.size for side in vb_cache.sides]
+    assert (max(sizes) <= estep._BLAS_DOT_MAX) == (n == 10_000)
+    assert vb_cache.parallel == (n == N)
+    stats, lse, degenerate = estep._responsibility_pass(vb_cache, e, families, 3)
+    want, want_lse, want_degenerate = estep._responsibility_pass(full_cache, e, families)
+    for field in ("n", "xbar", "sxx1", "sq_x", "log_x"):
+        have = np.asarray(getattr(stats, field)).tobytes()
+        assert have == np.asarray(getattr(want, field)).tobytes()
+    assert np.isnan(stats.recip_x).all() and not np.isnan(want.recip_x).any()
+    assert (lse, degenerate) == (want_lse, want_degenerate)
+    assert [s.g.tobytes() for s in vb_cache.sides] == [s.g.tobytes() for s in full_cache.sides]
+    got, expected = (vb_em._update_state(st, priors, e.tau, e.s) for st in (stats, want))
+    for field in got.__dataclass_fields__:
+        have = np.asarray(getattr(got, field)).tobytes()
+        assert have == np.asarray(getattr(expected, field)).tobytes()
 
 
 def test_concurrent_passes_on_their_own_caches_keep_their_bits(x, two_cpus):

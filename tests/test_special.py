@@ -20,6 +20,7 @@ from gigmix.special import (
     log_gamma,
     tetragamma,
     trigamma,
+    trigamma_tetragamma,
 )
 
 
@@ -168,6 +169,96 @@ def test_inv_digamma_refuses_a_root_past_the_float_range():
     assert math.isfinite(inv_digamma(709.0))
     with pytest.raises(ValueError, match="float range"):
         inv_digamma(710.0)
+
+
+def _outcome(f, x):
+    """``f(x)`` as the hex of each value it returns, or its ValueError."""
+    try:
+        value = f(x)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return [v.hex() for v in (value if isinstance(value, tuple) else (value,))]
+
+
+# The domain [1e-300, 1e300], log-uniform, with dense draws next to the
+# integers (where the upward recurrence changes its number of steps) and
+# around the shift point 10, where the asymptotic series takes over.
+FUSED_DOMAIN = st.one_of(
+    st.floats(math.log(1e-300), math.log(1e300)).map(
+        lambda u: min(max(math.exp(u), 1e-300), 1e300)
+    ),
+    st.integers(1, 12).flatmap(lambda k: st.floats(k - 1e-9, k + 1e-9)),
+    st.floats(9.0, 11.0),
+    st.floats(10.0 - 1e-12, 10.0 + 1e-12),
+)
+
+
+@settings(max_examples=3000, deadline=None, derandomize=True)
+@given(x=FUSED_DOMAIN)
+@example(x=1e-300)
+@example(x=1e-154)  # trigamma overflows to +inf
+@example(x=1e-103)  # tetragamma overflows to -inf
+@example(x=math.nextafter(10.0, 0.0))
+@example(x=10.0)
+@example(x=1e300)
+def test_fused_trigamma_tetragamma_is_bit_for_bit_the_two_functions(x):
+    assert _outcome(trigamma_tetragamma, x) == _outcome(trigamma, x) + _outcome(tetragamma, x)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), 1e-301])
+def test_fused_trigamma_tetragamma_refuses_what_trigamma_refuses(bad):
+    assert _outcome(trigamma_tetragamma, bad) == _outcome(trigamma, bad)
+
+
+def _separate_newton_inv_digamma(y):
+    """inv_digamma as it was before digamma and trigamma shared one
+    recurrence in its Newton step: each function called on its own."""
+    y = float(y)
+    if not math.isfinite(y):
+        raise ValueError(f"y must be finite, got {y!r}")
+    if y >= -2.22:
+        try:
+            x = math.exp(y) + 0.5
+        except OverflowError:
+            raise ValueError(f"the root of digamma(x) = {y!r} exceeds the float range") from None
+    else:
+        x = -1.0 / (y + EULER_GAMMA)
+    for _ in range(50):
+        f = digamma(x) - y
+        if abs(f) < 1e-12:
+            return x
+        step = f / trigamma(x)
+        nxt = x - step
+        if nxt <= 0.0:
+            nxt = 0.5 * x
+        x = nxt
+    return x
+
+
+# Targets across the whole range, the two branches of the start point at
+# -2.22, the float-range limit near 709.78, targets whose roots fall below the
+# smallest accepted argument, and digamma at points next to the integers.
+INV_DOMAIN = st.one_of(
+    st.floats(-1e305, 709.8),
+    st.floats(-30.0, 30.0),
+    st.floats(-2.23, -2.21),
+    st.floats(709.7, 709.8),
+    st.floats(-1e305, -1e299),
+    st.integers(1, 12).flatmap(lambda k: st.floats(k - 1e-9, k + 1e-9)).map(digamma),
+)
+
+
+@settings(max_examples=3000, deadline=None, derandomize=True)
+@given(y=INV_DOMAIN)
+@example(y=float("nan"))
+@example(y=float("inf"))
+@example(y=-float("inf"))
+@example(y=710.0)
+@example(y=-1e301)  # the start point 1e-301 is refused
+@example(y=-2.22)
+@example(y=math.nextafter(-2.22, -3.0))
+def test_inv_digamma_is_bit_for_bit_the_separate_newton_loop(y):
+    assert _outcome(inv_digamma, y) == _outcome(_separate_newton_inv_digamma, y)
 
 
 # Run in a fresh interpreter: import gigmix, then fit every model (with a

@@ -708,6 +708,110 @@ def test_overflowing_extrapolation_is_rejected_quietly(monkeypatch):
     assert value == pytest.approx(res.nfe_trace[-1], rel=1e-12)
 
 
+# Overflows forced into every fresh SQUAREM candidate (one made by unpacking
+# theta'), by the stage where they happen, with the passes the candidate has
+# made when it is rejected there: in expectations, the Dirichlet total, the
+# rate ratio r = d_hat / e_hat and the Taylor term of E[log Gamma(s)] (inf /
+# inf at a shape mean near 1e-298); in the update, the rate posterior's shape
+# d_hat = d0 + E[s] n.
+FORCED_OVERFLOWS = {"lambda_total": 0, "rate_ratio": 0, "shape_taylor": 0, "rate_shape_update": 1}
+
+
+def _fit_with_candidates(monkeypatch, fitter, data, change=None, reject=None):
+    """Fit with each fresh SQUAREM candidate either changed so that it
+    overflows at ``change``, or rejected outright with ``reject`` passes.
+    Returns the result and the outcomes of the fresh candidates."""
+    outcomes, fresh_pass = [], []
+    unpack, kernel, extrapolated = vb_em._unpack, vb_em._responsibility_pass, vb_em._extrapolated
+
+    def unpacked(theta):
+        state = unpack(theta)
+        if change == "lambda_total":
+            state.lambda_hat = np.full(3, 1e308)
+        elif change == "rate_ratio":
+            # d/e is about 1e310, while log r stays near 714 and, with
+            # c_hat_s half of b_hat_s, the shape means finite.
+            state.d_hat, state.e_hat = np.full(2, 1e300), np.full(2, 1e-10)
+            state.c_hat_s = 0.5 * state.b_hat_s
+        elif change == "shape_taylor":
+            # log r near -2.3 times c_hat_s = 1e300 puts the Laplace argument
+            # near -1e297, whose root is near 1e-298.
+            state.e_hat = 10.0 * state.d_hat
+            state.c_hat_s = np.full(2, 1e300)
+        elif change == "rate_shape_update":
+            fresh_pass.append(True)
+        return state
+
+    def kernel_pass(*args):
+        stats, lse, degenerate = kernel(*args)
+        if fresh_pass and fresh_pass.pop():
+            stats.n[1:] = np.finfo(float).max  # E[s] n overflows for E[s] > 1
+        return stats, lse, degenerate
+
+    def candidate(cache, theta, priors):
+        if isinstance(theta, vb_em.Point):
+            return extrapolated(cache, theta, priors)
+        outcome = (None, reject) if reject is not None else extrapolated(cache, theta, priors)
+        outcomes.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(vb_em, "_unpack", unpacked)
+    monkeypatch.setattr(vb_em, "_responsibility_pass", kernel_pass)
+    monkeypatch.setattr(vb_em, "_extrapolated", candidate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fitter(data, VBFitConfig())
+    monkeypatch.undo()
+    return res, outcomes
+
+
+def _fit_bytes(res):
+    arrays = [res.responsibilities, res.nfe_trace]
+    arrays += [getattr(res.state, f) for f in res.state.__dataclass_fields__]
+    arrays += [getattr(res.expectations, f) for f in res.expectations.__dataclass_fields__]
+    return res.iterations, res.stop_reason, [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("change", sorted(FORCED_OVERFLOWS))
+@pytest.mark.parametrize("fitter", [fit_bggm, fit_bgim])
+def test_candidate_overflowing_in_its_scalar_work_is_rejected(monkeypatch, fitter, change):
+    # The scalar work of expectations runs on Python floats, which overflow
+    # to inf without a word, where numpy scalars raised under _extrapolated's
+    # error state (the updates still run on numpy scalars). Each forced
+    # overflow must reject its candidate after the same passes as before, and
+    # the fit must be the one that rejects those candidates outright.
+    data = synthetic(seed=38, n=2000)
+    passes = FORCED_OVERFLOWS[change]
+    res, outcomes = _fit_with_candidates(monkeypatch, fitter, data, change=change)
+    want, rejected = _fit_with_candidates(monkeypatch, fitter, data, reject=passes)
+    assert outcomes and outcomes == [(None, passes)] * len(outcomes)
+    assert len(rejected) == len(outcomes)
+    assert _fit_bytes(res) == _fit_bytes(want)
+
+
+def test_kl_takes_shared_values_only_for_their_state_and_cache():
+    # expectations leaves digamma(d_hat), digamma(c_hat) and trigamma(E[s])
+    # for the KL. They are the values the KL computes itself, bit for bit,
+    # and are taken only with the state and the cache they were made for.
+    pr = default_hyperpriors(*GAMMA_FAMS)
+    st = dataclasses.replace(prior_state(pr), d_hat=np.array([3.0, 4.0]), c_hat=2.0)
+    e = expectations(st, pr)
+    shared = vb_em._kl_total(st, pr, e)
+    assert shared == vb_em._kl_total(st, pr, dataclasses.replace(e))
+    other = dataclasses.replace(st, d_hat=np.array([5.0, 6.0]), c_hat=3.0)
+    assert vb_em._kl_total(other, pr, e) == vb_em._kl_total(other, pr, dataclasses.replace(e))
+    assert vb_em._kl_total(other, pr, e) != shared
+
+
+def test_step_length_refuses_overflowing_differences():
+    # Squares past the float range: numpy's r * r raised here before.
+    with pytest.raises(FloatingPointError):
+        vb_em._step_length([1e200, 1.0], [1.0, 1.0], 4.0)
+    with pytest.raises(FloatingPointError):
+        vb_em._step_length([1.0], [float("inf")], 4.0)
+    assert vb_em._step_length([3.0, 4.0], [1.0], 100.0) == -5.0
+
+
 def _logged_cycles(monkeypatch, fitter, data, seed, fall=0.0):
     """Fit and log every SQUAREM cycle: the kernel passes it made, the passes
     it reported, its step length and the NFEs of theta0, theta1 and the
