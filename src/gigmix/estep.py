@@ -21,7 +21,8 @@ Its coefficients come as an ``ExpectationCache``. The variational learners
 fill it with posterior expectations. The maximum-likelihood log-densities
 have the same form with point values in place of expectations
 (``point_coefficients``, run by ``point_pass``), and then the total
-log-sum-exp is the observed-data log-likelihood. A pass takes only the sums
+log-sum-exp is the observed-data log-likelihood. ``kernel_coefficients``
+turns the cache into each side's coefficients once per pass. A pass takes only the sums
 its learner reads: per side the activation's count and its sums of v, v**2,
 log v and 1/v for bgim, of v, v**2 and log v for bggm, and of v and v**2
 for a maximum-likelihood pass, which is all the M-step reads.
@@ -84,6 +85,10 @@ class ExpectationCache:
     log_r: np.ndarray
     s: np.ndarray
     log_gamma_s: np.ndarray
+    # Not a field, so the result document leaves it out. On a cache that
+    # ``vb_em.expectations`` made: the state it was made for, digamma(d_hat),
+    # digamma(c_hat) and trigamma(E[s]), which the KL reads again.
+    kl_terms = None
 
 
 @dataclass
@@ -228,17 +233,14 @@ def _side_blocks(side: _Side) -> list:
 
 def point_coefficients(params: MixtureParams) -> ExpectationCache:
     """Kernel coefficients of a point estimate: log pi (-inf for a zero
-    proportion), mu, mu**2, tau, log tau, s, r, log r and log Gamma(s).
-    Built from Python floats: the arrays are views of one, and one
-    ``np.log`` takes the five logs of pi and r."""
+    proportion, with the divide warning the caller's ``np.errstate``
+    decides), mu, mu**2, tau, log tau, s, r, log r and log Gamma(s). Built
+    from Python floats: the arrays are views of one, and one ``np.log``
+    takes the five logs of pi and r."""
     comp1, comp2, comp3 = params.comp1, params.comp2, params.comp3
     pi, s = params.pi.tolist(), [comp2.shape, comp3.shape]
     flat = np.array(pi + [comp2.rate, comp3.rate] + s + [log_gamma(v) for v in s])
-    if 0.0 in pi:
-        with np.errstate(divide="ignore"):
-            logs = np.log(flat[0:5])
-    else:  # np.errstate costs more than the rest of this function
-        logs = np.log(flat[0:5])
+    logs = np.log(flat[0:5])
     return ExpectationCache(
         pi=params.pi,
         log_pi=logs[0:3],
@@ -253,29 +255,31 @@ def point_coefficients(params: MixtureParams) -> ExpectationCache:
     )
 
 
-def _gaussian_const(e: ExpectationCache) -> float:
-    """Gaussian log-responsibility at x = 0."""
-    return e.log_pi[0] + 0.5 * e.log_tau - 0.5 * _LOG_2PI - 0.5 * e.tau * e.mu2
+def kernel_coefficients(e: ExpectationCache, families) -> tuple:
+    """The kernel's coefficients under ``e`` as Python floats, one tuple
+    (c_sq, c_x, c0, const, c_log, c_lin, inverse) per support side, positive
+    side first. On a side's mirrored values v, the Gaussian's
+    log-responsibility at x = sign * v is c_sq * v**2 + c_x * v + c0 (c0 is
+    its value at x = 0), and the activation's is const + c_log * log v +
+    c_lin * w, where w is 1/v if ``inverse`` (an inverse-Gamma) and v for a
+    Gamma."""
+    log_pi, r, log_r = e.log_pi.tolist(), e.r.tolist(), e.log_r.tolist()
+    s, log_gamma_s = e.s.tolist(), e.log_gamma_s.tolist()
+    tau, mu = float(e.tau), float(e.mu)
+    c_sq, c_x = -0.5 * tau, tau * mu
+    c0 = log_pi[0] + 0.5 * float(e.log_tau) - 0.5 * _LOG_2PI - 0.5 * tau * float(e.mu2)
+    sides = []
+    for k, fam in enumerate(families):
+        const = log_pi[k + 1] + s[k] * log_r[k] - log_gamma_s[k]
+        inverse = fam.kind != "gamma"
+        c_log = -(s[k] + 1.0) if inverse else s[k] - 1.0
+        sides.append((c_sq, fam.sign * c_x, c0, const, c_log, -r[k], inverse))
+    return tuple(sides)
 
 
-def _gaussian_coefficients(e: ExpectationCache, sign: float = 1.0):
-    """The Gaussian's log-responsibility at x = sign * v as
-    c_sq * v**2 + c_x * v + c0; returns (c_sq, c_x, c0)."""
-    return -0.5 * e.tau, sign * (e.tau * e.mu), _gaussian_const(e)
-
-
-def _activation_coefficients(e: ExpectationCache, k: int, fam):
-    """Activation k's log-responsibility as const + c_log * log v + c_lin * w,
-    where w is v for a Gamma and 1/v for an inverse-Gamma; returns
-    (const, c_log, c_lin, w is 1/v)."""
-    const = e.log_pi[k + 1] + e.s[k] * e.log_r[k] - e.log_gamma_s[k]
-    if fam.kind == "gamma":
-        return const, e.s[k] - 1.0, -e.r[k], False
-    return const, -(e.s[k] + 1.0), -e.r[k], True
-
-
-def _side_pass(e: ExpectationCache, k: int, fam, side: _Side, rows: int, direct: bool):
-    """Two-way softmax of (Gaussian, activation k) over one support side.
+def _side_pass(coefficients: tuple, side: _Side, rows: int, direct: bool):
+    """Two-way softmax of (Gaussian, activation) over one support side, with
+    the side's ``kernel_coefficients``.
 
     The pass sweeps the side's blocks, writes the activation
     responsibilities into ``side.g`` and returns the side's log-sum-exp
@@ -289,8 +293,7 @@ def _side_pass(e: ExpectationCache, k: int, fam, side: _Side, rows: int, direct:
     Gaussian's and b the activation's log-weight and m = max(a, b), b - m is
     floored at ``_EXP_FLOOR`` unless the activation has a zero proportion.
     """
-    c_sq, c_x, c0 = _gaussian_coefficients(e, side.sign)
-    const, c_log, c_lin, inverse = _activation_coefficients(e, k, fam)
+    c_sq, c_x, c0, const, c_log, c_lin, inverse = coefficients
     floor = _EXP_FLOOR if math.isfinite(const) else -math.inf
     lse, degenerate = 0.0, 0
     blas = side.vals.size <= _BLAS_DOT_MAX
@@ -339,25 +342,24 @@ def _side_pass(e: ExpectationCache, k: int, fam, side: _Side, rows: int, direct:
     return lse, degenerate, sums
 
 
-def _sweep(cache: _DataCache, e: ExpectationCache, families, rows: int, direct: bool) -> list:
-    """``_side_pass`` over both sides, in side order. With ``cache.parallel``
-    the worker thread sweeps the negative side in a copy of the caller's
-    context, and so under its floating-point error handling (numpy keeps it
-    in a context variable), while this thread sweeps the positive one; either
-    way both sides are swept before this returns or raises (the positive
-    side's error first)."""
+def _sweep(cache: _DataCache, coefficients: tuple, rows: int, direct: bool) -> list:
+    """``_side_pass`` over both sides, in side order, with their
+    ``kernel_coefficients``. With ``cache.parallel`` the worker thread sweeps
+    the negative side in a copy of the caller's context, and so under its
+    floating-point error handling (numpy keeps it in a context variable),
+    while this thread sweeps the positive one; either way both sides are
+    swept before this returns or raises (the positive side's error first)."""
     if not cache.parallel:
-        sides = enumerate(cache.sides)
-        return [_side_pass(e, k, families[k], side, rows, direct) for k, side in sides]
+        return [_side_pass(c, side, rows, direct) for c, side in zip(coefficients, cache.sides)]
     if cache.worker is None:
         from concurrent.futures import ThreadPoolExecutor
 
         cache.worker = ThreadPoolExecutor(1, thread_name_prefix="gigmix-estep")
     negative = cache.worker.submit(
-        contextvars.copy_context().run, _side_pass, e, 1, families[1], cache.sides[1], rows, direct
+        contextvars.copy_context().run, _side_pass, coefficients[1], cache.sides[1], rows, direct
     )
     try:
-        positive = _side_pass(e, 0, families[0], cache.sides[0], rows, direct)
+        positive = _side_pass(coefficients[0], cache.sides[0], rows, direct)
     finally:
         negative.exception()  # waits for the worker's side
     return [positive, negative.result()]
@@ -381,6 +383,7 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families, rows:
     the Gaussian and is left out of the total LSE.
     """
     cache.coefficients = None
+    coefficients = kernel_coefficients(e, families)
     lse_total, degenerate = 0.0, 0
     # The Gaussian's sums start from the data totals and each side's are
     # taken off in side order. ``xbar`` holds the signed sums.
@@ -389,7 +392,7 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families, rows:
     # the pass takes them.
     n, xbar, sq, log_recip = [], [], [], [math.nan] * 4
     for k, (side, (lse, bad, sums)) in enumerate(
-        zip(cache.sides, _sweep(cache, e, families, rows, False))
+        zip(cache.sides, _sweep(cache, coefficients, rows, False))
     ):
         lse_total += lse
         degenerate += bad
@@ -402,7 +405,7 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families, rows:
         n1 -= nk
         sx1 -= xbar[-1]
         sxx1 -= sqk
-    lse_zero = cache.n_zero * _gaussian_const(e) if cache.n_zero else 0.0
+    lse_zero = cache.n_zero * coefficients[0][2] if cache.n_zero else 0.0  # c0
     if math.isfinite(lse_zero):
         lse_total += lse_zero
     else:
@@ -410,7 +413,7 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families, rows:
     if n1 < _DIRECT_GAUSSIAN_SHARE * cache.x.size or sxx1 < _DIRECT_GAUSSIAN_SHARE * cache.sum_sq:
         # The same sweep again, summing the Gaussian's side weights directly.
         n1, sx1, sxx1 = cache.n_zero, 0.0, 0.0
-        for side, (_, _, (nk, sxk, sqk)) in zip(cache.sides, _sweep(cache, e, families, 2, True)):
+        for side, (_, _, (nk, sxk, sqk)) in zip(cache.sides, _sweep(cache, coefficients, 2, True)):
             n1 += nk
             sx1 += side.sign * sxk
             sxx1 += sqk
@@ -431,9 +434,9 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families, rows:
 def point_pass(cache: _DataCache, params: MixtureParams):
     """The kernel under a point estimate: the maximum-likelihood E-step. It
     takes only the sums the M-step reads, so the statistics' ``log_x`` and
-    ``recip_x`` are NaN. A zero proportion can leave points degenerate, whose
-    NaNs are expected."""
-    with np.errstate(invalid="ignore"):
+    ``recip_x`` are NaN. A zero proportion has log -inf and can leave points
+    degenerate, whose NaNs are expected."""
+    with np.errstate(divide="ignore", invalid="ignore"):
         return _responsibility_pass(cache, point_coefficients(params), params.families, 2)
 
 

@@ -14,6 +14,7 @@ so identical numbers always serialize to identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
@@ -160,7 +161,8 @@ def _floats(seq):
 
 def _plain(obj) -> dict:
     """A dataclass of floats and float arrays as a dict of floats and lists."""
-    return {k: float(v) if np.ndim(v) == 0 else _floats(v) for k, v in vars(obj).items()}
+    values = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return {k: float(v) if np.ndim(v) == 0 else _floats(v) for k, v in values}
 
 
 def result_to_dict(result, model: str, seed: int, include_timing: bool = False) -> dict:

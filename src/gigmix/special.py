@@ -140,13 +140,7 @@ def trigamma(x: float) -> float:
 
 def tetragamma(x: float) -> float:
     """Second derivative of digamma; strictly negative on x > 0."""
-    x = _checked(x, "x")
-    acc = 0.0
-    while x < _SHIFT:
-        r = 1.0 / x
-        acc -= 2.0 * r * r * r
-        x += 1.0
-    return _tetragamma_tail(acc, x, 1.0 / (x * x))
+    return trigamma_tetragamma(x)[1]
 
 
 def trigamma_tetragamma(x: float) -> tuple:

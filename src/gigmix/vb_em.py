@@ -36,13 +36,12 @@ from .distributions import (
 from .estep import (
     ExpectationCache,
     SufficientStats,
-    _activation_coefficients,
     _assemble_gamma,
     _DataCache,
-    _gaussian_coefficients,
     _responsibility_pass,
     finite_data,
     finite_data_and_gamma,
+    kernel_coefficients,
     point_coefficients,
     sufficient_stats,
 )
@@ -179,12 +178,13 @@ def default_hyperpriors(pos_family: ComponentFamily, neg_family: ComponentFamily
 
 def _log_rho(cache: _DataCache, e: ExpectationCache, families) -> np.ndarray:
     """Unnormalized log-responsibilities as a full matrix; -inf is out-of-support.
-    The same coefficients as the kernel's, combined in the kernel's order."""
+    The kernel's coefficients, combined in the kernel's order; the Gaussian's
+    are the positive side's, for every x."""
     lr = np.full((cache.x.size, 3), -np.inf)
-    c_sq, c_x, c0 = _gaussian_coefficients(e)
+    coefficients = kernel_coefficients(e, families)
+    c_sq, c_x, c0 = coefficients[0][:3]
     lr[:, 0] = cache.x * cache.x * c_sq + cache.x * c_x + c0
-    for k, side in enumerate(cache.sides):
-        const, c_log, c_lin, inverse = _activation_coefficients(e, k, families[k])
+    for k, (side, (*_, const, c_log, c_lin, inverse)) in enumerate(zip(cache.sides, coefficients)):
         lr[side.rows, k + 1] = side.logs * c_log + (side.invs if inverse else side.vals) * c_lin + const
     return lr
 
@@ -252,30 +252,19 @@ def _shape_laplace_mean(log_a: float, b: float, c: float, log_r: float, fam: Com
 
 def _taylor_log_gamma_mean(mu: float, b: float, tri: float, tetra: float) -> float:
     """E[log Gamma(s)] to second order; ``tri`` and ``tetra`` are trigamma
-    and tetragamma at ``mu``."""
+    and tetragamma at ``mu``. VBNumericError unless it is finite: Python
+    floats pass an overflow or inf / inf on without a word."""
     value = log_gamma(mu) + 1.0 / b + tetra * mu / (tri * b)
     if not math.isfinite(value):
-        # Python floats pass an overflow or inf / inf on without a word. With
-        # the quotient as a numpy scalar, the caller's np.errstate decides:
-        # ``_extrapolated`` makes it raise and rejects the candidate.
-        value = float(log_gamma(mu) + 1.0 / b + np.float64(tetra * mu) / (tri * b))
+        raise VBNumericError(f"E[log Gamma(s)] is not finite: mean={mu}, b={b}")
     return value
-
-
-# The special-function values of the last ``expectations`` call that the KL
-# reads again, with the state and the cache they belong to: (state, cache,
-# digamma(d_hat), digamma(c_hat), trigamma(E[s])). They cannot travel as an
-# argument, because the benchmark's tracer wraps ``expectations`` and
-# ``_kl_total`` by name and signature, nor as an ``ExpectationCache`` field,
-# which the result document would carry. ``_kl_total`` takes them only for
-# the very state and cache, and computes them otherwise.
-_shared = (None, None, None, None, None)
 
 
 def expectations(state: VBState, priors: HyperPriors) -> ExpectationCache:
     """All posterior expectations entering the responsibility update and NFE.
-    The scalar work runs on Python floats, each state array read once."""
-    global _shared
+    The scalar work runs on Python floats, each state array read once; a
+    non-finite E[r] or E[log Gamma(s)] raises VBNumericError. The cache's
+    ``kl_terms`` carry the special-function values the KL reads again."""
     lam = state.lambda_hat.tolist()
     d_hat, e_hat = state.d_hat.tolist(), state.e_hat.tolist()
     log_a, b_s, c_s = state.log_a_hat.tolist(), state.b_hat_s.tolist(), state.c_hat_s.tolist()
@@ -296,9 +285,7 @@ def expectations(state: VBState, priors: HyperPriors) -> ExpectationCache:
     psi_c = digamma(state.c_hat)
     r = [d_hat[0] / e_hat[0], d_hat[1] / e_hat[1]]
     if not math.isfinite(r[0] + r[1]):
-        # An overflow, redone on numpy arrays so that np.errstate decides (as
-        # in ``_taylor_log_gamma_mean``).
-        r = (state.d_hat / state.e_hat).tolist()
+        raise VBNumericError(f"E[r] is not finite: d_hat={d_hat}, e_hat={e_hat}")
     pi = [lam[0] / lam_tot, lam[1] / lam_tot, lam[2] / lam_tot]
     flat = np.array(pi + log_pi + r + log_r + s + log_gamma_s)
     e = ExpectationCache(
@@ -313,7 +300,7 @@ def expectations(state: VBState, priors: HyperPriors) -> ExpectationCache:
         s=flat[10:12],
         log_gamma_s=flat[12:14],
     )
-    _shared = (state, e, psi_d, psi_c, tri_s)
+    e.kl_terms = (state, psi_d, psi_c, tri_s)
     return e
 
 
@@ -368,13 +355,12 @@ def _kl_shape(b_s: list, s: list, tri_s: list, log_r: list, priors: HyperPriors)
 
 def _kl_total(state: VBState, priors: HyperPriors, e: ExpectationCache) -> float:
     """The KL of every factor from its prior. digamma of d_hat and c_hat and
-    trigamma of E[s] come from ``expectations`` when ``e`` is the cache it
-    made last, for this state."""
-    shared = _shared
+    trigamma of E[s] are ``e.kl_terms`` when ``expectations`` made ``e`` for
+    this state."""
     d_hat, e_hat = state.d_hat.tolist(), state.e_hat.tolist()
     s = e.s.tolist()
-    if shared[0] is state and shared[1] is e:
-        psi_d, psi_c, tri_s = shared[2:]
+    if e.kl_terms is not None and e.kl_terms[0] is state:
+        psi_d, psi_c, tri_s = e.kl_terms[1:]
     else:
         psi_d, psi_c = [digamma(v) for v in d_hat], digamma(state.c_hat)
         tri_s = [trigamma(v) for v in s]
@@ -620,8 +606,8 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
         # ``point_pass`` under this module's name for the kernel, so that the
         # start's pass is traced like every other. The start's tau and shapes
         # are the E[tau] and E[s] of the first update.
-        e = point_coefficients(init)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = point_coefficients(init)
             stats = _responsibility_pass(cache, e, families, priors._terms.rows)[0]
         return _evaluate(cache, _update_state(stats, priors, e.tau, e.s), priors)
 

@@ -228,8 +228,7 @@ def test_inverse_gamma_floor_keeps_exp_in_range(monkeypatch):
     x = np.concatenate([v, -v, [0.0]])
     params = _params((0.6, 0.2, 0.2), "invgamma")
     e = estep.point_coefficients(params)
-    c_sq, c_x, c0 = estep._gaussian_coefficients(e)
-    const, c_log, c_lin, _ = estep._activation_coefficients(e, 0, params.comp2.family)
+    c_sq, c_x, c0, const, c_log, c_lin, _ = estep.kernel_coefficients(e, params.families)[0]
     gap = (1e-12 * c_sq + 1e-6 * c_x + c0) - (math.log(1e-6) * c_log + 1e6 * c_lin + const)
     assert gap > 1e5
 

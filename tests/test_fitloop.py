@@ -10,8 +10,10 @@ each name and check that a fit goes through the patched version.
 """
 
 import dataclasses
+import importlib.util
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +110,41 @@ def test_every_kernel_pass_goes_through_the_traced_name(model, monkeypatch):
     monkeypatch.setattr(module, name, _counting(getattr(module, name), calls))
     r = fit(model, _mixture(), 2)
     assert len(calls) == r.iterations + (model in VB_MODELS)
+
+
+# The tracer's default targets that no longer exist. Each is listed as not
+# found in every traced run; a new entry means a layer went dark.
+STALE_TRACER_TARGETS = {
+    "gigmix.experiments.init_mixture",
+    "gigmix.experiments.kmeans_1d",
+    "gigmix.vb_em.init_mixture",
+    "gigmix.vb_em.kmeans_1d",
+    "gigmix.vb_em.tetragamma",
+}
+
+
+def test_the_tracer_finds_every_fit_layer():
+    # perfbench/tracing.py as the benchmark loads it, with its default
+    # targets, over one fit per model: only the known stale targets are
+    # missing, and every fit-loop and special-function metric is measured.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        x = generate(SyntheticSpec(dataset=1, snr=2.0, sparsity=1, n=2000, seed=0), 0, 0).values
+        for model in VB_MODELS + ML_MODELS:
+            fit(model, x, 0)
+    finally:
+        tracer.uninstall()
+    assert set(tracer.not_found) == STALE_TRACER_TARGETS
+    assert len(tracer.not_found) == len(STALE_TRACER_TARGETS)
+    status = tracing.layer_metrics(tracer)[1]
+    fit_layers = [m for m in tracing.LAYER_METRICS if m.split(".")[0] in ("vb_em", "ml_em", "special")]
+    assert len(fit_layers) == 14
+    assert {m: status[m] for m in fit_layers if m in status} == {}
 
 
 # Pass counts, stop reasons and final objectives on the criterion-10 scenario

@@ -803,6 +803,34 @@ def test_kl_takes_shared_values_only_for_their_state_and_cache():
     assert vb_em._kl_total(other, pr, e) != shared
 
 
+@pytest.mark.parametrize("fitter", [fit_bggm, fit_bgim])
+def test_a_fit_leaves_the_module_namespace_unchanged(fitter):
+    # What a pass computes travels with the pass: no fit binds a module name.
+    before = dict(vars(vb_em))
+    fitter(synthetic(seed=4, n=2000))
+    after = vars(vb_em)
+    assert after.keys() == before.keys()
+    assert [k for k, v in before.items() if after[k] is not v] == []
+
+
+def test_expectations_refuse_an_overflowing_rate_mean():
+    # d_hat / e_hat is about 1e310, while log r stays near 714 and, with
+    # c_hat_s half of b_hat_s, the shape means finite: the one overflow
+    # raises VBNumericError whatever the floating-point error state, and
+    # without a warning on the way.
+    pr = default_hyperpriors(*GAMMA_FAMS)
+    base = prior_state(pr)
+    st = dataclasses.replace(
+        base, d_hat=np.full(2, 1e300), e_hat=np.full(2, 1e-10), c_hat_s=0.5 * base.b_hat_s
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(vb_em.VBNumericError, match=r"E\[r\]"):
+            expectations(st, pr)
+        with np.errstate(over="raise"), pytest.raises(vb_em.VBNumericError):
+            expectations(st, pr)
+
+
 def test_step_length_refuses_overflowing_differences():
     # Squares past the float range: numpy's r * r raised here before.
     with pytest.raises(FloatingPointError):
