@@ -118,8 +118,9 @@ def generate(spec: SyntheticSpec, repeat_index: int, scenario_index: int = 0) ->
 
 
 def fit(model: str, data, seed: int):
-    """Fit one model by name from its k-means start; returns the fit result.
-    ``seed`` is accepted for compatibility; fits do not depend on it."""
+    """Fit one model by name from its default start (the noise core for ggm
+    and gim, k-means for bggm and bgim); returns the fit result. ``seed`` is
+    accepted for compatibility; fits do not depend on it."""
     if model == "bggm":
         return fit_bggm(data, VBFitConfig(seed=seed))
     if model == "bgim":

@@ -1,7 +1,8 @@
 """The one fit loop of all four learners.
 
-A learner supplies its first point and its cycle; ``fit`` does the rest: the
-deterministic k-means start when no initial point is given, the pass count,
+A learner supplies its default start, its first point and its cycle; ``fit``
+does the rest: the start when no initial point is given (the noise core for
+the ML learners, k-means for the variational ones), the pass count,
 the stop rule, which points are recorded, the timer, and the N x 3
 responsibilities of the last recorded point. The data cache holds the
 responsibilities of its last pass; when that pass was not at the recorded
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import initialization
 from .estep import (
     ExpectationCache,
     SufficientStats,
@@ -70,8 +70,9 @@ class FitResult:
     degenerate_rows: int
 
 
-def fit(data, init, cfg: FitConfig, families, first, cycle, ascent_only: bool):
-    """Run a learner from ``init`` (or the k-means start) to its stop.
+def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascent_only: bool):
+    """Run a learner from ``init``, or when it is None from
+    ``default_start(x, families)`` inside the timer, to its stop.
 
     ``first(cache, init)`` makes the first point in one pass, and
     ``cycle(cache, recorded, passes)`` the next point from the last recorded
@@ -85,7 +86,7 @@ def fit(data, init, cfg: FitConfig, families, first, cycle, ascent_only: bool):
     x = finite_data(data)
     start = time.perf_counter()
     if init is None:
-        init = initialization.init_params(initialization.kmeans_1d(x, 3), families)
+        init = default_start(x, families)
     cache = _DataCache(x)
     recorded = first(cache, init)
     passes, degenerate = 1, recorded.degenerate

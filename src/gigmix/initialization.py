@@ -1,7 +1,10 @@
-"""K-means based initialization shared by all four mixture fitters.
+"""The two starts of the mixture fitters: the noise core and k-means.
 
-A deterministic 1-D 3-means (``kmeans_1d``) splits the data into three
-clusters sorted by center. The middle cluster seeds the Gaussian, the outer
+The ML fitters start from the noise core (``core_params``), which takes as
+activation only what lies beyond three robust scales (``robust_scale``) of
+the median. The variational fitters start from k-means (``kmeans_params``):
+a deterministic 1-D 3-means (``kmeans_1d``) splits the data into three
+clusters sorted by center, the middle one seeds the Gaussian and the outer
 ones seed the activation components through the method of moments on
 (mirrored) cluster statistics (``init_params``); ``init_mixture`` adds the
 responsibilities of the shared E-step kernel under those parameters.
@@ -27,6 +30,14 @@ _BINS = 128
 # positive (e.g. no negative cluster in very sparse data).
 _FALLBACK_MEAN = 10.0
 _FALLBACK_VAR = 10.0
+
+# 1.4826 times the median absolute deviation estimates a Gaussian's standard
+# deviation.
+_MAD_TO_SD = 1.4826
+# The noise core holds the samples within this many scales of the median.
+_CORE_WIDTH = 3.0
+# A side with fewer samples beyond the core takes the fallback moments.
+_MIN_SIDE = 3
 
 
 @dataclass
@@ -152,8 +163,11 @@ def kmeans_1d(data, k: int = 3, seed: int = 0) -> KMeansResult:
 
 
 def _side_component(mean: float, variance: float, family):
+    """The method-of-moments component of ``family`` with this (mirrored)
+    mean and variance, or with the fallback moments when either is not
+    positive."""
     mom = mom_gamma if family.kind == "gamma" else mom_invgamma
-    if mean > 0:
+    if mean > 0 and variance > 0:
         return mom(mean, variance, sign=family.sign)
     return mom(_FALLBACK_MEAN, _FALLBACK_VAR, sign=family.sign)
 
@@ -181,3 +195,71 @@ def init_mixture(data, km: KMeansResult, families):
     of one E-step under it."""
     params = init_params(km, families)
     return params, e_step(data, params)
+
+
+def kmeans_params(data, families) -> MixtureParams:
+    """The k-means start: ``init_params`` of the deterministic 3-means."""
+    return init_params(kmeans_1d(data, 3), families)
+
+
+def _mad(x: np.ndarray, center: float) -> float:
+    return _MAD_TO_SD * float(np.median(np.abs(x - center)))
+
+
+def _median_and_scale(x: np.ndarray) -> tuple:
+    """The median of finite data ``x`` and ``robust_scale(x)``."""
+    if x.size < 3 or not np.any((x > x.min()) & (x < x.max())):
+        return None, None
+    center = float(np.median(x))
+    scale = _mad(x, center)
+    if scale == 0.0:
+        nonzero = x[x != 0.0]
+        scale = _mad(nonzero, float(np.median(nonzero)))
+    return center, (scale if 0.0 < scale < np.inf else None)
+
+
+def robust_scale(data) -> float | None:
+    """The noise scale of finite data: the MAD, 1.4826 * median|x - median x|,
+    which the activation in the tails barely moves.
+
+    When half the data share one value the MAD is 0; masked maps hold many
+    exact zeros, so the scale is then the MAD of the nonzero values. None
+    when no positive finite scale exists: with fewer than three distinct
+    values, or when the nonzero values' MAD is 0 as well. Multiplying the
+    data by a power of two multiplies the scale by the same power exactly,
+    barring under- and overflow.
+    """
+    return _median_and_scale(finite_data(data))[1]
+
+
+def core_params(data, families) -> MixtureParams:
+    """The noise-core start of the ML fitters: the Gaussian at the median
+    with precision 1 / ``robust_scale``**2; each activation side by the
+    method of moments on the (mirrored) samples more than three scales beyond
+    the median on that side, or by the fallback moments when fewer than three
+    lie there or they have no spread; pi from those counts. Data without a
+    scale, or whose core leaves the floating-point range (at scales beyond
+    about 1e+-150), get the k-means start, ``kmeans_params``.
+    """
+    x = finite_data(data)
+    center, scale = _median_and_scale(x)
+    if scale is not None:
+        width = _CORE_WIDTH * scale
+        upper, lower = x[x > center + width], -x[x < center - width]
+        n = x.size
+        pi = [(n - upper.size - lower.size) / n, upper.size / n, lower.size / n]
+        try:
+            with np.errstate(over="ignore"):
+                comp2, comp3 = _core_side(upper, families[0]), _core_side(lower, families[1])
+            return MixtureParams(pi, GaussianParams(center, 1.0 / (scale * scale)), comp2, comp3)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return kmeans_params(x, families)
+
+
+def _core_side(z: np.ndarray, family):
+    """``_side_component`` of the mirrored samples ``z`` beyond the core on
+    one side; fewer than ``_MIN_SIDE`` of them take the fallback moments."""
+    if z.size < _MIN_SIDE:
+        return _side_component(0.0, 0.0, family)
+    return _side_component(float(z.mean()), float(z.var()), family)

@@ -11,7 +11,8 @@ counts and the weighted sums of x and x**2, so each pass takes only those
 (``point_pass``), and the M-step works on them as Python floats. A fit runs
 in ``fitloop.fit``, one M-step and one E-step pass per cycle, and records
 every log-likelihood, falling ones included: the moment-matched update is
-not an ascent.
+not an ascent. Without an initial point a fit starts from the noise core
+(``initialization.core_params``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fitloop
+from . import fitloop, initialization
 from .distributions import (
     GAMMA_NEG,
     GAMMA_POS,
@@ -126,7 +127,8 @@ def _fit_ml(
     if init is not None and (init.comp2.family.kind, init.comp3.family.kind) != (kind, kind):
         raise ValueError(f"{label} requires {kind} activation components in init")
     last, trace, common = fitloop.fit(
-        data, init, cfg, _FAMILIES[kind], _point, _cycle, ascent_only=False
+        data, init, initialization.core_params, cfg, _FAMILIES[kind], _point, _cycle,
+        ascent_only=False,
     )
     return MLFitResult(params=last.params, loglik_trace=trace, **common)
 
@@ -135,7 +137,7 @@ def fit_ggm(
     data, init: MixtureParams | None = None, cfg: MLFitConfig | None = None
 ) -> MLFitResult:
     """ML EM for the Gaussian + Gamma mixture (model GGM); ``init=None`` starts
-    from the deterministic k-means initialization."""
+    from the noise core (``initialization.core_params``)."""
     return _fit_ml(data, init, cfg or MLFitConfig(), "gamma", "fit_ggm")
 
 
@@ -143,5 +145,5 @@ def fit_gim(
     data, init: MixtureParams | None = None, cfg: MLFitConfig | None = None
 ) -> MLFitResult:
     """ML EM for the Gaussian + inverse-Gamma mixture (model GIM); ``init=None``
-    starts from the deterministic k-means initialization."""
+    starts from the noise core (``initialization.core_params``)."""
     return _fit_ml(data, init, cfg or MLFitConfig(), "invgamma", "fit_gim")

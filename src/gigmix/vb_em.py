@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fitloop
+from . import fitloop, initialization
 from .distributions import (
     ComponentFamily,
     GAMMA_NEG,
@@ -616,7 +616,9 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
         point, n, step_max = _cycle(cache, recorded, priors, step_max, cap - passes)
         return point, n
 
-    last, trace, common = fitloop.fit(data, None, cfg, families, first, cycle, ascent_only=True)
+    last, trace, common = fitloop.fit(
+        data, None, initialization.kmeans_params, cfg, families, first, cycle, ascent_only=True
+    )
     return VBFitResult(
         state=last.params, expectations=last.expectations, nfe_trace=trace, priors=priors, **common
     )

@@ -11,10 +11,12 @@ swapped.
 
 At the 1e+150 scale the suite draws only mixture data with at least 100
 samples. On smaller, tied, one-sided or Cauchy-tailed data at that scale the
-fitters raise instead of fitting: a k-means cluster whose variance sits at the
-absolute floor of ``initialization`` gives a method-of-moments shape of
-mean**2 / 1e-6, which overflows. ``test_large_scale_small_cluster_is_refused``
-pins one such input as a known failure.
+variational fitters raise instead of fitting: a k-means cluster whose
+variance sits at the absolute floor of ``initialization`` gives a
+method-of-moments shape of mean**2 / 1e-6, which overflows.
+``test_large_scale_small_cluster_is_refused`` pins one such input as a known
+failure. The ML fitters start from the noise core, which has no such floor,
+and fit that input (``test_large_scale_small_cluster_fits_from_the_core``).
 """
 
 import contextlib
@@ -108,10 +110,22 @@ def test_fit_is_finite_on_simplex_supported_and_deterministic(model, x, seed):
     check_fit(model, x, seed)
 
 
+_LARGE_SMALL_CLUSTER = np.array([0.6, 8.3, 37.7]) * 1e150
+
+
 @pytest.mark.xfail(raises=ValueError, strict=True, reason="shape overflow at 1e+150 scale")
-@pytest.mark.parametrize("model", MODEL_NAMES)
+@pytest.mark.parametrize("model", ["bggm", "bgim"])
 def test_large_scale_small_cluster_is_refused(model):
-    check_fit(model, np.array([0.6, 8.3, 37.7]) * 1e150, 0)
+    check_fit(model, _LARGE_SMALL_CLUSTER, 0)
+
+
+@pytest.mark.parametrize("model", ["ggm", "gim"])
+def test_large_scale_small_cluster_fits_from_the_core(model):
+    # No sample lies three scales beyond the median, so the start, and the
+    # fit, put all three in the noise component.
+    check_fit(model, _LARGE_SMALL_CLUSTER, 0)
+    g = fit(model, _LARGE_SMALL_CLUSTER, 0).responsibilities
+    assert np.array_equal(g, np.tile([1.0, 0.0, 0.0], (3, 1)))
 
 
 @st.composite

@@ -1,0 +1,63 @@
+"""Maps with a known answer: pure noise, and each learner's own family.
+
+The benchmark's datasets draw activation from N(+-SNR, 1), so every learner
+is misspecified there and only relative behaviour can be tested. Here the
+answer is known in advance (``helpers.own_family_map``):
+
+- On pure N(0, 1) noise nothing is active, and a learner should declare
+  (gamma2 + gamma3 > 0.5) at most 0.5 % of the map.
+- On N(0, 1) noise with 2 % activation drawn from the learner's own family,
+  the learner should find the noise share pi1 = 0.98 within 0.01.
+
+The ML learners pass from their noise-core start. bggm starts from k-means,
+which cuts a noise map into thirds, and stays in that basin: it declares
+about half of pure noise active and ends far below 0.98 on its sparse maps.
+Those cases are strict xfails that name the measured value.
+"""
+
+import numpy as np
+import pytest
+from helpers import own_family_map
+
+from gigmix.experiments import fit
+
+N = 100_000
+FAMILY = {"bggm": "gamma", "bgim": "invgamma", "ggm": "gamma", "gim": "invgamma"}
+MAX_DECLARED = 0.005
+PI1_TOLERANCE = 0.01
+
+
+def _declared_share(r):
+    g = r.responsibilities
+    return float(np.mean(g[:, 1] + g[:, 2] > 0.5))
+
+
+def _pi1(r):
+    return float((r.expectations.pi if hasattr(r, "state") else r.params.pi)[0])
+
+
+_BGGM_NOISE = pytest.mark.xfail(strict=True, reason="bggm declares about 0.50 of pure noise active")
+
+
+@pytest.mark.parametrize(
+    "model", ["bgim", "ggm", "gim", pytest.param("bggm", marks=_BGGM_NOISE)]
+)
+def test_pure_noise_is_declared_inactive(model):
+    for draw in range(3):
+        x, _ = own_family_map("gamma", (1.0, 0.0, 0.0), 1.0, 1.0, N, 100 + draw)
+        share = _declared_share(fit(model, x, 0))
+        assert share <= MAX_DECLARED, f"draw {draw}: {share:.4f} declared"
+
+
+# Activation mean and variance of the sparse maps.
+MOMENTS = [(4.0, 4.0), (3.0, 1.0)]
+_BGGM_SPARSE = pytest.mark.xfail(strict=True, reason="bggm ends at pi1 about 0.94 and 0.89")
+
+
+@pytest.mark.parametrize("mean, var", MOMENTS, ids=["m4v4", "m3v1"])
+@pytest.mark.parametrize(
+    "model", ["bgim", "ggm", "gim", pytest.param("bggm", marks=_BGGM_SPARSE)]
+)
+def test_sparse_own_family_noise_share_is_recovered(model, mean, var):
+    x, _ = own_family_map(FAMILY[model], (0.98, 0.01, 0.01), mean, var, N, 7)
+    assert abs(_pi1(fit(model, x, 0)) - 0.98) <= PI1_TOLERANCE

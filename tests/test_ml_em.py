@@ -167,11 +167,14 @@ def test_fit_deterministic_given_seed(model):
 @pytest.mark.parametrize("model", ["ggm", "gim"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fit_without_init_equals_explicit_kmeans_init(model, seed):
-    # At SNR 3 the k-means clusters of this draw differ between seeds 0, 1, 2.
+    # The name dates from the k-means default. A fit without init now starts
+    # from the noise core: it equals the fit from an explicit ``core_params``
+    # start, whatever the seed, and differs from the k-means start's fit.
     x, _ = synthetic(seed=11, n=4000, pi=(0.9, 0.07, 0.03), snr=3.0)
     fitter = fit_ggm if model == "ggm" else fit_gim
+    families = (GAMMA_POS, GAMMA_NEG) if model == "ggm" else (INVGAMMA_POS, INVGAMMA_NEG)
     own = fitter(x, None, MLFitConfig(seed=seed))
-    explicit = fit_with_init(x, model, seed=seed)
+    explicit = fitter(x, initialization.core_params(x, families), MLFitConfig(seed=seed))
     assert np.array_equal(own.responsibilities, explicit.responsibilities)
     assert np.array_equal(own.loglik_trace, explicit.loglik_trace)
     assert np.array_equal(own.params.pi, explicit.params.pi)
@@ -181,6 +184,7 @@ def test_fit_without_init_equals_explicit_kmeans_init(model, seed):
         explicit.params.comp3,
     )
     assert own.iterations == explicit.iterations
+    assert not np.array_equal(own.loglik_trace, fit_with_init(x, model, seed).loglik_trace)
 
 
 def test_fit_family_mismatch_rejected():

@@ -67,10 +67,31 @@ def test_first_output_line_names_the_blas_thread_count(threads, monkeypatch, cap
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
     monkeypatch.setattr(fit_equivalence, "maps", lambda large: iter(()))
-    monkeypatch.setattr(fit_equivalence, "describe_benchmark", lambda: ["row"])
+    monkeypatch.setattr(fit_equivalence, "describe_benchmark", lambda models: ["row"])
     assert fit_equivalence.main([]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"OPENBLAS_NUM_THREADS={threads or 'unset'}", "row"]
+
+
+def test_models_restrict_the_fits_and_the_benchmark(monkeypatch, capsys):
+    # Only the listed models are fitted, in the tool's order, and the small
+    # benchmark runs over them alone.
+    x = np.array([-2.5, -0.3, 0.0, 0.4, 1.1, 3.2])
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(fit_equivalence, "maps", lambda large: iter([("m", x, None, 0)]))
+    benched, describe_benchmark = [], fit_equivalence.describe_benchmark
+    monkeypatch.setattr(fit_equivalence, "describe_benchmark", lambda models: benched.append(models) or [])
+    assert fit_equivalence.main(["--models", "bgim,bggm"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[2:]] == ["bggm", "bgim"]
+    assert lines[1] == f"m {fit_equivalence.describe_map(x)}"
+    assert lines[2] == f"m {fit_equivalence.describe_fit('bggm', x, 0)}"
+    assert benched == [["bggm", "bgim"]]
+    rows = describe_benchmark(["bggm", "bgim"])
+    assert {row.split()[1] for row in rows if row.startswith("scenario_id=")} == {"model='bggm'", "model='bgim'"}
+    assert {row.split()[-2] for row in rows if row.startswith("win_pct")} == {"bggm", "bgim"}
+    with pytest.raises(SystemExit):
+        fit_equivalence.main(["--models", "bggm,xyz"])
 
 
 def test_compare_reports_numeric_drift_stop_mismatches_and_missing_fits(tmp_path):
