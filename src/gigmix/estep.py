@@ -22,10 +22,13 @@ fill it with posterior expectations. The maximum-likelihood log-densities
 have the same form with point values in place of expectations
 (``point_coefficients``, run by ``point_pass``), and then the total
 log-sum-exp is the observed-data log-likelihood. ``kernel_coefficients``
-turns the cache into each side's coefficients once per pass. A pass takes only the sums
-its learner reads: per side the activation's count and its sums of v, v**2,
-log v and 1/v for bgim, of v, v**2 and log v for bggm, and of v and v**2
-for a maximum-likelihood pass, which is all the M-step reads.
+turns the cache into each side's coefficients once per pass. A pass takes only what
+its caller reads (``_responsibility_pass``): per side the activation's count
+and its sums of v, v**2, log v and 1/v for bgim, of v, v**2 and log v for
+bggm, and of v and v**2 for a maximum-likelihood pass, which is all the
+M-step reads; no sums for a pass whose caller reads only the
+responsibilities. The total log-sum-exp is taken only by the passes whose
+objective is read. A Gamma fit's data cache holds no 1/v row.
 """
 
 from __future__ import annotations
@@ -53,13 +56,16 @@ _DIRECT_GAUSSIAN_SHARE = 1e-3
 _BLOCK = 32768
 
 # The longest side whose weighted sums are BLAS dot products, one per value
-# row over the whole side. OpenBLAS runs a dot of at most 10 000 values on one
-# thread, in an order that does not depend on its thread count, and splits
-# longer dots across its threads. A longer side takes its sums per block with
-# one einsum call for all value rows: einsum uses no BLAS and, unlike numpy's
-# BLAS dot products, releases the interpreter lock, so the other side's
-# thread runs meanwhile. On one thread the BLAS dots are the faster, and they
-# keep the pinned results of the fits at n = 1e4, whose sides are shorter.
+# row over the whole side, all taken by one ``np.vecdot`` call: it runs the
+# same ``cblas_ddot`` per row as ``row @ w`` and gives the same bits, in one
+# call instead of one per row. OpenBLAS runs a dot of at most 10 000 values
+# on one thread, in an order that does not depend on its thread count, and
+# splits longer dots across its threads. A longer side takes its sums per
+# block with one einsum call for all value rows: einsum uses no BLAS and,
+# unlike numpy's BLAS dot products and ``vecdot``, releases the interpreter
+# lock, so the other side's thread runs meanwhile. On one thread the BLAS
+# dots are the faster, and they keep the pinned results of the fits at
+# n = 1e4, whose sides are shorter.
 _BLAS_DOT_MAX = 8192
 
 # Floor of the shifted activation log-weight b - m before its exp. Below about
@@ -134,35 +140,41 @@ class _Side:
     """One support side: the samples with ``sign * x > 0``.
 
     ``rows`` are their indices in x, ``vals`` their mirrored values
-    ``sign * x[rows]``, and ``sq``, ``logs`` and ``invs`` the square, log and
-    reciprocal of ``vals``: the rows of ``stack``, in that order. Each pass
-    writes the side's activation responsibilities to ``g``. ``blocks`` are
-    the side's blocks for the pass, with views of ``g`` and of the side's own
-    work buffers; a side with no points has none.
+    ``sign * x[rows]``, and ``sq``, ``logs`` and, if ``reciprocals``,
+    ``invs`` the square, log and reciprocal of ``vals``: the rows of
+    ``stack``, in that order (without reciprocals ``invs`` is None). Each
+    pass writes the side's activation responsibilities to ``g``. ``blocks``
+    are the side's blocks for the pass, with views of ``g`` and of the side's
+    own work buffers; a side with no points has none.
     """
 
     __slots__ = ("sign", "rows", "stack", "vals", "sq", "logs", "invs", "g", "blocks")
 
-    def __init__(self, x: np.ndarray, sign: float):
+    def __init__(self, x: np.ndarray, sign: float, reciprocals: bool):
         self.sign = sign
         # For finite x, -x > 0 exactly when x < 0, and negation is exact.
         self.rows = np.flatnonzero(x > 0) if sign > 0 else np.flatnonzero(x < 0)
-        self.stack = _aligned_rows(4, self.rows.size)
-        self.vals, self.sq, self.logs, self.invs = self.stack
+        self.stack = _aligned_rows(4 if reciprocals else 3, self.rows.size)
+        self.vals, self.sq, self.logs = self.stack[:3]
+        self.invs = self.stack[3] if reciprocals else None
         # "clip" spares the copy through a buffer that bounds checking makes.
         x.take(self.rows, out=self.vals, mode="clip")
         if sign < 0:
             np.negative(self.vals, out=self.vals)
         np.multiply(self.vals, self.vals, out=self.sq)
         np.log(self.vals, out=self.logs)
-        np.divide(1.0, self.vals, out=self.invs)
+        if reciprocals:
+            np.divide(1.0, self.vals, out=self.invs)
         self.g = _aligned_empty(self.rows.size)
         self.blocks = _side_blocks(self)
 
 
 class _DataCache:
     """Per-fit precomputations: the two support sides, the count of exact
-    zeros and the data totals.
+    zeros and the data totals. The sides hold the reciprocals 1/v only if
+    ``families`` (the fit's activation families) has an inverse-Gamma, whose
+    log-weights and rate update read them, or is None: a Gamma fit's cache
+    holds three rows per side.
 
     The responsibility pass only ever combines these arrays with scalar
     coefficients, so everything data-dependent is computed exactly once per
@@ -177,9 +189,10 @@ class _DataCache:
 
     __slots__ = ("x", "sides", "n_zero", "sum_x", "sum_sq", "coefficients", "parallel", "worker")
 
-    def __init__(self, x: np.ndarray):
+    def __init__(self, x: np.ndarray, families=None):
         self.x = x
-        self.sides = (_Side(x, 1.0), _Side(x, -1.0))
+        reciprocals = families is None or any(fam.kind != "gamma" for fam in families)
+        self.sides = (_Side(x, 1.0, reciprocals), _Side(x, -1.0, reciprocals))
         self.n_zero = x.size - sum(side.rows.size for side in self.sides)
         self.sum_x = float(x.sum())
         self.sum_sq = float((x * x).sum())
@@ -220,7 +233,7 @@ def _aligned_rows(rows: int, n: int) -> np.ndarray:
 
 def _side_blocks(side: _Side) -> list:
     """One side cut into blocks of ``_BLOCK`` points. A block is (its first
-    point, views of vals, sq, logs and invs, the block's view of ``stack``,
+    point, views of the rows of ``stack``, the block's view of ``stack``,
     views of the side's four work buffers, and the block's view of ``g``)."""
     work = _aligned_rows(4, min(_BLOCK, side.vals.size))
     blocks = []
@@ -277,35 +290,39 @@ def kernel_coefficients(e: ExpectationCache, families) -> tuple:
     return tuple(sides)
 
 
-def _side_pass(coefficients: tuple, side: _Side, rows: int, direct: bool):
+def _side_pass(coefficients: tuple, side: _Side, rows: int, objective: bool, direct: bool):
     """Two-way softmax of (Gaussian, activation) over one support side, with
     the side's ``kernel_coefficients``.
 
     The pass sweeps the side's blocks, writes the activation
     responsibilities into ``side.g`` and returns the side's log-sum-exp
-    total, its degenerate points (activation 0, left out of the total) and
-    its sums over the mirrored values v: the count and the sums of the first
-    ``rows`` rows of the side's stack (v, v**2, log v, 1/v), weighted by the
-    Gaussian's responsibilities on the side if ``direct``, else by the
-    activation's. Each sum is taken per block, while the block is in
-    cache (how: ``_BLAS_DOT_MAX``), and the block sums are added in block
-    order; a sum does not depend on how many rows are taken. With a the
-    Gaussian's and b the activation's log-weight and m = max(a, b), b - m is
-    floored at ``_EXP_FLOOR`` unless the activation has a zero proportion.
+    total if ``objective`` (else None), its degenerate points (activation 0,
+    left out of the total) and its sums over the mirrored values v: unless
+    ``rows`` is 0, the count and the sums of the first ``rows`` rows of the
+    side's stack (v, v**2, log v, 1/v), weighted by the Gaussian's
+    responsibilities on the side if ``direct``, else by the activation's.
+    Each sum is taken per block, while the block is in cache (how:
+    ``_BLAS_DOT_MAX``), and the block sums are added in block order; a sum
+    does not depend on how many rows are taken. With a the Gaussian's and b
+    the activation's log-weight and m = max(a, b), b - m is floored at
+    ``_EXP_FLOOR`` unless the activation has a zero proportion. A point is
+    degenerate exactly when m is not finite: its log-sum-exp is NaN then,
+    and finite otherwise, so a pass without the objective finds the same
+    degenerate points.
     """
     c_sq, c_x, c0, const, c_log, c_lin, inverse = coefficients
     floor = _EXP_FLOOR if math.isfinite(const) else -math.inf
-    lse, degenerate = 0.0, 0
+    lse, degenerate = (0.0 if objective else None), 0
     blas = side.vals.size <= _BLAS_DOT_MAX
     sums = [0.0] * (rows + 1)
     for lo, values, stack, (a, b, m, t), gb in side.blocks:
-        vals, sq, logs, invs = values
+        vals, sq, logs = values[:3]
         np.multiply(sq, c_sq, out=a)
         np.multiply(vals, c_x, out=t)
         a += t
         a += c0
         np.multiply(logs, c_log, out=b)
-        np.multiply(invs if inverse else vals, c_lin, out=t)
+        np.multiply(values[3] if inverse else vals, c_lin, out=t)
         b += t
         b += const
         np.maximum(a, b, out=m)
@@ -318,31 +335,35 @@ def _side_pass(coefficients: tuple, side: _Side, rows: int, direct: bool):
         np.divide(b, t, out=gb)
         if direct:
             np.divide(a, t, out=a)
-        np.log(t, out=t)
-        t += m
-        block = float(t.sum())
-        if not math.isfinite(block):
-            ok = np.isfinite(t)
+        if objective:
+            np.log(t, out=t)
+            t += m
+            block = float(t.sum())
+            clean = math.isfinite(block)
+        else:
+            clean = bool(np.isfinite(m).all())
+        if not clean:
+            ok = np.isfinite(m)
             gb[~ok] = 0.0
             if direct:
                 a[~ok] = 1.0
             degenerate += ok.size - int(np.count_nonzero(ok))
-            block = float(t[ok].sum())
-        lse += block
+            if objective:
+                block = float(t[ok].sum())
+        if objective:
+            lse += block
+        if not rows:
+            continue
         w = a if direct else gb
-        if not blas:
-            block_sums = [float(w.sum()), *np.einsum("ij,j->i", stack[:rows], w).tolist()]
+        if blas:
+            block_sums = [float(w.sum()), *np.vecdot(stack[:rows], w).tolist()]
         else:
-            block_sums = [float(w.sum()), float(vals @ w), float(sq @ w)]
-            if rows > 2:
-                block_sums.append(float(logs @ w))
-            if rows > 3:
-                block_sums.append(float(invs @ w))
+            block_sums = [float(w.sum()), *np.einsum("ij,j->i", stack[:rows], w).tolist()]
         sums = block_sums if lo == 0 else [total + part for total, part in zip(sums, block_sums)]
     return lse, degenerate, sums
 
 
-def _sweep(cache: _DataCache, coefficients: tuple, rows: int, direct: bool) -> list:
+def _sweep(cache: _DataCache, coefficients: tuple, rows: int, objective: bool, direct: bool) -> list:
     """``_side_pass`` over both sides, in side order, with their
     ``kernel_coefficients``. With ``cache.parallel`` the worker thread sweeps
     the negative side in a copy of the caller's context, and so under its
@@ -350,32 +371,50 @@ def _sweep(cache: _DataCache, coefficients: tuple, rows: int, direct: bool) -> l
     while this thread sweeps the positive one; either way both sides are
     swept before this returns or raises (the positive side's error first)."""
     if not cache.parallel:
-        return [_side_pass(c, side, rows, direct) for c, side in zip(coefficients, cache.sides)]
+        return [
+            _side_pass(c, side, rows, objective, direct)
+            for c, side in zip(coefficients, cache.sides)
+        ]
     if cache.worker is None:
         from concurrent.futures import ThreadPoolExecutor
 
         cache.worker = ThreadPoolExecutor(1, thread_name_prefix="gigmix-estep")
     negative = cache.worker.submit(
-        contextvars.copy_context().run, _side_pass, coefficients[1], cache.sides[1], rows, direct
+        contextvars.copy_context().run,
+        _side_pass, coefficients[1], cache.sides[1], rows, objective, direct,
     )
     try:
-        positive = _side_pass(coefficients[0], cache.sides[0], rows, direct)
+        positive = _side_pass(coefficients[0], cache.sides[0], rows, objective, direct)
     finally:
         negative.exception()  # waits for the worker's side
     return [positive, negative.result()]
 
 
-def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families, rows: int = 4):
+def _responsibility_pass(
+    cache: _DataCache, e: ExpectationCache, families, rows: int = 4, objective: bool = True
+):
     """One packed pass: sufficient stats, total LSE and the number of
     degenerate points; the responsibilities stay in ``cache`` (under ``e``).
 
-    The activation sums are those of the first ``rows`` rows of the side
-    stack (v, v**2, log v, 1/v); the statistics of the rows left out are NaN.
-    A pass takes what its update reads: 4 rows for the inverse-Gamma
-    variational updates, 3 for the Gamma ones, which read no sum of 1/v
-    (``recip_x`` is NaN), and 2 for the maximum-likelihood M-step, which
-    reads only the counts and the sums of x and x**2 (``log_x`` and
-    ``recip_x`` are NaN).
+    A pass takes only what its caller reads. The activation sums are those
+    of the first ``rows`` rows of the side stack (v, v**2, log v, 1/v); the
+    statistics of the rows left out are NaN:
+
+    - 4 rows for the inverse-Gamma variational updates;
+    - 3 for the Gamma ones, which read no sum of 1/v (``recip_x`` is NaN),
+      and which run on a cache without the 1/v row;
+    - 2 for the maximum-likelihood M-step, which reads only the counts and
+      the sums of x and x**2 (``log_x`` and ``recip_x`` are NaN);
+    - 0 for a pass that only leaves its responsibilities: the extra pass at
+      a fit's recorded point and ``e_step``. Its statistics are None.
+
+    The total LSE (the maximum-likelihood log-likelihood, the data part of
+    the variational NFE) is None unless ``objective``. Every pass that
+    records a point takes it. A variational fit's first pass at its start
+    and each SQUAREM candidate's pass at theta' (``vb_em._extrapolated``)
+    feed only an update, and the direct Gaussian re-sweep only its sums:
+    they skip the log and the sum of the per-point log-sum-exp. A pass
+    without it finds the same degenerate points.
 
     Off-support responsibilities are identically zero by construction; data
     points at exactly zero are assigned to the Gaussian. A point with zero
@@ -384,18 +423,31 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families, rows:
     """
     cache.coefficients = None
     coefficients = kernel_coefficients(e, families)
-    lse_total, degenerate = 0.0, 0
+    lse_total, degenerate = (0.0 if objective else None), 0
+    sides = _sweep(cache, coefficients, rows, objective, False)
+    for lse, bad, _ in sides:
+        degenerate += bad
+        if objective:
+            lse_total += lse
+    lse_zero = cache.n_zero * coefficients[0][2] if cache.n_zero else 0.0  # c0
+    if not math.isfinite(lse_zero):
+        degenerate += cache.n_zero
+    elif objective:
+        lse_total += lse_zero
+    stats = _statistics(cache, coefficients, sides) if rows else None
+    cache.coefficients = e
+    return stats, lse_total, degenerate
+
+
+def _statistics(cache: _DataCache, coefficients: tuple, sides: list) -> SufficientStats:
+    """The pass's statistics from its side sums (``_side_pass``)."""
     # The Gaussian's sums start from the data totals and each side's are
     # taken off in side order. ``xbar`` holds the signed sums.
     n1, sx1, sxx1 = cache.x.size, cache.sum_x, cache.sum_sq
     # The activation sums of log v and 1/v, positive side first; NaN unless
     # the pass takes them.
     n, xbar, sq, log_recip = [], [], [], [math.nan] * 4
-    for k, (side, (lse, bad, sums)) in enumerate(
-        zip(cache.sides, _sweep(cache, coefficients, rows, False))
-    ):
-        lse_total += lse
-        degenerate += bad
+    for k, (side, (_, _, sums)) in enumerate(zip(cache.sides, sides)):
         nk, sxk, sqk = sums[:3]
         n.append(nk)
         xbar.append(side.sign * sxk)
@@ -405,21 +457,17 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families, rows:
         n1 -= nk
         sx1 -= xbar[-1]
         sxx1 -= sqk
-    lse_zero = cache.n_zero * coefficients[0][2] if cache.n_zero else 0.0  # c0
-    if math.isfinite(lse_zero):
-        lse_total += lse_zero
-    else:
-        degenerate += cache.n_zero
     if n1 < _DIRECT_GAUSSIAN_SHARE * cache.x.size or sxx1 < _DIRECT_GAUSSIAN_SHARE * cache.sum_sq:
         # The same sweep again, summing the Gaussian's side weights directly.
         n1, sx1, sxx1 = cache.n_zero, 0.0, 0.0
-        for side, (_, _, (nk, sxk, sqk)) in zip(cache.sides, _sweep(cache, coefficients, 2, True)):
+        direct = _sweep(cache, coefficients, 2, False, True)
+        for side, (_, _, (nk, sxk, sqk)) in zip(cache.sides, direct):
             n1 += nk
             sx1 += side.sign * sxk
             sxx1 += sqk
     # One array holds every vector statistic; the fields are views of it.
     flat = np.array([n1, *n, sx1, *xbar, *sq, *log_recip])
-    stats = SufficientStats(
+    return SufficientStats(
         n=flat[0:3],
         xbar=flat[3:6],
         sxx1=sxx1,
@@ -427,17 +475,18 @@ def _responsibility_pass(cache: _DataCache, e: ExpectationCache, families, rows:
         log_x=flat[8:10],
         recip_x=flat[10:12],
     )
-    cache.coefficients = e
-    return stats, lse_total, degenerate
 
 
-def point_pass(cache: _DataCache, params: MixtureParams):
-    """The kernel under a point estimate: the maximum-likelihood E-step. It
-    takes only the sums the M-step reads, so the statistics' ``log_x`` and
-    ``recip_x`` are NaN. A zero proportion has log -inf and can leave points
-    degenerate, whose NaNs are expected."""
+def point_pass(cache: _DataCache, params: MixtureParams, rows: int = 2, objective: bool = True):
+    """The kernel under a point estimate: the maximum-likelihood E-step. By
+    default it takes only the sums the M-step reads, so the statistics'
+    ``log_x`` and ``recip_x`` are NaN, and the log-likelihood. A zero
+    proportion has log -inf and can leave points degenerate, whose NaNs are
+    expected."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _responsibility_pass(cache, point_coefficients(params), params.families, 2)
+        return _responsibility_pass(
+            cache, point_coefficients(params), params.families, rows, objective
+        )
 
 
 def _assemble_gamma(cache: _DataCache) -> np.ndarray:
@@ -452,9 +501,9 @@ def _assemble_gamma(cache: _DataCache) -> np.ndarray:
 
 def e_step(data, params: MixtureParams) -> np.ndarray:
     """N x 3 responsibilities under a point estimate; rows sum to 1 and
-    respect the support signs."""
-    cache = _DataCache(finite_data(data))
-    point_pass(cache, params)
+    respect the support signs. The pass takes no sums and no objective."""
+    cache = _DataCache(finite_data(data), params.families)
+    point_pass(cache, params, 0, False)
     return _assemble_gamma(cache)
 
 

@@ -152,12 +152,19 @@ def win_matrix(auc_runs, alpha: float = 0.01) -> ComparisonTable:
     model wins a scenario against another when its mean AUC is higher and the
     paired t-test is significant at ``alpha``. Each unordered pair is tested
     once: swapping the vectors negates every difference exactly, so it negates
-    the mean and t and leaves p as it is.
+    the mean and t and leaves p as it is. ValueError unless every scenario
+    holds the same models.
     """
     scenarios = sorted(auc_runs)
     if not scenarios:
         raise ValueError("no scenarios given")
     models = sorted(auc_runs[scenarios[0]])
+    for sc in scenarios[1:]:
+        if sorted(auc_runs[sc]) != models:
+            raise ValueError(
+                f"scenario {sc!r} has models {sorted(auc_runs[sc])}, but scenario "
+                f"{scenarios[0]!r} has {models}: every scenario needs the same models"
+            )
     wins = {}
     for sc in scenarios:
         for i, ma in enumerate(models):

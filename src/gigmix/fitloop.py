@@ -87,7 +87,7 @@ def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascen
     start = time.perf_counter()
     if init is None:
         init = default_start(x, families)
-    cache = _DataCache(x)
+    cache = _DataCache(x, families)
     recorded = first(cache, init)
     passes, degenerate = 1, recorded.degenerate
     trace = [recorded.objective]
@@ -109,8 +109,8 @@ def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascen
             break
     if cache.coefficients is not recorded.expectations:
         # A later pass overwrote the recorded point's responsibilities. Only
-        # they are needed, so the pass takes the fewest sums (2 rows).
-        _responsibility_pass(cache, recorded.expectations, families, 2)
+        # they are needed, so the pass takes no sums and no objective.
+        _responsibility_pass(cache, recorded.expectations, families, 0, False)
     return recorded, np.asarray(trace), dict(
         responsibilities=_assemble_gamma(cache),
         iterations=passes,

@@ -190,7 +190,8 @@ def _log_rho(cache: _DataCache, e: ExpectationCache, families) -> np.ndarray:
 
 
 def update_responsibilities(data, expectations: ExpectationCache, families):
-    """Responsibilities and sufficient statistics for one pass over the data."""
+    """Responsibilities and sufficient statistics for one pass over the data:
+    every sum of the kernel, that of 1/v included, whatever the families."""
     cache = _DataCache(finite_data(data))
     stats = _responsibility_pass(cache, expectations, families)[0]
     return _assemble_gamma(cache), stats
@@ -404,7 +405,7 @@ def negative_free_energy(
     ``gamma`` is N x 3, as in ``sufficient_stats``.
     """
     x, gamma = finite_data_and_gamma(data, gamma)
-    log_rho = _log_rho(_DataCache(x), expectations_cache, priors.families)
+    log_rho = _log_rho(_DataCache(x, priors.families), expectations_cache, priors.families)
     with np.errstate(invalid="ignore", divide="ignore"):
         coupled = np.where(gamma > 0, gamma * log_rho, 0.0)
         entropy = np.where(gamma > 0, gamma * np.log(gamma), 0.0)
@@ -505,10 +506,11 @@ def _extrapolated(cache: _DataCache, theta, priors: HyperPriors):
     """The SQUAREM candidate: F(theta') and the pass at it for its NFE.
 
     ``theta`` is theta' packed as a list of floats, and a pass at it gives
-    the statistics for F; or it is the point of the pass already made at
-    theta' = theta2. Returns the candidate, or None if theta' is not finite
-    or any part fails numerically (an error or a floating-point warning),
-    and the passes made.
+    the statistics for F, without the objective, which nothing reads at
+    theta'; or it is the point of the pass already made at theta' = theta2.
+    Returns the candidate, or None if theta' is not finite, the pass at it
+    has degenerate points or any part fails numerically (an error or a
+    floating-point warning), and the passes made.
     """
     passes = 0
     try:
@@ -520,10 +522,11 @@ def _extrapolated(cache: _DataCache, theta, priors: HyperPriors):
                     return None, 0
                 e = expectations(_unpack(theta), priors)
                 passes = 1
-                stats, lse_total, ndeg = _responsibility_pass(
-                    cache, e, priors.families, priors._terms.rows
+                # The pass feeds only F(theta'), so it takes no objective.
+                stats, _, ndeg = _responsibility_pass(
+                    cache, e, priors.families, priors._terms.rows, False
                 )
-                if ndeg or not math.isfinite(lse_total):
+                if ndeg:
                     return None, passes
             state = _update_state(stats, priors, e.tau, e.s)
             passes += 1
@@ -605,10 +608,11 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
     def first(cache, init):
         # ``point_pass`` under this module's name for the kernel, so that the
         # start's pass is traced like every other. The start's tau and shapes
-        # are the E[tau] and E[s] of the first update.
+        # are the E[tau] and E[s] of the first update, and the pass feeds
+        # only that update: it takes no objective.
         with np.errstate(divide="ignore", invalid="ignore"):
             e = point_coefficients(init)
-            stats = _responsibility_pass(cache, e, families, priors._terms.rows)[0]
+            stats = _responsibility_pass(cache, e, families, priors._terms.rows, False)[0]
         return _evaluate(cache, _update_state(stats, priors, e.tau, e.s), priors)
 
     def cycle(cache, recorded, passes):

@@ -63,15 +63,31 @@ def _start(x, families):
     return init_params(kmeans_1d(x, 3), families)
 
 
-def _pass_bytes(cache, params):
+# The statistics a pass of each row count takes.
+TAKEN = {
+    0: (),
+    2: ("n", "xbar", "sxx1", "sq_x"),
+    3: ("n", "xbar", "sxx1", "sq_x", "log_x"),
+    4: ("n", "xbar", "sxx1", "sq_x", "log_x", "recip_x"),
+}
+
+
+def _pass_bytes(cache, params, rows=4, objective=True):
     """A pass's side responsibilities, statistics, LSE and degenerate count
-    as bytes."""
-    stats, lse, degenerate = estep._responsibility_pass(
-        cache, estep.point_coefficients(params), params.families
-    )
-    fields = [np.asarray(getattr(stats, f)).tobytes() for f in stats.__dataclass_fields__]
+    as bytes; the statistics it does not take are NaN, and without the
+    objective its LSE is None."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = estep.point_coefficients(params)
+        stats, lse, degenerate = estep._responsibility_pass(
+            cache, e, params.families, rows, objective
+        )
+    if rows:
+        fields = {f: np.asarray(getattr(stats, f)).tobytes() for f in TAKEN[rows]}
+        assert all(np.isnan(getattr(stats, f)).all() for f in TAKEN[4] if f not in fields)
+    else:
+        fields = stats
     g = [side.g.tobytes() for side in cache.sides]
-    return g, fields, np.float64(lse).tobytes(), degenerate
+    return g, fields, lse if lse is None else np.float64(lse).tobytes(), degenerate
 
 
 def _serial(x):
@@ -108,10 +124,10 @@ def test_pass_equals_the_sides_swept_in_turn(x, two_cpus, monkeypatch, families,
     threads = []
     side_pass = estep._side_pass
 
-    def spy(coefficients, side, rows, is_direct):
+    def spy(coefficients, side, rows, objective, is_direct):
         k = 0 if side.sign > 0 else 1
         threads.append((k, is_direct, threading.current_thread() is threading.main_thread()))
-        return side_pass(coefficients, side, rows, is_direct)
+        return side_pass(coefficients, side, rows, objective, is_direct)
 
     monkeypatch.setattr(estep, "_side_pass", spy)
     cache = estep._DataCache(x)
@@ -202,6 +218,45 @@ def test_gamma_pass_takes_the_vb_update_sums_of_a_full_pass(x, two_cpus, n):
         assert have == np.asarray(getattr(expected, field)).tobytes()
 
 
+# (rows, objective) of the reduced passes: the variational passes at a start
+# and at a SQUAREM candidate (4 or 3 rows, no objective), the direct Gaussian
+# re-sweep's sums without the objective, the responsibilities alone (the
+# extra pass at a fit's recorded point and ``e_step``), and the Gamma and
+# maximum-likelihood passes with their objective.
+REDUCED = ((4, False), (3, False), (2, False), (0, False), (3, True), (2, True))
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["start", "degenerate"])
+@pytest.mark.parametrize("families", [(GAMMA_POS, GAMMA_NEG), (INVGAMMA_POS, INVGAMMA_NEG)])
+@pytest.mark.parametrize("n, parallel", [(10_000, False), (N, False), (N, True)])
+def test_reduced_passes_give_the_full_pass_bits(x, two_cpus, n, parallel, families, degenerate):
+    # Every reduced pass gives the full pass's side responsibilities, the
+    # statistics it takes and the degenerate count, bit for bit: on one
+    # thread with BLAS dots (n = 1e4) or einsum rows (n = 1e5), and on two
+    # threads; on a cache of the fit's families, which for Gamma fits holds
+    # no 1/v row. The map has exact zeros. Without a Gaussian and a negative
+    # activation, every negative point and every zero is degenerate.
+    y = x[:n].copy()
+    y[::97] = 0.0
+    if degenerate:
+        params = _params((0.0, 1.0, 0.0), families)
+    else:
+        params = _start(y, families)
+    full = estep._DataCache(y)
+    full.parallel = parallel
+    g, stats, lse, bad = _pass_bytes(full, params)
+    assert bad == (np.count_nonzero(y <= 0) if degenerate else 0)
+    for rows, objective in REDUCED:
+        cache = estep._DataCache(y, families)
+        assert len(cache.sides[0].stack) == (3 if families[0].kind == "gamma" else 4)
+        if rows > len(cache.sides[0].stack):
+            continue
+        cache.parallel = parallel
+        want_stats = {f: stats[f] for f in TAKEN[rows]} if rows else None
+        want = g, want_stats, lse if objective else None, bad
+        assert _pass_bytes(cache, params, rows, objective) == want, (rows, objective)
+
+
 def test_concurrent_passes_on_their_own_caches_keep_their_bits(x, two_cpus):
     # Four callers, each with its own cache and so its own worker and
     # buffers, on two CPUs and with a short switch interval.
@@ -242,9 +297,9 @@ def test_overflow_on_the_workers_side_raises_in_the_caller(x, two_cpus):
     e = estep.point_coefficients(params)
     positive, negative = estep.kernel_coefficients(e, params.families)
     with np.errstate(over="raise"):
-        estep._side_pass(positive, cache.sides[0], 4, False)
+        estep._side_pass(positive, cache.sides[0], 4, True, False)
         with pytest.raises(FloatingPointError):
-            estep._side_pass(negative, cache.sides[1], 4, False)
+            estep._side_pass(negative, cache.sides[1], 4, True, False)
         with pytest.raises(FloatingPointError):
             estep._responsibility_pass(cache, e, params.families)
     # The cache's worker and buffers stay usable: the next pass equals a

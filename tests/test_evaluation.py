@@ -256,3 +256,17 @@ def test_win_matrix_tests_each_unordered_pair_once(monkeypatch):
 def test_win_matrix_requires_repeats():
     with pytest.raises(ValueError):
         win_matrix({"sc": {"a": np.array([0.5]), "b": np.array([0.6])}})
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        {"s1": {"a": [0.1, 0.2], "b": [0.2, 0.3]}, "s2": {"a": [0.1, 0.2]}},
+        {"s1": {"a": [0.1, 0.2]}, "s2": {"a": [0.1, 0.2], "b": [0.2, 0.3]}},
+    ],
+)
+def test_win_matrix_requires_the_same_models_in_every_scenario(runs):
+    # A model missing from a later scenario, or held only by later ones, is
+    # named together with the scenario, not met as a KeyError or dropped.
+    with pytest.raises(ValueError, match=r"'s2' has models .* 's1' has"):
+        win_matrix(runs)

@@ -228,6 +228,8 @@ def test_fit_responsibilities_are_a_pass_at_the_reported_point(
         want = e_step(x, r.params)
     assert r.stop_reason == stop
     assert len(passes) == extra
+    # The extra pass leaves only responsibilities: no sums, no objective.
+    assert [args[3:] for args in passes] == [(0, False)] * extra
     assert r.responsibilities.tobytes() == want.tobytes()
 
 
