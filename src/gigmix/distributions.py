@@ -20,7 +20,12 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class ComponentFamily:
-    """Family tag plus support side (+1 / -1; 0 for the Gaussian)."""
+    """Family tag plus support side (+1 / -1; 0 for the Gaussian).
+
+    ``inverse`` says whether the family is an inverse-Gamma, whose
+    log-density and rate update read 1/v where a Gamma's read v, and
+    ``moments`` gives its method-of-moments component on its own side.
+    """
 
     kind: str
     sign: int = 0
@@ -38,6 +43,25 @@ class ComponentFamily:
     @property
     def is_gaussian(self) -> bool:
         return self.kind == "gaussian"
+
+    @property
+    def inverse(self) -> bool:
+        return self.kind == "invgamma"
+
+    def moments(self, mean: float, variance: float) -> ShapeRateParams:
+        """The component of this family whose (mirrored) mean and variance
+        are exactly these: Gamma(shape, rate) or inverse-Gamma(shape, scale).
+        ValueError for the Gaussian family or moments that are not positive."""
+        if self.is_gaussian:
+            raise ValueError("the Gaussian family has no method-of-moments activation component")
+        if not (math.isfinite(mean) and math.isfinite(variance) and mean > 0 and variance > 0):
+            raise ValueError(
+                f"method of moments needs positive mean and variance, got {mean}, {variance}"
+            )
+        q = mean * mean / variance
+        if self.inverse:
+            return ShapeRateParams(q + 2.0, mean * (q + 1.0), self)
+        return ShapeRateParams(q, mean / variance, self)
 
 
 GAUSSIAN = ComponentFamily("gaussian", 0)
@@ -153,10 +177,10 @@ def log_pdf(params, x):
     lognorm = s * math.log(r) - log_gamma(s)
     zm = z[m]
     lz = np.log(zm)
-    if params.family.kind == "gamma":
-        out[m] = lognorm + (s - 1.0) * lz - r * zm
-    else:
+    if params.family.inverse:
         out[m] = lognorm - (s + 1.0) * lz - r / zm
+    else:
+        out[m] = lognorm + (s - 1.0) * lz - r * zm
     return float(out[0]) if scalar else out
 
 
@@ -175,28 +199,16 @@ def sample(params, n: int, rng: np.random.Generator) -> np.ndarray:
     if not isinstance(params, ShapeRateParams):
         raise TypeError(f"unsupported parameter type {type(params).__name__}")
     g = rng.gamma(shape=params.shape, scale=1.0 / params.rate, size=n)
-    if params.family.kind == "invgamma":
+    if params.family.inverse:
         g = 1.0 / g
     return params.family.sign * g
 
 
-def _check_moments(mean: float, variance: float) -> None:
-    if not (math.isfinite(mean) and math.isfinite(variance) and mean > 0 and variance > 0):
-        raise ValueError(
-            f"method of moments needs positive mean and variance, got {mean}, {variance}"
-        )
-
-
 def mom_gamma(mean: float, variance: float, sign: int = 1) -> ShapeRateParams:
     """Gamma(shape, rate) matching the given mean and variance exactly."""
-    _check_moments(mean, variance)
-    family = GAMMA_POS if sign == 1 else GAMMA_NEG
-    return ShapeRateParams(mean * mean / variance, mean / variance, family)
+    return (GAMMA_POS if sign == 1 else GAMMA_NEG).moments(mean, variance)
 
 
 def mom_invgamma(mean: float, variance: float, sign: int = 1) -> ShapeRateParams:
     """Inverse-Gamma(shape, scale) matching the given mean and variance exactly."""
-    _check_moments(mean, variance)
-    q = mean * mean / variance
-    family = INVGAMMA_POS if sign == 1 else INVGAMMA_NEG
-    return ShapeRateParams(q + 2.0, mean * (q + 1.0), family)
+    return (INVGAMMA_POS if sign == 1 else INVGAMMA_NEG).moments(mean, variance)

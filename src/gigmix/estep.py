@@ -22,13 +22,17 @@ fill it with posterior expectations. The maximum-likelihood log-densities
 have the same form with point values in place of expectations
 (``point_coefficients``, run by ``point_pass``), and then the total
 log-sum-exp is the observed-data log-likelihood. ``kernel_coefficients``
-turns the cache into each side's coefficients once per pass. A pass takes only what
-its caller reads (``_responsibility_pass``): per side the activation's count
-and its sums of v, v**2, log v and 1/v for bgim, of v, v**2 and log v for
-bggm, and of v and v**2 for a maximum-likelihood pass, which is all the
-M-step reads; no sums for a pass whose caller reads only the
-responsibilities. The total log-sum-exp is taken only by the passes whose
-objective is read. A Gamma fit's data cache holds no 1/v row.
+turns the cache into each side's coefficients once per pass. Each family
+states its own rules (``distributions.ComponentFamily``): whether it is
+``inverse``, so that its log-weight reads 1/v where a Gamma's reads v. A pass
+takes only what its caller reads (``_responsibility_pass``): per side the
+activation's count and its sums of v, v**2, log v and 1/v for bgim, of v,
+v**2 and log v for bggm, and of v and v**2 for a maximum-likelihood pass,
+which is all the M-step reads; no sums for a pass whose caller reads only
+the responsibilities. The total log-sum-exp is taken only by the passes
+whose objective is read. The data cache alone decides whether its sides
+hold the 1/v row (``_DataCache.height``): a Gamma fit's holds none, and a
+variational pass takes every row its cache holds.
 """
 
 from __future__ import annotations
@@ -140,30 +144,30 @@ class _Side:
     """One support side: the samples with ``sign * x > 0``.
 
     ``rows`` are their indices in x, ``vals`` their mirrored values
-    ``sign * x[rows]``, and ``sq``, ``logs`` and, if ``reciprocals``,
-    ``invs`` the square, log and reciprocal of ``vals``: the rows of
-    ``stack``, in that order (without reciprocals ``invs`` is None). Each
-    pass writes the side's activation responsibilities to ``g``. ``blocks``
-    are the side's blocks for the pass, with views of ``g`` and of the side's
-    own work buffers; a side with no points has none.
+    ``sign * x[rows]``, and ``sq``, ``logs`` and, if ``height`` is 4,
+    ``invs`` the square, log and reciprocal of ``vals``: the ``height`` rows
+    of ``stack``, in that order (with 3 rows ``invs`` is None). Each pass
+    writes the side's activation responsibilities to ``g``. ``blocks`` are
+    the side's blocks for the pass, with views of ``g`` and of the side's own
+    work buffers; a side with no points has none.
     """
 
     __slots__ = ("sign", "rows", "stack", "vals", "sq", "logs", "invs", "g", "blocks")
 
-    def __init__(self, x: np.ndarray, sign: float, reciprocals: bool):
+    def __init__(self, x: np.ndarray, sign: float, height: int):
         self.sign = sign
         # For finite x, -x > 0 exactly when x < 0, and negation is exact.
         self.rows = np.flatnonzero(x > 0) if sign > 0 else np.flatnonzero(x < 0)
-        self.stack = _aligned_rows(4 if reciprocals else 3, self.rows.size)
+        self.stack = _aligned_rows(height, self.rows.size)
         self.vals, self.sq, self.logs = self.stack[:3]
-        self.invs = self.stack[3] if reciprocals else None
+        self.invs = self.stack[3] if height == 4 else None
         # "clip" spares the copy through a buffer that bounds checking makes.
         x.take(self.rows, out=self.vals, mode="clip")
         if sign < 0:
             np.negative(self.vals, out=self.vals)
         np.multiply(self.vals, self.vals, out=self.sq)
         np.log(self.vals, out=self.logs)
-        if reciprocals:
+        if self.invs is not None:
             np.divide(1.0, self.vals, out=self.invs)
         self.g = _aligned_empty(self.rows.size)
         self.blocks = _side_blocks(self)
@@ -171,10 +175,11 @@ class _Side:
 
 class _DataCache:
     """Per-fit precomputations: the two support sides, the count of exact
-    zeros and the data totals. The sides hold the reciprocals 1/v only if
-    ``families`` (the fit's activation families) has an inverse-Gamma, whose
-    log-weights and rate update read them, or is None: a Gamma fit's cache
-    holds three rows per side.
+    zeros and the data totals. The cache alone decides how many rows of the
+    side stack (v, v**2, log v, 1/v) it holds, ``height``: 4, with the
+    reciprocals 1/v, if ``families`` (the fit's activation families) has an
+    ``inverse`` one, whose log-weights and rate update read them, or is None;
+    3 for a Gamma fit. A variational pass takes every row its cache holds.
 
     The responsibility pass only ever combines these arrays with scalar
     coefficients, so everything data-dependent is computed exactly once per
@@ -187,12 +192,12 @@ class _DataCache:
     ends with the cache.
     """
 
-    __slots__ = ("x", "sides", "n_zero", "sum_x", "sum_sq", "coefficients", "parallel", "worker")
+    __slots__ = ("x", "height", "sides", "n_zero", "sum_x", "sum_sq", "coefficients", "parallel", "worker")
 
     def __init__(self, x: np.ndarray, families=None):
         self.x = x
-        reciprocals = families is None or any(fam.kind != "gamma" for fam in families)
-        self.sides = (_Side(x, 1.0, reciprocals), _Side(x, -1.0, reciprocals))
+        self.height = 4 if families is None or any(fam.inverse for fam in families) else 3
+        self.sides = (_Side(x, 1.0, self.height), _Side(x, -1.0, self.height))
         self.n_zero = x.size - sum(side.rows.size for side in self.sides)
         self.sum_x = float(x.sum())
         self.sum_sq = float((x * x).sum())
@@ -284,7 +289,7 @@ def kernel_coefficients(e: ExpectationCache, families) -> tuple:
     sides = []
     for k, fam in enumerate(families):
         const = log_pi[k + 1] + s[k] * log_r[k] - log_gamma_s[k]
-        inverse = fam.kind != "gamma"
+        inverse = fam.inverse
         c_log = -(s[k] + 1.0) if inverse else s[k] - 1.0
         sides.append((c_sq, fam.sign * c_x, c0, const, c_log, -r[k], inverse))
     return tuple(sides)
@@ -400,9 +405,10 @@ def _responsibility_pass(
     of the first ``rows`` rows of the side stack (v, v**2, log v, 1/v); the
     statistics of the rows left out are NaN:
 
-    - 4 rows for the inverse-Gamma variational updates;
-    - 3 for the Gamma ones, which read no sum of 1/v (``recip_x`` is NaN),
-      and which run on a cache without the 1/v row;
+    - every row the cache holds (``_DataCache.height``) for the
+      variational updates: 4 for an inverse-Gamma fit, and 3 for a Gamma
+      fit, whose cache has no 1/v row and whose updates read no sum of 1/v
+      (``recip_x`` is NaN, on a side with no points too);
     - 2 for the maximum-likelihood M-step, which reads only the counts and
       the sums of x and x**2 (``log_x`` and ``recip_x`` are NaN);
     - 0 for a pass that only leaves its responsibilities: the extra pass at

@@ -78,6 +78,8 @@ class SyntheticSpec:
             raise ValueError(f"snr must be one of {SNR_LEVELS}, got {self.snr}")
         if self.n < 1 or self.repeats < 1:
             raise ValueError("n and repeats must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def pi(self) -> tuple:
@@ -109,7 +111,11 @@ def _fit_seed(seed: int, scenario_index: int, repeat_index: int) -> int:
 
 
 def generate(spec: SyntheticSpec, repeat_index: int, scenario_index: int = 0) -> LabeledDataset:
-    """Draw one labeled dataset; deterministic given (seed, indices)."""
+    """Draw one labeled dataset; deterministic given (seed, indices), which
+    must be non-negative."""
+    for name, index in (("repeat_index", repeat_index), ("scenario_index", scenario_index)):
+        if index < 0:
+            raise ValueError(f"{name} must be >= 0, got {index}")
     rng = substream(spec.seed, scenario_index, repeat_index)
     labels = rng.choice(np.array([1, 2, 3]), size=spec.n, p=np.asarray(spec.pi))
     means = np.array([0.0, float(spec.snr), -float(spec.snr)])[labels - 1]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GaussianParams, MixtureParams, mom_gamma, mom_invgamma
+from .distributions import GaussianParams, MixtureParams
 from .estep import e_step, finite_data
 
 _VAR_FLOOR = 1e-6
@@ -166,10 +166,9 @@ def _side_component(mean: float, variance: float, family):
     """The method-of-moments component of ``family`` with this (mirrored)
     mean and variance, or with the fallback moments when either is not
     positive."""
-    mom = mom_gamma if family.kind == "gamma" else mom_invgamma
     if mean > 0 and variance > 0:
-        return mom(mean, variance, sign=family.sign)
-    return mom(_FALLBACK_MEAN, _FALLBACK_VAR, sign=family.sign)
+        return family.moments(mean, variance)
+    return family.moments(_FALLBACK_MEAN, _FALLBACK_VAR)
 
 
 def init_params(km: KMeansResult, families) -> MixtureParams:

@@ -3,8 +3,10 @@
 Two value-vector formats are supported:
 
 * ``txt`` — one decimal value per line, UTF-8, '.' decimal separator,
-  ``#``-prefixed comment lines and blank lines ignored. The file is read
-  once, so a pipe or FIFO can be the input.
+  ``#``-prefixed comment lines and blank lines ignored. A value line is
+  ASCII without ``_``: Python's ``float`` and ``int`` would also read digit
+  separators and non-ASCII digits. The file is read once, so a pipe or FIFO
+  can be the input.
 * ``f64le`` — an 8-byte unsigned little-endian count header followed by that
   many little-endian 64-bit floats.
 
@@ -30,14 +32,20 @@ def _read_text(path, parse, check) -> list:
     Lines break at ``"\n"`` alone, after the text layer's newline translation
     (``\r\n`` and ``\r`` become ``\n``); ``str.split()`` and ``splitlines()``
     would also break at ``\x1c``-``\x1e``, ``\x85`` and ``\u2028``. If
-    ``parse`` fails, the lines already read are walked for the first one that
-    ``check`` refuses, raised as ``path:lineno: message``. The file is opened
-    once, so a pipe or FIFO reads like any other file.
+    ``parse`` fails, or a kept line is not ``_plain_text``, the lines already
+    read are walked for the first one that ``check`` refuses, raised as
+    ``path:lineno: message``. The file is opened once, so a pipe or FIFO
+    reads like any other file. Comments may hold any text, so the kept lines
+    are looked at only when the whole text is not plain.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+        text = fh.read()
+    lines = text.split("\n")
     try:
-        return parse([s for s in map(str.strip, lines) if s and s[0] != "#"])
+        kept = [s for s in map(str.strip, lines) if s and s[0] != "#"]
+        if not (_plain_text(text) or _plain_text("".join(kept))):
+            raise ValueError("a value line is not plain ASCII")
+        return parse(kept)
     except ValueError:
         for lineno, line in enumerate(map(str.strip, lines), start=1):
             if line and line[0] != "#":
@@ -48,8 +56,16 @@ def _read_text(path, parse, check) -> list:
         raise
 
 
+def _plain_text(text) -> bool:
+    """Whether ``text`` is ASCII without ``_``: ``str.isascii`` reads a flag
+    of the string, and ``in`` is one C-level scan."""
+    return text.isascii() and "_" not in text
+
+
 def _decimal(line) -> float:
     try:
+        if not _plain_text(line):
+            raise ValueError(line)
         return float(line)
     except ValueError as exc:
         raise ValueError(f"not a decimal value: {line!r}") from exc
@@ -98,6 +114,8 @@ def _labels(kept) -> list:
 
 def _label(line) -> int:
     try:
+        if not _plain_text(line):
+            raise ValueError(line)
         v = int(line)
     except ValueError as exc:
         raise ValueError(f"not an integer label: {line!r}") from exc

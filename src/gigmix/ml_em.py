@@ -30,8 +30,6 @@ from .distributions import (
     INVGAMMA_POS,
     GaussianParams,
     MixtureParams,
-    mom_gamma,
-    mom_invgamma,
 )
 from .estep import SufficientStats, _DataCache, e_step, point_pass
 from .fitloop import FitConfig, FitResult, Point
@@ -75,8 +73,7 @@ def _moments(total: float, total_sq: float, n_k: float):
 def _side_update(total, total_sq, n_k, family):
     mean, var = _moments(total, total_sq, n_k)
     mean = max(mean, _MEAN_FLOOR)
-    mom = mom_gamma if family.kind == "gamma" else mom_invgamma
-    params = mom(mean, var, sign=family.sign)
+    params = family.moments(mean, var)
     shape = min(max(params.shape, _SHAPE_MIN), _SHAPE_MAX)
     if shape != params.shape:
         params = type(params)(shape, params.rate, params.family)
@@ -124,7 +121,7 @@ def _cycle(cache: _DataCache, recorded: Point, passes: int):
 def _fit_ml(
     data, init: MixtureParams | None, cfg: MLFitConfig, kind: str, label: str
 ) -> MLFitResult:
-    if init is not None and (init.comp2.family.kind, init.comp3.family.kind) != (kind, kind):
+    if init is not None and init.families != _FAMILIES[kind]:
         raise ValueError(f"{label} requires {kind} activation components in init")
     last, trace, common = fitloop.fit(
         data, init, initialization.core_params, cfg, _FAMILIES[kind], _point, _cycle,

@@ -24,15 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fitloop, initialization
-from .distributions import (
-    ComponentFamily,
-    GAMMA_NEG,
-    GAMMA_POS,
-    INVGAMMA_NEG,
-    INVGAMMA_POS,
-    mom_gamma,
-    mom_invgamma,
-)
+from .distributions import ComponentFamily, GAMMA_NEG, GAMMA_POS, INVGAMMA_NEG, INVGAMMA_POS
 from .estep import (
     ExpectationCache,
     SufficientStats,
@@ -54,13 +46,12 @@ class VBNumericError(RuntimeError):
 
 
 class _PriorTerms:
-    """What the KL and the kernel pass take from the priors alone: log
-    Gamma(3 lambda0), 3 log Gamma(lambda0), log Gamma(c0_tau), log b0_tau, and
-    per activation log Gamma(d0) and log e0; and ``rows``, the rows of the
-    side stack (v, v**2, log v, 1/v) whose sums the updates read: 1/v only
-    for an inverse-Gamma rate (``update_r``)."""
+    """What the KL takes from the priors alone: log Gamma(3 lambda0), 3 log
+    Gamma(lambda0), log Gamma(c0_tau), log b0_tau, and per activation log
+    Gamma(d0) and log e0. The rows a pass takes are the data cache's alone
+    (``estep._DataCache.height``)."""
 
-    __slots__ = ("lg_3lam0", "three_lg_lam0", "lg_c0_tau", "log_b0_tau", "lg_d0", "log_e0", "rows")
+    __slots__ = ("lg_3lam0", "three_lg_lam0", "lg_c0_tau", "log_b0_tau", "lg_d0", "log_e0")
 
     def __init__(self, priors: HyperPriors):
         self.lg_3lam0 = log_gamma(3 * priors.lambda0)
@@ -69,7 +60,6 @@ class _PriorTerms:
         self.log_b0_tau = math.log(priors.b0_tau)
         self.lg_d0 = tuple(map(log_gamma, priors.d0))
         self.log_e0 = tuple(map(math.log, priors.e0))
-        self.rows = 4 if any(fam.kind == "invgamma" for fam in priors.families) else 3
 
 
 @dataclass(frozen=True)
@@ -147,15 +137,10 @@ def default_hyperpriors(pos_family: ComponentFamily, neg_family: ComponentFamily
     families = (pos_family, neg_family)
     sides = []
     for fam in families:
-        if fam.kind == "gamma":
-            base = mom_gamma(10.0, 10.0)
-        elif fam.kind == "invgamma":
-            base = mom_invgamma(10.0, 10.0)
-        else:
-            raise ValueError("activation components must be gamma or invgamma")
+        base = fam.moments(10.0, 10.0)
         b0 = 1.0 / (base.shape * trigamma(base.shape))
         la0 = b0 * digamma(base.shape) - b0 * math.log(base.rate)
-        if fam.kind == "invgamma":
+        if fam.inverse:
             la0 = -la0
         sides.append((base.rate, 1.0, la0, b0, b0, base.shape, base.rate))
     d0, e0, log_a0, b0_s, c0_s, s0, r0 = zip(*sides)
@@ -229,7 +214,7 @@ def update_r(stats: SufficientStats, priors: HyperPriors, e_s: np.ndarray):
     e_hat = np.empty(2)
     for k, fam in enumerate(priors.families):
         d_hat[k] = priors.d0[k] + e_s[k] * stats.n[k + 1]
-        stat = fam.sign * stats.xbar[k + 1] if fam.kind == "gamma" else stats.recip_x[k]
+        stat = stats.recip_x[k] if fam.inverse else fam.sign * stats.xbar[k + 1]
         e_hat[k] = priors.e0[k] + stat
     return d_hat, e_hat
 
@@ -242,7 +227,7 @@ def update_shape(stats: SufficientStats, priors: HyperPriors):
 
 
 def _shape_laplace_mean(log_a: float, b: float, c: float, log_r: float, fam: ComponentFamily) -> float:
-    sign = 1.0 if fam.kind == "gamma" else -1.0
+    sign = -1.0 if fam.inverse else 1.0
     arg = (sign * log_a + c * log_r) / b
     if not math.isfinite(arg):
         raise VBNumericError(
@@ -470,7 +455,7 @@ def _unpack(theta) -> VBState:
 def _evaluate(cache: _DataCache, state: VBState, priors: HyperPriors) -> Point:
     """One E-step pass at ``state`` and the negative free energy there."""
     e = expectations(state, priors)
-    stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families, priors._terms.rows)
+    stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families, cache.height)
     nfe = lse_total - _kl_total(state, priors, e)
     # Expected log-proportions are finite, so a point without a finite
     # log-sum-exp means the expectations overflowed.
@@ -523,9 +508,7 @@ def _extrapolated(cache: _DataCache, theta, priors: HyperPriors):
                 e = expectations(_unpack(theta), priors)
                 passes = 1
                 # The pass feeds only F(theta'), so it takes no objective.
-                stats, _, ndeg = _responsibility_pass(
-                    cache, e, priors.families, priors._terms.rows, False
-                )
+                stats, _, ndeg = _responsibility_pass(cache, e, priors.families, cache.height, False)
                 if ndeg:
                     return None, passes
             state = _update_state(stats, priors, e.tau, e.s)
@@ -612,7 +595,7 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
         # only that update: it takes no objective.
         with np.errstate(divide="ignore", invalid="ignore"):
             e = point_coefficients(init)
-            stats = _responsibility_pass(cache, e, families, priors._terms.rows, False)[0]
+            stats = _responsibility_pass(cache, e, families, cache.height, False)[0]
         return _evaluate(cache, _update_state(stats, priors, e.tau, e.s), priors)
 
     def cycle(cache, recorded, passes):

@@ -216,6 +216,16 @@ def test_eval_length_mismatch_is_runtime_error(tmp_path, capsys):
     assert main(["eval", "--scores", str(scores), "--truth", str(truth)]) == 2
 
 
+@pytest.mark.parametrize("line", ["1_0", "\u0661"])
+def test_eval_refuses_digits_outside_the_format(tmp_path, capsys, line):
+    scores = tmp_path / "scores.txt"
+    truth = tmp_path / "truth.txt"
+    scores.write_text(f"0.9\n{line}\n", encoding="utf-8")
+    truth.write_text("1\n0\n")
+    assert main(["eval", "--scores", str(scores), "--truth", str(truth)]) == 2
+    assert f"{scores}:2: not a decimal value: {line!r}" in capsys.readouterr().err
+
+
 def test_bench_small_grid(tmp_path):
     outdir = tmp_path / "bench"
     rc = main(
@@ -336,6 +346,24 @@ def test_bench_outdir_naming_a_file_fails_before_any_fit(tmp_path, monkeypatch, 
     assert main(argv) == 2
     assert "File exists" in capsys.readouterr().err
     assert calls == []
+
+
+def test_bench_negative_seed_fails_before_making_the_outdir(tmp_path, capsys):
+    argv = ["bench", "--grid", "1:5:1", "--models", "ggm", "--repeats", "1", "--n", "500",
+            "--seed", "-1", "--outdir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option", ["--seed", "--repeat"])
+def test_simulate_negative_seed_or_repeat_names_it(tmp_path, capsys, option):
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--dataset", "1", "--snr", "3", "--sparsity", "1", "--n", "50",
+            option, "-1", "--output", str(out)]
+    assert main(argv) == 2
+    assert option.lstrip("-") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_bad_grid_is_runtime_error(tmp_path):

@@ -155,6 +155,36 @@ def test_mom_rejects_bad_moments():
             fn(1.0, 0.0)
 
 
+_ACTIVATIONS = (GAMMA_POS, GAMMA_NEG, INVGAMMA_POS, INVGAMMA_NEG)
+
+
+@pytest.mark.parametrize("family", _ACTIVATIONS, ids=lambda f: f"{f.kind}{f.sign:+d}")
+def test_family_moments_are_the_mom_functions_bit_for_bit(family):
+    # The family's own method-of-moments component is what mom_gamma or
+    # mom_invgamma gives with its sign, and what their closed forms give.
+    mom = mom_invgamma if family.inverse else mom_gamma
+    grid = [1e-10, 3e-3, 0.1, 1.0, 2.0 / 3.0, 10.0, 123.456, 1e6]
+    for mean in grid:
+        for variance in grid:
+            got = family.moments(mean, variance)
+            assert got == mom(mean, variance, sign=family.sign)
+            assert got.family is family
+            q = mean * mean / variance
+            want = (q + 2.0, mean * (q + 1.0)) if family.inverse else (q, mean / variance)
+            assert (got.shape, got.rate) == want
+    with pytest.raises(ValueError, match="positive mean and variance"):
+        family.moments(1.0, 0.0)
+
+
+def test_gaussian_family_has_no_moments():
+    with pytest.raises(ValueError, match="Gaussian"):
+        GAUSSIAN.moments(10.0, 10.0)
+
+
+def test_only_inverse_gamma_families_are_inverse():
+    assert [f.inverse for f in (GAUSSIAN, *_ACTIVATIONS)] == [False, False, False, True, True]
+
+
 def test_sampler_moments():
     rng = np.random.default_rng(11)
     n = 1_000_000

@@ -198,7 +198,7 @@ def test_gamma_pass_takes_the_vb_update_sums_of_a_full_pass(x, two_cpus, n):
         y = x
     families = (GAMMA_POS, GAMMA_NEG)
     priors = vb_em.default_hyperpriors(*families)
-    assert priors._terms.rows == 3
+    assert estep._DataCache(y, families).height == 3
     e = estep.point_coefficients(_start(y, families))
     vb_cache, full_cache = estep._DataCache(y), estep._DataCache(y)
     sizes = [side.vals.size for side in vb_cache.sides]
@@ -216,6 +216,47 @@ def test_gamma_pass_takes_the_vb_update_sums_of_a_full_pass(x, two_cpus, n):
     for field in got.__dataclass_fields__:
         have = np.asarray(getattr(got, field)).tobytes()
         assert have == np.asarray(getattr(expected, field)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "families, height",
+    [
+        ((GAMMA_POS, GAMMA_NEG), 3),
+        ((INVGAMMA_POS, INVGAMMA_NEG), 4),
+        ((GAMMA_POS, INVGAMMA_NEG), 4),
+        (None, 4),
+    ],
+)
+def test_the_cache_alone_decides_the_reciprocal_row(families, height):
+    # A cache holds 1/v only for an inverse family or when it has none.
+    y = np.array([-4.0, -0.5, 0.0, 0.25, 2.0, 8.0])
+    cache = estep._DataCache(y, families)
+    assert cache.height == height
+    for side in cache.sides:
+        assert len(side.stack) == height
+        if height == 3:
+            assert side.invs is None
+        else:
+            assert side.invs.tolist() == (1.0 / side.vals).tolist()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_bggm_pass_on_one_sided_data_leaves_recip_x_nan(sign):
+    # A variational pass takes every row its cache holds. A Gamma cache holds
+    # no 1/v row, so recip_x is NaN on both sides, the empty one included,
+    # whose other sums are 0.
+    families = (GAMMA_POS, GAMMA_NEG)
+    y = sign * np.linspace(0.5, 6.0, 40)
+    priors = vb_em.default_hyperpriors(*families)
+    cache = estep._DataCache(y, families)
+    e = estep.point_coefficients(_params((0.8, 0.1, 0.1), families))
+    stats = estep._responsibility_pass(cache, e, families, cache.height, False)[0]
+    empty = 1 if sign > 0 else 0
+    assert np.isnan(stats.recip_x).all()
+    assert stats.n[empty + 1] == stats.sq_x[empty] == stats.log_x[empty] == 0.0
+    assert not np.isnan(stats.log_x).any()
+    point = vb_em._evaluate(cache, vb_em._update_state(stats, priors, e.tau, e.s), priors)
+    assert np.isnan(point.stats.recip_x).all()
 
 
 # (rows, objective) of the reduced passes: the variational passes at a start

@@ -40,6 +40,17 @@ def test_spec_validation():
         SyntheticSpec(dataset=1, snr=5.0, sparsity=0)
 
 
+def test_negative_seed_and_indices_are_refused_by_name():
+    # numpy's own refusal ("expected non-negative integer") names no field.
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SyntheticSpec(dataset=1, snr=5.0, sparsity=1, seed=-1)
+    spec = SyntheticSpec(dataset=1, snr=5.0, sparsity=1, n=10)
+    with pytest.raises(ValueError, match="repeat_index must be >= 0, got -1"):
+        generate(spec, -1)
+    with pytest.raises(ValueError, match="scenario_index must be >= 0, got -2"):
+        generate(spec, 0, -2)
+
+
 def test_spec_proportions_and_id():
     s = SyntheticSpec(dataset=2, snr=3.0, sparsity=2)
     assert s.pi == (0.95, 0.05, 0.0)
@@ -276,6 +287,15 @@ _HOSTILE_TEXT = [
     # only, so each of these separators leaves one bad line.
     (f"0\n1{sep}0\n-1\n".encode("utf-8"), (2, f"1{sep}0"), (2, f"1{sep}0"))
     for sep in (" ", "\t", "\x1c", "\x85", "\u2028")
+] + [
+    # A value line is ASCII without "_": float and int would read digit
+    # separators and non-ASCII digits. A comment may hold any text.
+    (b"1\n1_5\n", (2, "1_5"), (2, "1_5")),
+    (b"0\n0_1\n", (2, "0_1"), (2, "0_1")),
+    ("\u0661\u0662\n".encode("utf-8"), (1, "\u0661\u0662"), (1, "\u0661\u0662")),
+    ("0\n\uff11\n".encode("utf-8"), (2, "\uff11"), (2, "\uff11")),
+    ("# caf\u00e9 snake_case \u0661\n1\n-1\n".encode("utf-8"), [1, -1], [1, -1]),
+    ("# caf\u00e9\n0\n1_0\n".encode("utf-8"), (3, "1_0"), (3, "1_0")),
 ]
 
 
@@ -293,7 +313,7 @@ def test_text_readers_on_hostile_files(tmp_path, reader, content, values, labels
     lineno, line = expected
     if reader == "values":
         message = f"not a decimal value: {line!r}"
-    elif line.lstrip("-").isdigit():
+    elif line.isascii() and line.lstrip("-").isdigit():
         message = f"label must be -1, 0 or 1, got {int(line)}"
     else:
         message = f"not an integer label: {line!r}"

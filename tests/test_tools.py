@@ -1,14 +1,17 @@
-"""The fit-equivalence tool (tools/fit_equivalence.py) runs on this tree."""
+"""The fit-equivalence tool (tools/fit_equivalence.py) runs on this tree, and
+the package metadata (pyproject.toml) names what the tree needs."""
 
 import importlib.util
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from gigmix.experiments import SyntheticSpec, generate
 
-_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "fit_equivalence.py"
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_PATH = _ROOT / "tools" / "fit_equivalence.py"
 _SPEC = importlib.util.spec_from_file_location("fit_equivalence", _PATH)
 fit_equivalence = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(fit_equivalence)
@@ -145,3 +148,14 @@ def test_compare_reports_numeric_drift_stop_mismatches_and_missing_fits(tmp_path
     assert not ok
     assert lines[1] == f"m.bggm.npz missing from {dumps['same']}"
     assert lines[3].startswith("summary: 3 fits, 0 mismatched, 1 missing")
+
+
+def test_numpy_floor_has_vecdot():
+    # The E-step sums a short side's rows with one np.vecdot call
+    # (estep._side_pass), which numpy has had only since 2.0: under numpy
+    # 1.x every fit with a side of at most 8192 points raised AttributeError.
+    text = (_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'"numpy>=([0-9.]+)"', text)
+    assert floor is not None, "pyproject.toml names no numpy floor"
+    assert tuple(map(int, floor.group(1).split("."))) >= (2, 0)
+    assert hasattr(np, "vecdot")
