@@ -25,6 +25,7 @@ from .experiments import (
     MODEL_NAMES,
     SyntheticSpec,
     check_models,
+    check_specs,
     default_grid,
     fit,
     generate,
@@ -156,7 +157,7 @@ def _parse_grid(grid: str, seed: int, n: int, repeats: int) -> list:
 
 
 def _cmd_bench(args) -> int:
-    specs = _parse_grid(args.grid, args.seed, args.n, args.repeats)
+    specs = check_specs(_parse_grid(args.grid, args.seed, args.n, args.repeats))
     models = check_models(m.strip() for m in args.models.split(",") if m.strip())
     # Made before the first fit, so that a bad --outdir fails at once.
     os.makedirs(args.outdir, exist_ok=True)

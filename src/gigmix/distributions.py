@@ -205,10 +205,12 @@ def sample(params, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def mom_gamma(mean: float, variance: float, sign: int = 1) -> ShapeRateParams:
-    """Gamma(shape, rate) matching the given mean and variance exactly."""
-    return (GAMMA_POS if sign == 1 else GAMMA_NEG).moments(mean, variance)
+    """Gamma(shape, rate) matching the given mean and variance exactly, on
+    the side ``sign`` (+1 or -1, else ValueError)."""
+    return ComponentFamily("gamma", sign).moments(mean, variance)
 
 
 def mom_invgamma(mean: float, variance: float, sign: int = 1) -> ShapeRateParams:
-    """Inverse-Gamma(shape, scale) matching the given mean and variance exactly."""
-    return (INVGAMMA_POS if sign == 1 else INVGAMMA_NEG).moments(mean, variance)
+    """Inverse-Gamma(shape, scale) matching the given mean and variance
+    exactly, on the side ``sign`` (+1 or -1, else ValueError)."""
+    return ComponentFamily("invgamma", sign).moments(mean, variance)

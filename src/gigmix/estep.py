@@ -30,9 +30,12 @@ activation's count and its sums of v, v**2, log v and 1/v for bgim, of v,
 v**2 and log v for bggm, and of v and v**2 for a maximum-likelihood pass,
 which is all the M-step reads; no sums for a pass whose caller reads only
 the responsibilities. The total log-sum-exp is taken only by the passes
-whose objective is read. The data cache alone decides whether its sides
-hold the 1/v row (``_DataCache.height``): a Gamma fit's holds none, and a
-variational pass takes every row its cache holds.
+whose objective is read. Only this module reads the data cache
+(``_DataCache``), which alone decides whether its sides hold the 1/v row
+(``height``); a pass takes at most the rows it holds. The cache records the
+coefficients of the pass whose responsibilities it holds, and
+``responsibilities_at`` gives those or makes one more pass. ``log_weights``
+gives the kernel's log-weights as a dense N x 3 matrix.
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ class _DataCache:
     side stack (v, v**2, log v, 1/v) it holds, ``height``: 4, with the
     reciprocals 1/v, if ``families`` (the fit's activation families) has an
     ``inverse`` one, whose log-weights and rate update read them, or is None;
-    3 for a Gamma fit. A variational pass takes every row its cache holds.
+    3 for a Gamma fit. A pass takes at most the rows its cache holds.
 
     The responsibility pass only ever combines these arrays with scalar
     coefficients, so everything data-dependent is computed exactly once per
@@ -295,6 +298,21 @@ def kernel_coefficients(e: ExpectationCache, families) -> tuple:
     return tuple(sides)
 
 
+def log_weights(x: np.ndarray, e: ExpectationCache, families) -> np.ndarray:
+    """The unnormalized log-responsibilities of finite ``x`` under ``e`` as a
+    full N x 3 matrix; -inf is out of support. The kernel's coefficients,
+    combined in the kernel's order; the Gaussian's are the positive side's,
+    for every x."""
+    cache = _DataCache(x, families)
+    lr = np.full((x.size, 3), -np.inf)
+    coefficients = kernel_coefficients(e, families)
+    c_sq, c_x, c0 = coefficients[0][:3]
+    lr[:, 0] = x * x * c_sq + x * c_x + c0
+    for k, (side, (*_, const, c_log, c_lin, inverse)) in enumerate(zip(cache.sides, coefficients)):
+        lr[side.rows, k + 1] = side.logs * c_log + (side.invs if inverse else side.vals) * c_lin + const
+    return lr
+
+
 def _side_pass(coefficients: tuple, side: _Side, rows: int, objective: bool, direct: bool):
     """Two-way softmax of (Gaussian, activation) over one support side, with
     the side's ``kernel_coefficients``.
@@ -402,17 +420,17 @@ def _responsibility_pass(
     degenerate points; the responsibilities stay in ``cache`` (under ``e``).
 
     A pass takes only what its caller reads. The activation sums are those
-    of the first ``rows`` rows of the side stack (v, v**2, log v, 1/v); the
-    statistics of the rows left out are NaN:
+    of the first ``rows`` rows of the side stack (v, v**2, log v, 1/v), at
+    most the rows the cache holds (``_DataCache.height``); the statistics of
+    the rows left out are NaN:
 
-    - every row the cache holds (``_DataCache.height``) for the
-      variational updates: 4 for an inverse-Gamma fit, and 3 for a Gamma
-      fit, whose cache has no 1/v row and whose updates read no sum of 1/v
+    - 4, every row the cache holds, for the variational updates: a Gamma
+      fit's cache has no 1/v row and its updates read no sum of 1/v
       (``recip_x`` is NaN, on a side with no points too);
     - 2 for the maximum-likelihood M-step, which reads only the counts and
       the sums of x and x**2 (``log_x`` and ``recip_x`` are NaN);
-    - 0 for a pass that only leaves its responsibilities: the extra pass at
-      a fit's recorded point and ``e_step``. Its statistics are None.
+    - 0 for a pass that only leaves its responsibilities
+      (``responsibilities_at``). Its statistics are None.
 
     The total LSE (the maximum-likelihood log-likelihood, the data part of
     the variational NFE) is None unless ``objective``. Every pass that
@@ -427,7 +445,7 @@ def _responsibility_pass(
     density under every component it can belong to is degenerate: it goes to
     the Gaussian and is left out of the total LSE.
     """
-    cache.coefficients = None
+    cache.coefficients, rows = None, min(rows, cache.height)
     coefficients = kernel_coefficients(e, families)
     lse_total, degenerate = (0.0 if objective else None), 0
     sides = _sweep(cache, coefficients, rows, objective, False)
@@ -483,20 +501,23 @@ def _statistics(cache: _DataCache, coefficients: tuple, sides: list) -> Sufficie
     )
 
 
-def point_pass(cache: _DataCache, params: MixtureParams, rows: int = 2, objective: bool = True):
-    """The kernel under a point estimate: the maximum-likelihood E-step. By
-    default it takes only the sums the M-step reads, so the statistics'
-    ``log_x`` and ``recip_x`` are NaN, and the log-likelihood. A zero
-    proportion has log -inf and can leave points degenerate, whose NaNs are
-    expected."""
+def point_pass(cache: _DataCache, params: MixtureParams):
+    """The kernel under a point estimate: the maximum-likelihood E-step. It
+    takes only the sums the M-step reads, so the statistics' ``log_x`` and
+    ``recip_x`` are NaN, and the log-likelihood; the coefficients it ran with
+    come fourth. A zero proportion has log -inf and can leave points
+    degenerate, whose NaNs are expected."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _responsibility_pass(
-            cache, point_coefficients(params), params.families, rows, objective
-        )
+        e = point_coefficients(params)
+        return (*_responsibility_pass(cache, e, params.families, 2), e)
 
 
-def _assemble_gamma(cache: _DataCache) -> np.ndarray:
-    """The N x 3 responsibilities of the last pass, from the side buffers."""
+def responsibilities_at(cache: _DataCache, e: ExpectationCache, families) -> np.ndarray:
+    """The N x 3 responsibilities under ``e``: the cache's own when its last
+    pass ran under ``e``, else those of one more pass, which takes no sums
+    and no objective."""
+    if cache.coefficients is not e:
+        _responsibility_pass(cache, e, families, 0, False)
     gamma = np.zeros((cache.x.size, 3))
     gamma[:, 0] = 1.0
     for k, side in enumerate(cache.sides):
@@ -509,8 +530,8 @@ def e_step(data, params: MixtureParams) -> np.ndarray:
     """N x 3 responsibilities under a point estimate; rows sum to 1 and
     respect the support signs. The pass takes no sums and no objective."""
     cache = _DataCache(finite_data(data), params.families)
-    point_pass(cache, params, 0, False)
-    return _assemble_gamma(cache)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return responsibilities_at(cache, point_coefficients(params), params.families)
 
 
 def sufficient_stats(data, gamma: np.ndarray) -> SufficientStats:

@@ -259,6 +259,17 @@ def check_models(models) -> list:
     return models
 
 
+def check_specs(specs) -> list:
+    """``specs`` as a list; ValueError if two share a scenario id, since the
+    outputs key every fit by that id."""
+    specs, seen = list(specs), set()
+    for spec in specs:
+        if spec.scenario_id in seen:
+            raise ValueError(f"each scenario may be given once, got {spec.scenario_id} twice")
+        seen.add(spec.scenario_id)
+    return specs
+
+
 def run_benchmark(specs, models, timing: str = "off") -> RunManifest:
     """Fit every model on every (scenario, repeat) and evaluate each fit.
 
@@ -268,7 +279,7 @@ def run_benchmark(specs, models, timing: str = "off") -> RunManifest:
     """
     if timing not in ("off", "wall"):
         raise ValueError("timing must be 'off' or 'wall'")
-    models = check_models(models)
+    specs, models = check_specs(specs), check_models(models)
     rows = []
     failures = []
     for scenario_index, spec in enumerate(specs):
@@ -304,7 +315,7 @@ def run_benchmark(specs, models, timing: str = "off") -> RunManifest:
                         }
                     )
     return RunManifest(
-        specs=list(specs), models=models, timing=timing, rows=rows, failures=failures
+        specs=specs, models=models, timing=timing, rows=rows, failures=failures
     )
 
 

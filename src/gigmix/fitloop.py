@@ -4,9 +4,9 @@ A learner supplies its default start, its first point and its cycle; ``fit``
 does the rest: the start when no initial point is given (the noise core for
 the ML learners, k-means for the variational ones), the pass count,
 the stop rule, which points are recorded, the timer, and the N x 3
-responsibilities of the last recorded point. The data cache holds the
-responsibilities of its last pass; when that pass was not at the recorded
-point, ``fit`` makes one more, which does not count as an iteration.
+responsibilities of the last recorded point (``estep.responsibilities_at``:
+those of the last pass when it ran there, else of one more pass, which does
+not count as an iteration).
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estep import (
-    ExpectationCache,
-    SufficientStats,
-    _assemble_gamma,
-    _DataCache,
-    _responsibility_pass,
-    finite_data,
-)
+from .estep import ExpectationCache, SufficientStats, _DataCache, finite_data, responsibilities_at
 
 
 @dataclass
@@ -32,7 +25,7 @@ class Point:
     """Parameters after one E-step pass at them: the pass's statistics,
     objective and degenerate points, and ``expectations``, the kernel
     coefficients it ran with (posterior expectations for VB, the point
-    values for ML). The pass's responsibilities stay in the data cache."""
+    values for ML). The data cache keeps the pass's responsibilities."""
 
     params: object  # MixtureParams (ML) or VBState (VB)
     stats: SufficientStats
@@ -107,12 +100,8 @@ def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascen
         if settled:
             stop_reason = "tolerance"
             break
-    if cache.coefficients is not recorded.expectations:
-        # A later pass overwrote the recorded point's responsibilities. Only
-        # they are needed, so the pass takes no sums and no objective.
-        _responsibility_pass(cache, recorded.expectations, families, 0, False)
     return recorded, np.asarray(trace), dict(
-        responsibilities=_assemble_gamma(cache),
+        responsibilities=responsibilities_at(cache, recorded.expectations, families),
         iterations=passes,
         wall_time_seconds=time.perf_counter() - start,
         converged=stop_reason != "max_iterations",

@@ -59,9 +59,9 @@ class MLFitResult(FitResult):
 
 
 # The shared kernel under point estimates: sufficient statistics,
-# observed-data log-likelihood, degenerate-row count. A module
-# global that ``_point`` looks up at call time, so a wrapper put in its place
-# sees every pass.
+# observed-data log-likelihood, degenerate-row count and the coefficients it
+# ran with. A module global that ``_point`` looks up at call time, so a
+# wrapper put in its place sees every pass.
 _e_step = point_pass
 
 
@@ -109,8 +109,7 @@ def m_step(stats: SufficientStats, prev: MixtureParams) -> MixtureParams:
 
 def _point(cache: _DataCache, params: MixtureParams) -> Point:
     """One E-step pass at ``params``, with the coefficients it ran with."""
-    stats, loglik, ndeg = _e_step(cache, params)
-    return Point(params, stats, loglik, ndeg, cache.coefficients)
+    return Point(params, *_e_step(cache, params))
 
 
 def _cycle(cache: _DataCache, recorded: Point, passes: int):

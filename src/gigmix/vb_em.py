@@ -28,13 +28,13 @@ from .distributions import ComponentFamily, GAMMA_NEG, GAMMA_POS, INVGAMMA_NEG, 
 from .estep import (
     ExpectationCache,
     SufficientStats,
-    _assemble_gamma,
     _DataCache,
     _responsibility_pass,
     finite_data,
     finite_data_and_gamma,
-    kernel_coefficients,
+    log_weights,
     point_coefficients,
+    responsibilities_at,
     sufficient_stats,
 )
 from .fitloop import FitConfig, FitResult, Point
@@ -161,25 +161,12 @@ def default_hyperpriors(pos_family: ComponentFamily, neg_family: ComponentFamily
     )
 
 
-def _log_rho(cache: _DataCache, e: ExpectationCache, families) -> np.ndarray:
-    """Unnormalized log-responsibilities as a full matrix; -inf is out-of-support.
-    The kernel's coefficients, combined in the kernel's order; the Gaussian's
-    are the positive side's, for every x."""
-    lr = np.full((cache.x.size, 3), -np.inf)
-    coefficients = kernel_coefficients(e, families)
-    c_sq, c_x, c0 = coefficients[0][:3]
-    lr[:, 0] = cache.x * cache.x * c_sq + cache.x * c_x + c0
-    for k, (side, (*_, const, c_log, c_lin, inverse)) in enumerate(zip(cache.sides, coefficients)):
-        lr[side.rows, k + 1] = side.logs * c_log + (side.invs if inverse else side.vals) * c_lin + const
-    return lr
-
-
 def update_responsibilities(data, expectations: ExpectationCache, families):
     """Responsibilities and sufficient statistics for one pass over the data:
     every sum of the kernel, that of 1/v included, whatever the families."""
     cache = _DataCache(finite_data(data))
     stats = _responsibility_pass(cache, expectations, families)[0]
-    return _assemble_gamma(cache), stats
+    return responsibilities_at(cache, expectations, families), stats
 
 
 def update_pi(stats: SufficientStats, priors: HyperPriors) -> np.ndarray:
@@ -390,7 +377,7 @@ def negative_free_energy(
     ``gamma`` is N x 3, as in ``sufficient_stats``.
     """
     x, gamma = finite_data_and_gamma(data, gamma)
-    log_rho = _log_rho(_DataCache(x, priors.families), expectations_cache, priors.families)
+    log_rho = log_weights(x, expectations_cache, priors.families)
     with np.errstate(invalid="ignore", divide="ignore"):
         coupled = np.where(gamma > 0, gamma * log_rho, 0.0)
         entropy = np.where(gamma > 0, gamma * np.log(gamma), 0.0)
@@ -455,7 +442,7 @@ def _unpack(theta) -> VBState:
 def _evaluate(cache: _DataCache, state: VBState, priors: HyperPriors) -> Point:
     """One E-step pass at ``state`` and the negative free energy there."""
     e = expectations(state, priors)
-    stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families, cache.height)
+    stats, lse_total, ndeg = _responsibility_pass(cache, e, priors.families)
     nfe = lse_total - _kl_total(state, priors, e)
     # Expected log-proportions are finite, so a point without a finite
     # log-sum-exp means the expectations overflowed.
@@ -508,7 +495,7 @@ def _extrapolated(cache: _DataCache, theta, priors: HyperPriors):
                 e = expectations(_unpack(theta), priors)
                 passes = 1
                 # The pass feeds only F(theta'), so it takes no objective.
-                stats, _, ndeg = _responsibility_pass(cache, e, priors.families, cache.height, False)
+                stats, _, ndeg = _responsibility_pass(cache, e, priors.families, objective=False)
                 if ndeg:
                     return None, passes
             state = _update_state(stats, priors, e.tau, e.s)
@@ -595,7 +582,7 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
         # only that update: it takes no objective.
         with np.errstate(divide="ignore", invalid="ignore"):
             e = point_coefficients(init)
-            stats = _responsibility_pass(cache, e, families, cache.height, False)[0]
+            stats = _responsibility_pass(cache, e, families, objective=False)[0]
         return _evaluate(cache, _update_state(stats, priors, e.tau, e.s), priors)
 
     def cycle(cache, recorded, passes):

@@ -356,6 +356,21 @@ def test_bench_negative_seed_fails_before_making_the_outdir(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("grid", ["1:5:1,1:5:1", "1:2:1,1:5:1,1:5.0:1"])
+def test_bench_repeated_scenario_fails_before_making_the_outdir(tmp_path, monkeypatch, capsys, grid):
+    # Two specs of one scenario id would share its rows in runs.csv and its
+    # slot in the AUC table, so the later spec's fits would hide the
+    # earlier's from wins.csv.
+    calls = []
+    monkeypatch.setattr(experiments, "fit_model", lambda *args: calls.append(args))
+    argv = ["bench", "--grid", grid, "--models", "ggm", "--repeats", "1", "--n", "500",
+            "--outdir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "d1-snr5-sp1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert calls == []
+
+
 @pytest.mark.parametrize("option", ["--seed", "--repeat"])
 def test_simulate_negative_seed_or_repeat_names_it(tmp_path, capsys, option):
     out = tmp_path / "sim.csv"

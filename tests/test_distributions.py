@@ -176,6 +176,15 @@ def test_family_moments_are_the_mom_functions_bit_for_bit(family):
         family.moments(1.0, 0.0)
 
 
+@pytest.mark.parametrize("mom", [mom_gamma, mom_invgamma])
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_mom_functions_refuse_a_sign_other_than_plus_or_minus_one(mom, sign):
+    # The family states the sign rule; mom_gamma(1, 1, sign=0) used to give
+    # a negative-side component.
+    with pytest.raises(ValueError, match="sign"):
+        mom(2.0, 1.0, sign=sign)
+
+
 def test_gaussian_family_has_no_moments():
     with pytest.raises(ValueError, match="Gaussian"):
         GAUSSIAN.moments(10.0, 10.0)

@@ -102,6 +102,18 @@ def test_run_benchmark_rejects_repeated_models():
         run_benchmark([spec], ["ggm", "gim", "ggm"])
 
 
+def test_run_benchmark_rejects_a_repeated_scenario_before_any_fit(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "fit_model", lambda *args: calls.append(args))
+    spec = SyntheticSpec(dataset=1, snr=5.0, sparsity=1, n=500, repeats=1, seed=0)
+    other = SyntheticSpec(dataset=1, snr=2.0, sparsity=1, n=500, repeats=1, seed=0)
+    again = SyntheticSpec(dataset=1, snr=5, sparsity=1, n=700, repeats=2, seed=0)
+    with pytest.raises(ValueError, match="d1-snr5-sp1"):
+        run_benchmark(iter([spec, other, again]), ["ggm"])
+    assert calls == []
+    assert experiments.check_specs(iter([spec, other])) == [spec, other]
+
+
 def test_run_benchmark_rejects_an_empty_model_list():
     spec = SyntheticSpec(dataset=1, snr=5.0, sparsity=1, n=500, repeats=1, seed=0)
     with pytest.raises(ValueError, match="no models"):

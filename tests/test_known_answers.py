@@ -8,6 +8,9 @@ answer is known in advance (``helpers.own_family_map``):
   (gamma2 + gamma3 > 0.5) at most 0.5 % of the map.
 - On N(0, 1) noise with 2 % activation drawn from the learner's own family,
   the learner should find the noise share pi1 = 0.98 within 0.01.
+- On such a map with 20 % activation, every learner should find each
+  proportion within 0.02 and each activation's shape and rate (an
+  inverse-Gamma's scale) within 10 %.
 
 The ML learners pass from their noise-core start. bggm starts from k-means,
 which cuts a noise map into thirds, and stays in that basin: it declares
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 from helpers import own_family_map
 
+from gigmix.distributions import ComponentFamily
 from gigmix.experiments import fit
 
 N = 100_000
@@ -61,3 +65,30 @@ _BGGM_SPARSE = pytest.mark.xfail(strict=True, reason="bggm ends at pi1 about 0.9
 def test_sparse_own_family_noise_share_is_recovered(model, mean, var):
     x, _ = own_family_map(FAMILY[model], (0.98, 0.01, 0.01), mean, var, N, 7)
     assert abs(_pi1(fit(model, x, 0)) - 0.98) <= PI1_TOLERANCE
+
+
+PI_TOLERANCE = 0.02
+SHAPE_RATE_TOLERANCE = 0.10
+
+
+def _pi_shapes_rates(r):
+    """Proportions, and per activation (positive side first) its shape and
+    rate: the posterior means for VB, the point values for ML."""
+    if hasattr(r, "state"):
+        e = r.expectations
+        return e.pi.tolist(), e.s.tolist(), e.r.tolist()
+    comps = (r.params.comp2, r.params.comp3)
+    return r.params.pi.tolist(), [c.shape for c in comps], [c.rate for c in comps]
+
+
+@pytest.mark.parametrize("mean, var", MOMENTS, ids=["m4v4", "m3v1"])
+@pytest.mark.parametrize("model", ["bggm", "bgim", "ggm", "gim"])
+def test_dense_own_family_parameters_are_recovered(model, mean, var):
+    pi = (0.8, 0.1, 0.1)
+    x, _ = own_family_map(FAMILY[model], pi, mean, var, N, 7)
+    truth = ComponentFamily(FAMILY[model], 1).moments(mean, var)
+    got_pi, shapes, rates = _pi_shapes_rates(fit(model, x, 0))
+    assert max(abs(a - b) for a, b in zip(got_pi, pi)) <= PI_TOLERANCE, got_pi
+    for shape, rate in zip(shapes, rates):
+        assert abs(shape / truth.shape - 1.0) <= SHAPE_RATE_TOLERANCE, (shape, truth.shape)
+        assert abs(rate / truth.rate - 1.0) <= SHAPE_RATE_TOLERANCE, (rate, truth.rate)

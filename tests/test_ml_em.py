@@ -51,6 +51,20 @@ def test_e_step_degenerate_pi_is_pure_gaussian():
     assert np.array_equal(gamma, np.tile([1.0, 0.0, 0.0], (3, 1)))
 
 
+def test_a_degenerate_point_counts_in_the_direct_gaussian_sums():
+    # Under pi = (0, 1, 0) the Gaussian holds no mass, so its sums are taken
+    # directly over its side weights. The point -2.5 has zero density under
+    # both components it can belong to: it is degenerate, goes to the
+    # Gaussian and counts there with weight 1.
+    rng = np.random.default_rng(0)
+    x = np.append(rng.gamma(4.0, 1.0, 9999), -2.5)
+    params = make_params(pi=(0.0, 1.0, 0.0))
+    cache = estep._DataCache(x, params.families)
+    stats, _, degenerate, _ = estep.point_pass(cache, params)
+    assert degenerate == 1
+    assert (stats.n[0], stats.xbar[0], stats.sxx1) == (1.0, -2.5, 6.25)
+
+
 def test_e_step_matches_direct_density_ratios():
     # Independent oracle: plain density-ratio arithmetic per point.
     params = make_params(pi=(0.5, 0.25, 0.25))
@@ -260,9 +274,9 @@ def test_m_step_from_kernel_stats_equals_m_step_from_gamma():
     x, _ = synthetic(seed=13, n=3000)
     params = make_params()
     cache = estep._DataCache(x)
-    stats = estep.point_pass(cache, params)[0]
+    stats, _, _, e = estep.point_pass(cache, params)
     from_stats = m_step(stats, params)
-    from_gamma = m_step(sufficient_stats(x, estep._assemble_gamma(cache)), params)
+    from_gamma = m_step(sufficient_stats(x, estep.responsibilities_at(cache, e, params.families)), params)
     assert np.allclose(from_stats.pi, from_gamma.pi, rtol=1e-12, atol=0.0)
     for a, b in ((from_stats.comp1.mu, from_gamma.comp1.mu), (from_stats.comp1.tau, from_gamma.comp1.tau)):
         assert a == pytest.approx(b, rel=1e-10)

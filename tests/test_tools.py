@@ -1,6 +1,8 @@
-"""The fit-equivalence tool (tools/fit_equivalence.py) runs on this tree, and
-the package metadata (pyproject.toml) names what the tree needs."""
+"""The fit-equivalence tool (tools/fit_equivalence.py) runs on this tree, the
+package metadata (pyproject.toml) names what the tree needs, and only the
+E-step module reads its data cache."""
 
+import ast
 import importlib.util
 import pathlib
 import re
@@ -8,6 +10,7 @@ import re
 import numpy as np
 import pytest
 
+from gigmix.estep import _DataCache
 from gigmix.experiments import SyntheticSpec, generate
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -159,3 +162,22 @@ def test_numpy_floor_has_vecdot():
     assert floor is not None, "pyproject.toml names no numpy floor"
     assert tuple(map(int, floor.group(1).split("."))) >= (2, 0)
     assert hasattr(np, "vecdot")
+
+
+def test_only_the_estep_module_reads_the_data_cache():
+    # The data cache's rules (its rows, the coefficients of the pass whose
+    # responsibilities it holds, its side arrays) are stated in estep alone:
+    # the learners and the fit loop hand their cache to estep's functions
+    # and read none of its attributes.
+    reads = []
+    for name in ("fitloop.py", "ml_em.py", "vb_em.py", "initialization.py"):
+        path = _ROOT / "src" / "gigmix" / name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "cache"
+                and node.attr in _DataCache.__slots__
+            ):
+                reads.append(f"{name}:{node.lineno}: cache.{node.attr}")
+    assert reads == []

@@ -11,7 +11,7 @@ from scipy.stats import dirichlet as dirichlet_dist
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm as norm_dist
 
-from gigmix import vb_em
+from gigmix import estep, vb_em
 from gigmix.distributions import (
     GAMMA_NEG,
     GAMMA_POS,
@@ -742,8 +742,8 @@ def _fit_with_candidates(monkeypatch, fitter, data, change=None, reject=None):
             fresh_pass.append(True)
         return state
 
-    def kernel_pass(*args):
-        stats, lse, degenerate = kernel(*args)
+    def kernel_pass(*args, **kwargs):
+        stats, lse, degenerate = kernel(*args, **kwargs)
         if fresh_pass and fresh_pass.pop():
             stats.n[1:] = np.finfo(float).max  # E[s] n overflows for E[s] > 1
         return stats, lse, degenerate
@@ -851,9 +851,9 @@ def _logged_cycles(monkeypatch, fitter, data, seed, fall=0.0):
     cycles, log = [], {"kernel": 0, "points": None}
     cycle, evaluate, kernel = vb_em._cycle, vb_em._evaluate, vb_em._responsibility_pass
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         log["kernel"] += 1
-        return kernel(*args)
+        return kernel(*args, **kwargs)
 
     def evaluated(*args):
         point = evaluate(*args)
@@ -932,3 +932,41 @@ def test_fit_rejects_bad_input():
         fit_bgim(np.array([1.0, np.nan, 0.5, 2.0]))
     with pytest.raises(ValueError):
         VBFitConfig(max_iterations=0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_extrapolated_refuses_a_theta_that_is_not_finite_without_a_pass(value, monkeypatch):
+    priors = default_hyperpriors(*GAMMA_FAMS)
+    cache = estep._DataCache(np.array([-1.0, 0.5, 2.0]), GAMMA_FAMS)
+    passes = []
+    monkeypatch.setattr(vb_em, "_responsibility_pass", lambda *args, **kwargs: passes.append(args))
+    theta = vb_em._pack(prior_state(priors)).tolist()
+    theta[3] = value  # m_hat
+    assert vb_em._extrapolated(cache, theta, priors) == (None, 0)
+    assert passes == []
+
+
+def test_a_degenerate_zero_rejects_the_candidate_and_fails_the_evaluation(monkeypatch):
+    # E[tau] about 4.6e299 and E[mu**2] 1e10 are finite, but the kernel's
+    # Python-float product E[tau] E[mu**2] is inf without a floating-point
+    # error, so the Gaussian's log-weight at an exact zero is -inf and the
+    # zero is degenerate. A candidate whose pass has a degenerate point is
+    # rejected after that pass, and the evaluation at such a state raises.
+    priors = default_hyperpriors(*GAMMA_FAMS)
+    cache = estep._DataCache(np.array([-1.5, -0.5, 0.0, 0.25, 1.0, 2.0]), GAMMA_FAMS)
+    state = dataclasses.replace(
+        prior_state(priors), m_hat=1e5, b_hat=math.exp(345.0), c_hat=math.exp(345.0)
+    )
+    degenerate, kernel = [], vb_em._responsibility_pass
+
+    def spied(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        degenerate.append(out[2])
+        return out
+
+    monkeypatch.setattr(vb_em, "_responsibility_pass", spied)
+    assert vb_em._extrapolated(cache, vb_em._pack(state).tolist(), priors) == (None, 1)
+    assert degenerate == [1]
+    with pytest.raises(vb_em.VBNumericError, match="diverged"):
+        vb_em._evaluate(cache, state, priors)
+    assert degenerate == [1, 1]
