@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .evaluation import activation_map, restricted_auc, win_matrix
-from .io import write_json
+from .io import read_json, write_json, write_table
 from .ml_em import MLFitConfig, fit_ggm, fit_gim
 from .vb_em import VBFitConfig, fit_bggm, fit_bgim
 
@@ -175,11 +175,8 @@ class RunManifest:
         """One line per row; ``seconds`` is the row's wall time when timing
         is on and 0.0 otherwise."""
         record_timing = self.timing == "wall"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(RUNS_CSV_COLUMNS) + "\n")
-            for r in self.rows:
-                line = {**r, "seconds": r["wall_seconds"] if record_timing else 0.0}
-                fh.write(",".join(_csv_field(line[c]) for c in RUNS_CSV_COLUMNS) + "\n")
+        lines = ({**r, "seconds": r["wall_seconds"] if record_timing else 0.0} for r in self.rows)
+        write_table(path, RUNS_CSV_COLUMNS, ([line[c] for c in RUNS_CSV_COLUMNS] for line in lines))
 
     def auc_table(self) -> dict:
         """scenario -> model -> AUC vector over the repeats that every model
@@ -207,23 +204,13 @@ class RunManifest:
             for sc, by_model in self.auc_table().items()
             if all(v.size >= 2 for v in by_model.values())
         }
-        table = win_matrix(paired) if paired else None
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("model_a,model_b,scenarios_won,scenarios_total,win_pct\n")
-            if table is None:
-                return
-            total = len(table.scenarios)
-            for ma in table.models:
-                for mb in table.models:
-                    if ma == mb:
-                        continue
-                    won = sum(table.wins[(sc, ma, mb)] for sc in table.scenarios)
-                    fh.write(f"{ma},{mb},{won},{total},{float(table.win_pct[(ma, mb)])!r}\n")
-
-
-def _csv_field(value) -> str:
-    """A flag as 0/1; anything else as str(), which is repr() for a float."""
-    return str(int(value)) if isinstance(value, bool) else str(value)
+        rows = []
+        if paired:
+            table = win_matrix(paired)
+            for (ma, mb), pct in table.win_pct.items():
+                won = sum(table.wins[(sc, ma, mb)] for sc in table.scenarios)
+                rows.append((ma, mb, won, len(table.scenarios), float(pct)))
+        write_table(path, ("model_a", "model_b", "scenarios_won", "scenarios_total", "win_pct"), rows)
 
 
 def load_manifest(path):
@@ -233,10 +220,7 @@ def load_manifest(path):
     statistical field of the rows reproduces bit-exactly (wall times do not,
     which is why they live outside the replayable CSV by default).
     """
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
         raise ValueError(f"unsupported manifest schema: {doc.get('schema_version')!r}")
     specs = [

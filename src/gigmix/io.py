@@ -1,8 +1,10 @@
-"""File formats: value vectors, label vectors, responsibilities, fit results.
+"""File formats: value vectors, label vectors, responsibilities, fit results,
+the benchmark's tables and manifest. This is the one module that opens a file.
 
 Two value-vector formats are supported:
 
-* ``txt`` — one decimal value per line, UTF-8, '.' decimal separator,
+* ``txt`` — one decimal value per line, UTF-8 (one leading byte-order mark is
+  dropped), '.' decimal separator,
   ``#``-prefixed comment lines and blank lines ignored. A value line is
   ASCII without ``_``: Python's ``float`` and ``int`` would also read digit
   separators and non-ASCII digits. The file is read once, so a pipe or FIFO
@@ -38,7 +40,7 @@ def _read_text(path, parse, check) -> list:
     reads like any other file. Comments may hold any text, so the kept lines
     are looked at only when the whole text is not plain.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     lines = text.split("\n")
     try:
@@ -136,14 +138,22 @@ _CSV_BLOCK = 8192
 
 
 def _write_table(path, header: str, row: str, table: np.ndarray) -> None:
-    """``header``, then ``row % tuple(r)`` for each row ``r`` of the float
-    matrix ``table``: one ``tolist()``, one ``%`` format and one write per
+    """``header``, then ``row % tuple(r)`` for each row ``r`` of the matrix
+    ``table``: one ``tolist()``, one ``%`` format and one write per
     block of rows, so the cost is close to that of the ``repr`` calls alone."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
         for lo in range(0, len(table), _CSV_BLOCK):
             block = table[lo : lo + _CSV_BLOCK]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_table(path, columns, rows) -> None:
+    """A CSV with a ``columns`` header and one line per row of values: a
+    ``bool`` as 0/1, anything else as ``str()``, which is ``repr()`` for a
+    float."""
+    fields = np.array([[int(v) if isinstance(v, bool) else v for v in row] for row in rows], dtype=object)
+    _write_table(path, ",".join(columns) + "\n", ",".join(["%s"] * len(columns)) + "\n", fields)
 
 
 def write_values_txt(path, values) -> None:
@@ -174,7 +184,7 @@ def write_labeled_csv(path, values, labels) -> None:
 
 
 def _floats(seq):
-    return [float(v) for v in np.asarray(seq, dtype=float).ravel()]
+    return np.asarray(seq, dtype=float).ravel().tolist()
 
 
 def _plain(obj) -> dict:
@@ -216,6 +226,11 @@ def result_to_dict(result, model: str, seed: int, include_timing: bool = False) 
     if include_timing:
         doc["wall_time_seconds"] = float(result.wall_time_seconds)
     return doc
+
+
+def read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def write_json(path, doc: dict) -> None:

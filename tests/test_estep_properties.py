@@ -14,6 +14,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
@@ -250,3 +251,17 @@ def test_inverse_gamma_floor_keeps_exp_in_range(monkeypatch):
     assert np.all(gamma[floored, 1:].max(axis=1) <= 1e-303)
     g = [side.g for side in cache.sides]
     assert np.array_equal(g[0], gamma[x > 0, 1]) and np.array_equal(g[1], gamma[x < 0, 2])
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+@pytest.mark.parametrize("families", [(GAMMA_POS, GAMMA_NEG), (INVGAMMA_POS, INVGAMMA_NEG)], ids=["gamma", "invgamma"])
+def test_kernel_arrays_start_on_64_byte_boundaries(n, families):
+    # The same passes over arrays 16 bytes off a cache line took 6-16 % longer
+    # at n = 1e4 and 3e5 with identical bits, so only this test sees an array
+    # of the kernel allocated with plain np.empty.
+    cache = _DataCache(np.random.default_rng(n).normal(size=n), families)
+    for side in cache.sides:
+        assert len(side.blocks) == -(-side.vals.size // estep._BLOCK) > 0
+        for _, rows, _, work, g in side.blocks:
+            assert len(rows) == cache.height and len(work) == 4
+            assert [a.ctypes.data % 64 for a in (*rows, *work, g)] == [0] * (cache.height + 5)

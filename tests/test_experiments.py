@@ -308,6 +308,13 @@ _HOSTILE_TEXT = [
     ("0\n\uff11\n".encode("utf-8"), (2, "\uff11"), (2, "\uff11")),
     ("# caf\u00e9 snake_case \u0661\n1\n-1\n".encode("utf-8"), [1, -1], [1, -1]),
     ("# caf\u00e9\n0\n1_0\n".encode("utf-8"), (3, "1_0"), (3, "1_0")),
+] + [
+    # A file saved as "UTF-8 with BOM": one leading byte-order mark is
+    # dropped, also before a comment; one anywhere else is a bad line.
+    (b"\xef\xbb\xbf1\n-1\n0\n", [1, -1, 0], [1, -1, 0]),
+    (b"\xef\xbb\xbf# h\n1\n-1\n", [1, -1], [1, -1]),
+    (b"1\n\xef\xbb\xbf0\n", (2, "\ufeff0"), (2, "\ufeff0")),
+    (b"\xef\xbb\xbf\xef\xbb\xbf1\n", (1, "\ufeff1"), (1, "\ufeff1")),
 ]
 
 

@@ -262,30 +262,31 @@ def test_inv_digamma_is_bit_for_bit_the_separate_newton_loop(y):
 
 
 # Run in a fresh interpreter: import gigmix, then fit every model (with a
-# gamma CSV), eval and simulate through the CLI, printing the scipy modules
-# loaded after each step.
+# gamma CSV), eval and simulate through the CLI, printing the scipy modules,
+# and concurrent.futures, loaded after each step.
 _SCIPY_FREE_RUN = """
 import json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def lazy_modules():
+    lazy = ("scipy", "concurrent.futures")
+    return sorted(m for m in sys.modules if m in lazy or m.startswith("scipy."))
 
 values, scores, truth, out = sys.argv[1:]
 import gigmix
 from gigmix.cli import main
 
-loaded = {"import gigmix": scipy_modules()}
+loaded = {"import gigmix": lazy_modules()}
 for model in ("bggm", "bgim", "ggm", "gim"):
     argv = ["fit", "--model", model, "--input", values, "--output", out + "/" + model + ".json",
             "--gamma-out", out + "/" + model + ".csv"]
     assert main(argv) == 0, model
-    loaded["fit " + model] = scipy_modules()
+    loaded["fit " + model] = lazy_modules()
 assert main(["eval", "--scores", scores, "--truth", truth]) == 0
-loaded["eval"] = scipy_modules()
+loaded["eval"] = lazy_modules()
 argv = ["simulate", "--dataset", "1", "--snr", "3", "--sparsity", "1", "--n", "500",
         "--output", out + "/sim.csv"]
 assert main(argv) == 0
-loaded["simulate"] = scipy_modules()
+loaded["simulate"] = lazy_modules()
 print(json.dumps(loaded))
 """
 
@@ -294,6 +295,8 @@ def test_import_fit_eval_and_simulate_load_no_scipy(tmp_path):
     # scipy (its special module alone) took about two thirds of a cold
     # `import gigmix`, which every CLI run and the benchmark's set-up pay.
     # Only `gigmix bench`'s paired t-test may load it, inside the function.
+    # Nor is concurrent.futures loaded: the E-step imports it for its worker
+    # thread only when both sides of a map hold estep._BLOCK points.
     rng = np.random.default_rng(0)
     labels = rng.choice(3, size=2000, p=[0.8, 0.1, 0.1])
     x = rng.normal(np.array([0.0, 5.0, -5.0])[labels], 1.0)

@@ -1,8 +1,9 @@
 """The fit-equivalence tool (tools/fit_equivalence.py) runs on this tree, the
-package metadata (pyproject.toml) names what the tree needs, and only the
-E-step module reads its data cache."""
+package metadata (pyproject.toml) names what the tree needs, only the E-step
+module reads its data cache, and only the io module opens a file."""
 
 import ast
+import hashlib
 import importlib.util
 import pathlib
 import re
@@ -59,6 +60,25 @@ def test_map_lines_fingerprint_the_written_text_files(tmp_path):
     x[0] = np.nextafter(x[0], np.inf)
     changed = fit_equivalence.describe_map(x, ds.truth).split()
     assert all(a != b for a, b in zip(changed[1:], line.split()[1:]))
+
+
+def test_benchmark_lines_fingerprint_the_written_tables(tmp_path, monkeypatch):
+    manifests, run = [], fit_equivalence.run_benchmark
+    monkeypatch.setattr(fit_equivalence, "run_benchmark", lambda *a: manifests.append(run(*a)) or manifests[-1])
+    lines = fit_equivalence.describe_benchmark(["bggm", "ggm"])
+    (manifest,) = manifests
+    assert manifest.timing == "off"
+    manifest.write_runs_csv(tmp_path / "runs.csv")
+    manifest.write_wins_csv(tmp_path / "wins.csv")
+    assert lines[-2:] == [
+        f"{name}_csv={hashlib.sha1((tmp_path / f'{name}.csv').read_bytes()).hexdigest()}"
+        for name in ("runs", "wins")
+    ]
+    assert len((tmp_path / "runs.csv").read_text().splitlines()) == 1 + len(manifest.rows) == 19
+    assert len((tmp_path / "wins.csv").read_text().splitlines()) == 3
+    # One changed AUC changes the runs table's line.
+    manifest.rows[0]["auc"] = np.nextafter(manifest.rows[0]["auc"], 2.0)
+    assert fit_equivalence._written_sha1(manifest.write_runs_csv) != lines[-2].split("=")[1]
 
 
 def test_a_refused_fit_is_reported_not_raised():
@@ -181,3 +201,22 @@ def test_only_the_estep_module_reads_the_data_cache():
             ):
                 reads.append(f"{name}:{node.lineno}: cache.{node.attr}")
     assert reads == []
+
+
+def test_only_the_io_module_opens_a_file():
+    # The file formats (the text readers' encoding, the CSV and JSON rules)
+    # are stated in io alone: every other module hands io a path and rows.
+    opens = []
+    for path in sorted((_ROOT / "src" / "gigmix").glob("*.py")):
+        if path.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in ("open", "read_text", "write_text", "read_bytes", "write_bytes"):
+                    opens.append(f"{path.name}:{node.lineno}: {name}()")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+                if any(m.split(".")[0] == "json" for m in modules):
+                    opens.append(f"{path.name}:{node.lineno}: import json")
+    assert opens == []

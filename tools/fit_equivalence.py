@@ -13,8 +13,9 @@ truth of a generated map, and, for VB fits, ``negative_free_energy`` at the
 result. Before its fits, each map gets a line with the SHA-1s of the bytes
 ``io.write_values_txt`` writes for its values and, for a generated map,
 ``io.write_labeled_csv`` for its values and truth (what ``gigmix simulate``
-writes). A small ``run_benchmark`` then prints its rows (without wall times)
-and its win table.
+writes). A small ``run_benchmark`` then prints its rows (without wall times),
+its win table and the SHA-1s of the bytes ``RunManifest.write_runs_csv`` and
+``write_wins_csv`` write for it.
 
 Usage: run it on two source trees and compare the outputs byte for byte,
 
@@ -204,7 +205,8 @@ def maps(large: bool):
 
 def describe_benchmark(models=MODELS) -> list:
     """A small ``run_benchmark`` of ``models``: its rows without wall times,
-    its failures and its win table."""
+    its failures, its win table and the SHA-1s of the ``runs.csv`` (timing
+    off) and ``wins.csv`` bytes its manifest writes."""
     specs = [
         SyntheticSpec(dataset=1, snr=snr, sparsity=sparsity, n=1500, repeats=3, seed=4)
         for snr, sparsity in ((5.0, 1), (3.0, 2), (2.0, 3))
@@ -218,6 +220,8 @@ def describe_benchmark(models=MODELS) -> list:
     table = win_matrix(manifest.auc_table())
     lines += [f"win {sc} {a} {b} {won}" for (sc, a, b), won in sorted(table.wins.items())]
     lines += [f"win_pct {a} {b} {float(pct)!r}" for (a, b), pct in sorted(table.win_pct.items())]
+    lines.append(f"runs_csv={_written_sha1(manifest.write_runs_csv)}")
+    lines.append(f"wins_csv={_written_sha1(manifest.write_wins_csv)}")
     return lines
 
 
