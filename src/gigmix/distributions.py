@@ -152,8 +152,11 @@ def log_pdf(params, x):
     """Log-density of one component at ``x`` (scalar or array).
 
     Returns -inf outside the support; by convention that includes x = 0 for
-    every non-Gaussian component (zeros are masked upstream and the
-    inverse-Gamma density is singular there).
+    every non-Gaussian component (the inverse-Gamma density is singular
+    there). Exact zeros are not masked before a library fit: the fit gives
+    them to the Gaussian and counts them in its sums, so a masked map's
+    zeros pull the Gaussian onto zero; ``gigmix fit --standardize`` drops
+    them.
     """
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)):

@@ -32,10 +32,10 @@ which is all the M-step reads; no sums for a pass whose caller reads only
 the responsibilities. The total log-sum-exp is taken only by the passes
 whose objective is read. Only this module reads the data cache
 (``_DataCache``), which alone decides whether its sides hold the 1/v row
-(``height``); a pass takes at most the rows it holds. The cache records the
-coefficients of the pass whose responsibilities it holds, and
-``responsibilities_at`` gives those or makes one more pass. ``log_weights``
-gives the kernel's log-weights as a dense N x 3 matrix.
+(``height``); a pass takes at most the rows it holds, and counts itself
+(``passes_made``). The cache records the coefficients of the pass whose
+responsibilities it holds, and ``responsibilities_at`` gives those or makes
+one more pass. ``log_weights`` gives the kernel's log-weights as N x 3.
 """
 
 from __future__ import annotations
@@ -187,15 +187,15 @@ class _DataCache:
     The responsibility pass only ever combines these arrays with scalar
     coefficients, so everything data-dependent is computed exactly once per
     fit, each side's work and responsibility buffers included. Those hold
-    the responsibilities of the last complete pass, and ``coefficients`` its
-    ``ExpectationCache`` (None before one). ``parallel`` says whether the two
-    sides are swept at the same time: both sides hold at least ``_BLOCK``
-    points and at least two CPUs are usable. The worker thread that then
-    sweeps the negative side is started by the first pass (``worker``) and
-    ends with the cache.
+    the responsibilities of the last complete pass, ``coefficients`` its
+    ``ExpectationCache`` (None before one), and ``passes`` counts the passes
+    begun (``passes_made``). ``parallel``: both sides hold at least
+    ``_BLOCK`` points and two CPUs are usable, so the sides are swept at
+    once; the worker thread that sweeps the negative side is started by the
+    first pass (``worker``) and ends with the cache.
     """
 
-    __slots__ = ("x", "height", "sides", "n_zero", "sum_x", "sum_sq", "coefficients", "parallel", "worker")
+    __slots__ = ("x", "height", "sides", "n_zero", "sum_x", "sum_sq", "coefficients", "passes", "parallel", "worker")
 
     def __init__(self, x: np.ndarray, families=None):
         self.x = x
@@ -204,7 +204,7 @@ class _DataCache:
         self.n_zero = x.size - sum(side.rows.size for side in self.sides)
         self.sum_x = float(x.sum())
         self.sum_sq = float((x * x).sum())
-        self.coefficients = None
+        self.coefficients, self.passes = None, 0
         self.parallel = min(len(side.rows) for side in self.sides) >= _BLOCK and _usable_cpus() >= 2
         self.worker = None
 
@@ -416,8 +416,8 @@ def _sweep(cache: _DataCache, coefficients: tuple, rows: int, objective: bool, d
 def _responsibility_pass(
     cache: _DataCache, e: ExpectationCache, families, rows: int = 4, objective: bool = True
 ):
-    """One packed pass: sufficient stats, total LSE and the number of
-    degenerate points; the responsibilities stay in ``cache`` (under ``e``).
+    """One packed pass, counted on ``cache``: sufficient stats, total LSE
+    and degenerate points; the responsibilities stay in ``cache`` (under ``e``).
 
     A pass takes only what its caller reads. The activation sums are those
     of the first ``rows`` rows of the side stack (v, v**2, log v, 1/v), at
@@ -445,6 +445,7 @@ def _responsibility_pass(
     density under every component it can belong to is degenerate: it goes to
     the Gaussian and is left out of the total LSE.
     """
+    cache.passes += 1
     cache.coefficients, rows = None, min(rows, cache.height)
     coefficients = kernel_coefficients(e, families)
     lse_total, degenerate = (0.0 if objective else None), 0
@@ -510,6 +511,11 @@ def point_pass(cache: _DataCache, params: MixtureParams):
     with np.errstate(divide="ignore", invalid="ignore"):
         e = point_coefficients(params)
         return (*_responsibility_pass(cache, e, params.families, 2), e)
+
+
+def passes_made(cache: _DataCache) -> int:
+    """Kernel passes begun on ``cache``, a pass that raised included."""
+    return cache.passes
 
 
 def responsibilities_at(cache: _DataCache, e: ExpectationCache, families) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 A learner supplies its default start, its first point and its cycle; ``fit``
 does the rest: the start when no initial point is given (the noise core for
-the ML learners, k-means for the variational ones), the pass count,
-the stop rule, which points are recorded, the timer, and the N x 3
+the ML learners, k-means for the variational ones), the pass budget, the
+stop rule, which points are recorded, the timer, and the N x 3
 responsibilities of the last recorded point (``estep.responsibilities_at``:
 those of the last pass when it ran there, else of one more pass, which does
-not count as an iteration).
+not count as an iteration). The kernel counts the passes
+(``estep.passes_made``); only this loop reads the budget and spends it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estep import ExpectationCache, SufficientStats, _DataCache, finite_data, responsibilities_at
+from .estep import ExpectationCache, SufficientStats, _DataCache, finite_data, passes_made, responsibilities_at
 
 
 @dataclass
@@ -51,9 +52,10 @@ class FitConfig:
 
 @dataclass
 class FitResult:
-    """What every fit reports. ``iterations`` counts E-step passes;
-    ``stop_reason`` is "tolerance", "no_ascent" or "max_iterations", and
-    ``converged`` means the fit was not capped."""
+    """What every fit reports. ``iterations`` counts the kernel's E-step
+    passes, the first point's as one; ``stop_reason`` is "tolerance",
+    "no_ascent" or "max_iterations", and ``converged`` means the fit was not
+    capped."""
 
     responsibilities: np.ndarray
     iterations: int
@@ -67,13 +69,14 @@ def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascen
     """Run a learner from ``init``, or when it is None from
     ``default_start(x, families)`` inside the timer, to its stop.
 
-    ``first(cache, init)`` makes the first point in one pass, and
-    ``cycle(cache, recorded, passes)`` the next point from the last recorded
-    one, with the number of passes it made. The fit stops when the objective
-    moves by at most ``rel_tolerance * (1 + |current|)`` or the passes reach
-    ``max_iterations``. A point is recorded unless ``ascent_only`` and its
-    objective falls; such a fall beyond the tolerance stops the fit as
-    "no_ascent". Returns the last recorded point, the recorded objectives
+    ``first(cache, init)`` makes the first point, which counts as one pass
+    however many it took, and ``cycle(cache, recorded, room)`` the next point
+    from the last recorded one in at most ``room`` passes, the passes left.
+    The passes are those the kernel counts on ``cache``. The fit stops when
+    the objective moves by at most ``rel_tolerance * (1 + |current|)`` or the
+    passes reach ``max_iterations``. A point is recorded unless
+    ``ascent_only`` and its objective falls; such a fall beyond the tolerance
+    stops the fit as "no_ascent". Returns the last recorded point, the recorded objectives
     and the ``FitResult`` fields as a dict.
     """
     x = finite_data(data)
@@ -82,12 +85,13 @@ def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascen
         init = default_start(x, families)
     cache = _DataCache(x, families)
     recorded = first(cache, init)
+    base = passes_made(cache) - 1
     passes, degenerate = 1, recorded.degenerate
     trace = [recorded.objective]
     stop_reason = "max_iterations"
     while passes < cfg.max_iterations:
-        point, n = cycle(cache, recorded, passes)
-        passes += n
+        point = cycle(cache, recorded, cfg.max_iterations - passes)
+        passes = passes_made(cache) - base
         degenerate += point.degenerate
         tolerance = cfg.rel_tolerance * (1.0 + abs(point.objective))
         settled = abs(point.objective - recorded.objective) <= tolerance

@@ -112,9 +112,9 @@ def _point(cache: _DataCache, params: MixtureParams) -> Point:
     return Point(params, *_e_step(cache, params))
 
 
-def _cycle(cache: _DataCache, recorded: Point, passes: int):
+def _cycle(cache: _DataCache, recorded: Point, room: int) -> Point:
     """One M-step from the recorded point and one E-step pass."""
-    return _point(cache, m_step(recorded.stats, recorded.params)), 1
+    return _point(cache, m_step(recorded.stats, recorded.params))
 
 
 def _fit_ml(

@@ -81,10 +81,15 @@ class HyperPriors:
     families: tuple
 
     def __post_init__(self):
-        positives = [self.lambda0, self.tau0, self.c0_tau, self.b0_tau]
-        positives += list(self.d0) + list(self.e0) + list(self.b0_s) + list(self.c0_s)
-        if not all(math.isfinite(v) and v > 0 for v in positives):
-            raise ValueError("hyper-prior positivity constraint violated")
+        # Every entry finite, and all but the locations m0 and log_a0 > 0.
+        for name in (
+            "lambda0", "m0", "tau0", "c0_tau", "b0_tau", "d0", "e0", "log_a0", "b0_s", "c0_s", "s0", "r0"
+        ):
+            value, positive = getattr(self, name), name not in ("m0", "log_a0")
+            if not all(math.isfinite(v) and (v > 0 or not positive) for v in np.atleast_1d(value)):
+                raise ValueError(f"hyper-prior {name} must be finite{' and > 0' if positive else ''}, got {value}")
+        if tuple(getattr(fam, "sign", 0) for fam in self.families) != (1, -1):
+            raise ValueError("hyper-prior families must be (positive-support, negative-support)")
         # Set here, not on first use: an attribute added to the instance
         # later slows every attribute lookup on it in this Python.
         object.__setattr__(self, "_terms", _PriorTerms(self))
@@ -482,33 +487,31 @@ def _extrapolated(cache: _DataCache, theta, priors: HyperPriors):
     theta'; or it is the point of the pass already made at theta' = theta2.
     Returns the candidate, or None if theta' is not finite, the pass at it
     has degenerate points or any part fails numerically (an error or a
-    floating-point warning), and the passes made.
+    floating-point warning). The kernel counts the passes made, so a
+    candidate that fails before a pass is charged for none.
     """
-    passes = 0
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             if isinstance(theta, Point):
                 stats, e = theta.stats, theta.expectations
             else:
                 if not all(map(math.isfinite, theta)):
-                    return None, 0
+                    return None
                 e = expectations(_unpack(theta), priors)
-                passes = 1
                 # The pass feeds only F(theta'), so it takes no objective.
                 stats, _, ndeg = _responsibility_pass(cache, e, priors.families, objective=False)
                 if ndeg:
-                    return None, passes
-            state = _update_state(stats, priors, e.tau, e.s)
-            passes += 1
-            return _evaluate(cache, state, priors), passes
+                    return None
+            return _evaluate(cache, _update_state(stats, priors, e.tau, e.s), priors)
     except (VBNumericError, ValueError, ArithmeticError):
-        return None, passes
+        return None
 
 
 def _cycle(cache: _DataCache, p0: Point, priors: HyperPriors, step_max: float, room: int):
     """One SQUAREM cycle (Varadhan & Roland 2008) from the recorded point p0,
-    in at most ``room`` E-step passes. Returns the chosen point, the passes
-    made and the step cap for the next cycle.
+    in at most ``room`` E-step passes, the passes left to the fit. Returns
+    the chosen point and the step cap for the next cycle; the kernel counts
+    the passes (``estep.passes_made``).
 
     A plain step takes theta0 (p0's state) to theta1 = F(theta0), with a pass
     for its NFE; theta2 = F(theta1) comes from theta1's statistics without a
@@ -524,15 +527,16 @@ def _cycle(cache: _DataCache, p0: Point, priors: HyperPriors, step_max: float, r
     - Otherwise the pass at theta2 is made, and the candidate is kept only if
       its NFE is at least theta2's. 4 passes.
 
-    A candidate that fails numerically is never kept. At alpha = -step_max
-    the cap grows by ``_STEP_MAX_FACTOR`` if the candidate is kept and
-    shrinks by it (not below 1) if not. With room for 1 pass the cycle is
-    theta1 alone; with room for fewer than 4, or no finite step length, it is
-    two plain steps and the cap stays.
+    A candidate that fails numerically is never kept, and makes fewer passes
+    when it fails before its last. At alpha = -step_max the cap grows by
+    ``_STEP_MAX_FACTOR`` if the candidate is kept and shrinks by it (not
+    below 1) if not. With room for 1 pass the cycle is theta1 alone; with
+    room for fewer than 4, or no finite step length, it is two plain steps
+    and the cap stays.
     """
     p1 = _evaluate(cache, _step(p0, priors), priors)
     if room == 1:
-        return p1, 1, step_max
+        return p1, step_max
     theta2 = _step(p1, priors)
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -543,17 +547,15 @@ def _cycle(cache: _DataCache, p0: Point, priors: HyperPriors, step_max: float, r
     except (ValueError, ArithmeticError):
         alpha = None
     if room < 4 or alpha is None:
-        return _evaluate(cache, theta2, priors), 2, step_max
+        return _evaluate(cache, theta2, priors), step_max
     if alpha == -1.0:
         p2 = _evaluate(cache, theta2, priors)
-        candidate, n = _extrapolated(cache, p2, priors)
-        passes = 2 + n
+        candidate = _extrapolated(cache, p2, priors)
     else:
         # An overflowing theta' is rejected by _extrapolated, before any pass.
         two_alpha, alpha_sq = 2.0 * alpha, alpha * alpha
         theta = [a - two_alpha * b + alpha_sq * c for a, b, c in zip(t0, r, v)]
-        candidate, n = _extrapolated(cache, theta, priors)
-        passes = 1 + n
+        candidate = _extrapolated(cache, theta, priors)
         p2 = None
         if not (
             candidate is not None
@@ -561,11 +563,10 @@ def _cycle(cache: _DataCache, p0: Point, priors: HyperPriors, step_max: float, r
             and candidate.objective >= 2.0 * p1.objective - p0.objective
         ):
             p2 = _evaluate(cache, theta2, priors)
-            passes += 1
     kept = candidate is not None and (p2 is None or candidate.objective >= p2.objective)
     if alpha == -step_max:
         step_max = step_max * _STEP_MAX_FACTOR if kept else max(1.0, step_max / _STEP_MAX_FACTOR)
-    return (candidate if kept else p2), passes, step_max
+    return (candidate if kept else p2), step_max
 
 
 def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
@@ -573,22 +574,22 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
     whose step cap is kept here; ``fitloop.fit`` records a cycle's point only
     if its NFE does not fall."""
     priors = default_hyperpriors(*families)
-    cap, step_max = cfg.max_iterations, 1.0
+    step_max = 1.0
 
     def first(cache, init):
-        # ``point_pass`` under this module's name for the kernel, so that the
-        # start's pass is traced like every other. The start's tau and shapes
-        # are the E[tau] and E[s] of the first update, and the pass feeds
-        # only that update: it takes no objective.
+        # The start's pass runs through this module's name for the kernel,
+        # ``_responsibility_pass``, so that it is traced like every other.
+        # The start's tau and shapes are the E[tau] and E[s] of the first
+        # update, and the pass feeds only that update: it takes no objective.
         with np.errstate(divide="ignore", invalid="ignore"):
             e = point_coefficients(init)
             stats = _responsibility_pass(cache, e, families, objective=False)[0]
         return _evaluate(cache, _update_state(stats, priors, e.tau, e.s), priors)
 
-    def cycle(cache, recorded, passes):
+    def cycle(cache, recorded, room):
         nonlocal step_max
-        point, n, step_max = _cycle(cache, recorded, priors, step_max, cap - passes)
-        return point, n
+        point, step_max = _cycle(cache, recorded, priors, step_max, room)
+        return point
 
     last, trace, common = fitloop.fit(
         data, None, initialization.kmeans_params, cfg, families, first, cycle, ascent_only=True

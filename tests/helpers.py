@@ -1,7 +1,10 @@
 """Shared test oracles and map generators."""
 
+import dataclasses
+
 import numpy as np
 
+from gigmix import estep, vb_em
 from gigmix.distributions import GaussianParams, mom_gamma, mom_invgamma, sample
 
 
@@ -46,3 +49,25 @@ def own_family_map(kind, pi, mean, var, n, seed):
         if active.any():
             x[active] = sample(mom(mean, var, sign=sign), int(active.sum()), rng)
     return x, labels
+
+
+def split_plain_step(cache, point, priors):
+    """One plain variational step F from ``point`` (``vb_em._evaluate`` at a
+    state, on ``cache``), split in two halves (ROADMAP item 14(a)). Returns
+    the NFE after the first half and the point after the whole step.
+
+    The first half is the Z, pi, mu, tau and r updates with q(s) held: the
+    state of ``_update_state`` with the old shape functional (``log_a_hat``,
+    ``b_hat_s``, ``c_hat_s``), a kernel pass under the new expectations but
+    the old E[s] and E[log Gamma(s)], and the KL with the shape term at the
+    old E[log r] (``_kl_total`` reads E[log r] only in ``_kl_shape``). The
+    second half is the shape update: the full state of ``_update_state``,
+    with its NFE as ``_evaluate`` computes it.
+    """
+    e, old = point.expectations, point.params
+    full = vb_em._update_state(point.stats, priors, e.tau, e.s)
+    half = dataclasses.replace(full, log_a_hat=old.log_a_hat, b_hat_s=old.b_hat_s, c_hat_s=old.c_hat_s)
+    held = dataclasses.replace(vb_em.expectations(half, priors), s=e.s, log_gamma_s=e.log_gamma_s)
+    lse = estep._responsibility_pass(cache, held, priors.families)[1]
+    kl = vb_em._kl_total(half, priors, dataclasses.replace(held, log_r=e.log_r))
+    return lse - kl, vb_em._evaluate(cache, full, priors)

@@ -1,6 +1,7 @@
 """The fit-equivalence tool (tools/fit_equivalence.py) runs on this tree, the
 package metadata (pyproject.toml) names what the tree needs, only the E-step
-module reads its data cache, and only the io module opens a file."""
+module reads its data cache, only the fit loop reads the pass budget, and
+only the io module opens a file."""
 
 import ast
 import hashlib
@@ -200,6 +201,24 @@ def test_only_the_estep_module_reads_the_data_cache():
                 and node.attr in _DataCache.__slots__
             ):
                 reads.append(f"{name}:{node.lineno}: cache.{node.attr}")
+    assert reads == []
+
+
+def test_only_the_fit_loop_reads_the_pass_budget_and_the_tolerance():
+    # The stop rule is stated in fitloop alone: the kernel counts the passes,
+    # fitloop.fit spends them and hands each cycle the passes left, and no
+    # learner reads the cap or the tolerance from its configuration.
+    reads = []
+    for path in sorted((_ROOT / "src" / "gigmix").glob("*.py")):
+        if path.name == "fitloop.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and node.attr in ("max_iterations", "rel_tolerance")
+            ):
+                reads.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert reads == []
 
 
