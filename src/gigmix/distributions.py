@@ -1,9 +1,11 @@
 """Mixture component families: log-densities, samplers, and method of moments.
 
-Three component kinds are supported: a Gaussian (parametrized by mean and
-precision) and Gamma / inverse-Gamma activation components. Activation
-components carry a support sign; a negative-support component is defined by
-evaluating its positive twin at ``-x``, so its density lives on x < 0.
+A mixture is a Gaussian noise component (parametrized by mean and precision)
+and one activation component on each side of zero, of a Gamma or
+inverse-Gamma family. An activation family carries a support sign; a
+negative-support component is defined by evaluating its positive twin at
+``-x``, so its density lives on x < 0. ``FAMILIES`` names each learner's
+two families by kind.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class ComponentFamily:
-    """Family tag plus support side (+1 / -1; 0 for the Gaussian).
+    """Activation family, "gamma" or "invgamma", plus support side (+1 / -1).
 
     ``inverse`` says whether the family is an inverse-Gamma, whose
     log-density and rate update read 1/v where a Gamma's read v, and
@@ -28,21 +30,13 @@ class ComponentFamily:
     """
 
     kind: str
-    sign: int = 0
+    sign: int
 
     def __post_init__(self):
-        if self.kind == "gaussian":
-            if self.sign != 0:
-                raise ValueError("Gaussian components do not carry a support sign")
-        elif self.kind in ("gamma", "invgamma"):
-            if self.sign not in (1, -1):
-                raise ValueError(f"{self.kind} components need sign +1 or -1")
-        else:
+        if self.kind not in ("gamma", "invgamma"):
             raise ValueError(f"unknown component kind {self.kind!r}")
-
-    @property
-    def is_gaussian(self) -> bool:
-        return self.kind == "gaussian"
+        if self.sign not in (1, -1):
+            raise ValueError(f"{self.kind} components need sign +1 or -1")
 
     @property
     def inverse(self) -> bool:
@@ -51,9 +45,7 @@ class ComponentFamily:
     def moments(self, mean: float, variance: float) -> ShapeRateParams:
         """The component of this family whose (mirrored) mean and variance
         are exactly these: Gamma(shape, rate) or inverse-Gamma(shape, scale).
-        ValueError for the Gaussian family or moments that are not positive."""
-        if self.is_gaussian:
-            raise ValueError("the Gaussian family has no method-of-moments activation component")
+        ValueError for moments that are not positive."""
         if not (math.isfinite(mean) and math.isfinite(variance) and mean > 0 and variance > 0):
             raise ValueError(
                 f"method of moments needs positive mean and variance, got {mean}, {variance}"
@@ -64,11 +56,12 @@ class ComponentFamily:
         return ShapeRateParams(q, mean / variance, self)
 
 
-GAUSSIAN = ComponentFamily("gaussian", 0)
 GAMMA_POS = ComponentFamily("gamma", 1)
 GAMMA_NEG = ComponentFamily("gamma", -1)
 INVGAMMA_POS = ComponentFamily("invgamma", 1)
 INVGAMMA_NEG = ComponentFamily("invgamma", -1)
+# Each learner's activation families (positive side, negative side) by kind.
+FAMILIES = {"gamma": (GAMMA_POS, GAMMA_NEG), "invgamma": (INVGAMMA_POS, INVGAMMA_NEG)}
 
 
 @dataclass(frozen=True)
@@ -100,8 +93,6 @@ class ShapeRateParams:
     family: ComponentFamily
 
     def __post_init__(self):
-        if self.family.is_gaussian:
-            raise ValueError("ShapeRateParams requires a Gamma or inverse-Gamma family")
         ok = (
             math.isfinite(self.shape)
             and math.isfinite(self.rate)

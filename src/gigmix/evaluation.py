@@ -43,8 +43,12 @@ def activation_map(gamma: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Per-sample activation labels from responsibilities.
 
     Positive wins ties for thresholds below 1/2; at the default threshold the
-    two activation responsibilities cannot both exceed it.
+    two activation responsibilities cannot both exceed it. The threshold
+    lies in [0, 1), else ValueError: below 0 a sample would be declared on
+    the side its value cannot be on.
     """
+    if not 0.0 <= threshold < 1.0:
+        raise ValueError(f"threshold must lie in [0, 1), got {threshold!r}")
     g = np.asarray(gamma, dtype=float)
     if g.ndim != 2 or g.shape[1] != 3:
         raise ValueError("gamma must be an N x 3 matrix")

@@ -13,6 +13,7 @@ not count as an iteration). The kernel counts the passes
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -37,15 +38,21 @@ class Point:
 
 @dataclass
 class FitConfig:
-    """``seed`` is accepted for compatibility; fits do not depend on it."""
+    """``max_iterations`` is an integer >= 1 (a numpy integer too, not a
+    bool); ``seed`` is accepted for compatibility; fits do not depend on it."""
 
     max_iterations: int
     rel_tolerance: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        cap = self.max_iterations
+        try:
+            whole = not isinstance(cap, bool) and operator.index(cap) >= 1
+        except TypeError:
+            whole = False
+        if not whole:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {cap!r}")
         if not 0 < self.rel_tolerance < math.inf:
             raise ValueError("rel_tolerance must be finite and > 0")
 

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fitloop, initialization
-from .distributions import (
-    GAMMA_NEG,
-    GAMMA_POS,
-    INVGAMMA_NEG,
-    INVGAMMA_POS,
-    GaussianParams,
-    MixtureParams,
-)
+from .distributions import FAMILIES, GaussianParams, MixtureParams
 from .estep import SufficientStats, _DataCache, e_step, point_pass
 from .fitloop import FitConfig, FitResult, Point
 
@@ -40,9 +33,6 @@ _SHAPE_MIN = 1e-3
 _SHAPE_MAX = 1e6
 # A component with a smaller soft count keeps its parameters in the M-step.
 _MIN_COMPONENT_MASS = 1.0
-
-# Activation families (positive side, negative side) by component kind.
-_FAMILIES = {"gamma": (GAMMA_POS, GAMMA_NEG), "invgamma": (INVGAMMA_POS, INVGAMMA_NEG)}
 
 
 @dataclass
@@ -120,10 +110,10 @@ def _cycle(cache: _DataCache, recorded: Point, room: int) -> Point:
 def _fit_ml(
     data, init: MixtureParams | None, cfg: MLFitConfig, kind: str, label: str
 ) -> MLFitResult:
-    if init is not None and init.families != _FAMILIES[kind]:
+    if init is not None and init.families != FAMILIES[kind]:
         raise ValueError(f"{label} requires {kind} activation components in init")
     last, trace, common = fitloop.fit(
-        data, init, initialization.core_params, cfg, _FAMILIES[kind], _point, _cycle,
+        data, init, initialization.core_params, cfg, FAMILIES[kind], _point, _cycle,
         ascent_only=False,
     )
     return MLFitResult(params=last.params, loglik_trace=trace, **common)

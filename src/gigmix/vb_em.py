@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fitloop, initialization
-from .distributions import ComponentFamily, GAMMA_NEG, GAMMA_POS, INVGAMMA_NEG, INVGAMMA_POS
+from .distributions import FAMILIES, ComponentFamily
 from .estep import (
     ExpectationCache,
     SufficientStats,
@@ -601,9 +601,9 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
 
 def fit_bggm(data, cfg: VBFitConfig | None = None) -> VBFitResult:
     """Variational Bayes fit with Gamma activation components (model bGGM)."""
-    return _fit_vb(data, (GAMMA_POS, GAMMA_NEG), cfg or VBFitConfig())
+    return _fit_vb(data, FAMILIES["gamma"], cfg or VBFitConfig())
 
 
 def fit_bgim(data, cfg: VBFitConfig | None = None) -> VBFitResult:
     """Variational Bayes fit with inverse-Gamma activation components (model bGIM)."""
-    return _fit_vb(data, (INVGAMMA_POS, INVGAMMA_NEG), cfg or VBFitConfig())
+    return _fit_vb(data, FAMILIES["invgamma"], cfg or VBFitConfig())

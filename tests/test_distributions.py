@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from gigmix.distributions import (
+    FAMILIES,
     GAMMA_NEG,
     GAMMA_POS,
-    GAUSSIAN,
     INVGAMMA_NEG,
     INVGAMMA_POS,
     ComponentFamily,
@@ -28,7 +28,8 @@ def test_family_validation():
         ComponentFamily("gamma", 0)
     with pytest.raises(ValueError):
         ComponentFamily("weibull", 1)
-    assert GAUSSIAN.is_gaussian and not GAMMA_POS.is_gaussian
+    with pytest.raises(TypeError):
+        ComponentFamily("gamma")
 
 
 def test_param_validation():
@@ -37,7 +38,7 @@ def test_param_validation():
     with pytest.raises(ValueError):
         ShapeRateParams(-1.0, 1.0, GAMMA_POS)
     with pytest.raises(ValueError):
-        ShapeRateParams(1.0, 1.0, GAUSSIAN)
+        ShapeRateParams(1.0, 0.0, INVGAMMA_NEG)
 
 
 def test_mixture_params_validation():
@@ -186,12 +187,20 @@ def test_mom_functions_refuse_a_sign_other_than_plus_or_minus_one(mom, sign):
 
 
 def test_gaussian_family_has_no_moments():
-    with pytest.raises(ValueError, match="Gaussian"):
-        GAUSSIAN.moments(10.0, 10.0)
+    # An activation family is a Gamma or an inverse-Gamma on one side of
+    # zero; the Gaussian is the noise component, never a family.
+    with pytest.raises(ValueError, match="unknown component kind 'gaussian'"):
+        ComponentFamily("gaussian", 0)
 
 
 def test_only_inverse_gamma_families_are_inverse():
-    assert [f.inverse for f in (GAUSSIAN, *_ACTIVATIONS)] == [False, False, False, True, True]
+    assert [f.inverse for f in _ACTIVATIONS] == [False, False, True, True]
+
+
+def test_families_name_each_learners_positive_then_negative_family():
+    assert FAMILIES == {"gamma": (GAMMA_POS, GAMMA_NEG), "invgamma": (INVGAMMA_POS, INVGAMMA_NEG)}
+    for kind, families in FAMILIES.items():
+        assert [(f.kind, f.sign) for f in families] == [(kind, 1), (kind, -1)]
 
 
 def test_sampler_moments():

@@ -55,6 +55,16 @@ def test_activation_map_threshold():
     assert activation_map(gamma, threshold=0.4)[0] == 1
 
 
+@pytest.mark.parametrize("threshold", [-0.1, math.nan, 1.0, math.inf])
+def test_activation_map_refuses_a_threshold_outside_zero_to_one(threshold):
+    # At -0.1 the second row, a negative-side sample with gamma_2 = 0, was
+    # declared positive, breaking the support rule; NaN declared nothing.
+    gamma = np.array([[1.0, 0.0, 0.0], [0.2, 0.0, 0.8], [0.3, 0.7, 0.0]])
+    with pytest.raises(ValueError, match="threshold"):
+        activation_map(gamma, threshold)
+    assert list(activation_map(gamma, 0.0)) == [0, -1, 1]
+
+
 def test_restricted_auc_perfect_and_reversed():
     scores = np.array([0.9, 0.8, 0.7, 0.2, 0.1])
     active = np.array([True, True, True, False, False])

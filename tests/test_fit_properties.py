@@ -28,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gigmix import ml_em, vb_em
-from gigmix.experiments import MODEL_NAMES, fit
+from gigmix.experiments import MODEL_NAMES, SyntheticSpec, fit, generate
 from gigmix.ml_em import MLFitConfig, fit_ggm, fit_gim
 from gigmix.vb_em import VBFitConfig, fit_bggm, fit_bgim, negative_free_energy
 
@@ -262,3 +262,39 @@ def test_ml_trace_stays_within_its_budget(model, x, seed, max_iterations):
     # pass count is the number of kernel passes, stays within the cap and
     # reaches it exactly when capped.
     check_ml_trace(model, x, seed, max_iterations)
+
+
+# ROADMAP item 17's invariant: a power-of-two factor on the map leaves every
+# fit's responsibilities byte-identical, with the same passes and stop
+# reason. The map is d1-snr3-sp2 (n = 1e4, data seed 0). Each case that does
+# not hold yet is a strict xfail: against k = 0, max |dgamma| ran from 0.0019
+# (gim, k = 1) to 0.89 (bgim, k = 4), and bggm took 14 passes at k = -4
+# against 31.
+_SCALED_FITS = {}
+_ITEM_17 = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 17: the VB priors, the stop rule and the floors are in absolute "
+    "units, so the fit moves with the map's scale",
+)
+_NOT_YET_INVARIANT = {(model, k) for model in MODEL_NAMES for k in (-4, -1, 1, 4)}
+
+
+def _scaled_fit(model, k):
+    if (model, k) not in _SCALED_FITS:
+        x = generate(SyntheticSpec(1, 3.0, 2, n=10_000, seed=0), 0).values
+        _SCALED_FITS[model, k] = fit(model, np.ldexp(x, k), 0)
+    return _SCALED_FITS[model, k]
+
+
+@pytest.mark.parametrize(
+    "model, k",
+    [
+        pytest.param(model, k, marks=_ITEM_17 if (model, k) in _NOT_YET_INVARIANT else ())
+        for model in MODEL_NAMES
+        for k in (-4, -1, 1, 4)
+    ],
+)
+def test_a_power_of_two_factor_leaves_the_fit_unchanged(model, k):
+    base, scaled = _scaled_fit(model, 0), _scaled_fit(model, k)
+    assert (scaled.iterations, scaled.stop_reason) == (base.iterations, base.stop_reason)
+    assert scaled.responsibilities.tobytes() == base.responsibilities.tobytes()

@@ -243,3 +243,24 @@ def test_config_rejects_a_tolerance_that_is_not_finite_and_positive(config, tole
     with pytest.raises(ValueError, match="rel_tolerance"):
         config(rel_tolerance=tolerance)
     assert config(rel_tolerance=1e-300).rel_tolerance == 1e-300
+
+
+@pytest.mark.parametrize("config", [MLFitConfig, VBFitConfig])
+@pytest.mark.parametrize("cap", [math.nan, 2.5, True, "5"])
+def test_config_rejects_a_pass_cap_that_is_not_a_whole_number(config, cap):
+    # A cap of 2.5 let a fit make 3 passes, NaN stopped it after one as
+    # capped, and True was taken as 1.
+    with pytest.raises(ValueError, match="max_iterations"):
+        config(max_iterations=cap)
+
+
+@pytest.mark.parametrize("model", ["ggm", "bggm"])
+def test_a_numpy_integer_pass_cap_binds_like_an_int(model):
+    x = generate(SyntheticSpec(1, 3.0, 2, n=2000, seed=1), 0).values
+    if model == "ggm":
+        fits = [ml_em.fit_ggm(x, None, MLFitConfig(max_iterations=cap)) for cap in (np.int64(5), 5)]
+    else:
+        fits = [vb_em.fit_bggm(x, VBFitConfig(max_iterations=cap)) for cap in (np.int64(5), 5)]
+    assert fits[0].iterations == fits[1].iterations <= 5
+    assert fits[0].stop_reason == fits[1].stop_reason
+    assert np.array_equal(fits[0].responsibilities, fits[1].responsibilities)

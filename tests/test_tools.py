@@ -1,7 +1,8 @@
 """The fit-equivalence tool (tools/fit_equivalence.py) runs on this tree, the
 package metadata (pyproject.toml) names what the tree needs, only the E-step
-module reads its data cache, only the fit loop reads the pass budget, and
-only the io module opens a file."""
+module reads its data cache, only the fit loop reads the pass budget, only
+the io module opens a file, and only the distributions module names the
+activation families."""
 
 import ast
 import hashlib
@@ -239,3 +240,21 @@ def test_only_the_io_module_opens_a_file():
                 if any(m.split(".")[0] == "json" for m in modules):
                     opens.append(f"{path.name}:{node.lineno}: import json")
     assert opens == []
+
+
+def test_only_the_distributions_module_names_the_activation_families():
+    # Each learner's two families are stated once, in distributions.FAMILIES:
+    # no other module imports the four family constants or builds a family.
+    constants = {"GAMMA_POS", "GAMMA_NEG", "INVGAMMA_POS", "INVGAMMA_NEG"}
+    named = []
+    for path in sorted((_ROOT / "src" / "gigmix").glob("*.py")):
+        if path.name in ("distributions.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                named += [f"{path.name}:{node.lineno}: import {a.name}" for a in node.names if a.name in constants]
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name == "ComponentFamily":
+                    named.append(f"{path.name}:{node.lineno}: ComponentFamily()")
+    assert named == []

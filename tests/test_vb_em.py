@@ -18,7 +18,7 @@ from gigmix.distributions import (
     GAMMA_POS,
     INVGAMMA_NEG,
     INVGAMMA_POS,
-    ComponentFamily,
+    GaussianParams,
 )
 from gigmix.experiments import SyntheticSpec, generate
 from gigmix.vb_em import (
@@ -156,7 +156,7 @@ def test_hyperpriors_refuse_a_shape_or_rate_that_is_not_finite_and_positive(fiel
         (GAMMA_POS, GAMMA_POS),
         (INVGAMMA_POS,),
         (GAMMA_POS, GAMMA_NEG, GAMMA_NEG),
-        (ComponentFamily("gaussian"), GAMMA_NEG),
+        (GaussianParams(0.0, 1.0), GAMMA_NEG),
     ],
 )
 def test_hyperpriors_refuse_families_that_are_not_positive_then_negative(families):
@@ -992,29 +992,56 @@ def test_cycle_never_skips_after_a_plain_step_whose_nfe_fell(monkeypatch):
 
 
 # ROADMAP item 14(a): plain steps from each returned state on four dataset-1
-# maps (SNR, sparsity; n = 4000, data seed 3), split in two halves
-# (``helpers.split_plain_step``).
+# maps (SNR, sparsity; n = 4000, data seed 3), and on six hostile maps, split
+# in two halves (``helpers.split_plain_step``).
 SPLIT_MAPS = ((5.0, 1), (3.0, 2), (2.0, 1), (4.0, 3))
 SPLIT_STEPS = 60
 
 
-@pytest.fixture(scope="module")
-def split_steps():
-    """Per fit and step: the NFE before it, after its first half and after
-    the whole step."""
+def _split_steps(maps):
+    """Per fit of each (name, values) map and per step: the NFE before it,
+    after its first half and after the whole step."""
     steps = {}
-    for snr, sparsity in SPLIT_MAPS:
-        x = generate(SyntheticSpec(dataset=1, snr=snr, sparsity=sparsity, n=4000, seed=3), 0).values
+    for name, x in maps:
         for fitter in (fit_bggm, fit_bgim):
             res = fitter(x)
             cache = estep._DataCache(x, res.priors.families)
             point = vb_em._evaluate(cache, res.state, res.priors)
-            rows = steps[f"{fitter.__name__} snr{snr} sp{sparsity}"] = []
+            rows = steps[f"{fitter.__name__} {name}"] = []
             for _ in range(SPLIT_STEPS):
                 half, after = split_plain_step(cache, point, res.priors)
                 rows.append((point.objective, half, after.objective))
                 point = after
     return steps
+
+
+@pytest.fixture(scope="module")
+def split_steps():
+    return _split_steps(
+        (
+            f"snr{snr} sp{sparsity}",
+            generate(SyntheticSpec(dataset=1, snr=snr, sparsity=sparsity, n=4000, seed=3), 0).values,
+        )
+        for snr, sparsity in SPLIT_MAPS
+    )
+
+
+@pytest.fixture(scope="module")
+def hostile_split_steps():
+    # tools/fit_equivalence.py's hostile maps without exact zeros, drawn in
+    # its order from the same generator, and a negative exponential.
+    rng = np.random.default_rng(2024)
+    mixture = rng.normal(rng.choice([-3.0, 0.0, 3.0], 500, p=[0.1, 0.8, 0.1]), 1.0)
+    return _split_steps(
+        [
+            ("n3", np.array([-1.0, 0.5, 2.0])),
+            ("ties", np.round(rng.normal(0.0, 2.0, 400))),
+            ("lognormal", rng.lognormal(0.0, 1.5, 500)),
+            ("cauchy", rng.standard_cauchy(500)),
+            ("negative exponential", -rng.exponential(1.0, 500)),
+            ("mixture x 1e-150", mixture * 1e-150),
+        ]
+    )
 
 
 def _falls(steps, before, after):
@@ -1032,6 +1059,10 @@ def test_split_step_first_half_never_lowers_the_nfe(split_steps):
     # The Z, pi, mu, tau and r updates with q(s) held are exact coordinate
     # ascents of the NFE.
     assert _falls(split_steps, 0, 1) == []
+
+
+def test_split_step_first_half_never_lowers_the_nfe_on_hostile_maps(hostile_split_steps):
+    assert _falls(hostile_split_steps, 0, 1) == []
 
 
 @pytest.mark.xfail(
