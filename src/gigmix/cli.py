@@ -68,7 +68,7 @@ def _build_parser() -> _Parser:
     p_fit.add_argument(
         "--standardize",
         action="store_true",
-        help="mask zeros and standardize before fitting",
+        help="z-score the nonzero values before fitting (exact zeros stay 0 and are masked)",
     )
     p_fit.add_argument(
         "--timing",
@@ -111,18 +111,11 @@ def _cmd_fit(args) -> int:
     data = standardize(values) if args.standardize else values
     result = fit(args.model, data, args.seed)
     doc = result_to_dict(result, args.model, args.seed, include_timing=args.timing)
-    doc["n"] = int(data.size)
+    doc["n"] = int(np.count_nonzero(data))  # the values fitted: a fit masks exact zeros
     doc["standardized"] = bool(args.standardize)
     write_json(args.output, doc)
     if args.gamma_out:
-        gamma = result.responsibilities
-        if data.size != values.size:
-            # One row per input value: the exact zeros that standardize
-            # dropped belong to the Gaussian, as they do in the E-step.
-            gamma = np.zeros((values.size, 3))
-            gamma[:, 0] = 1.0
-            gamma[values != 0.0] = result.responsibilities
-        write_gamma_csv(args.gamma_out, gamma)
+        write_gamma_csv(args.gamma_out, result.responsibilities)
     return 0
 
 

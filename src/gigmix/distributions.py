@@ -144,10 +144,8 @@ def log_pdf(params, x):
 
     Returns -inf outside the support; by convention that includes x = 0 for
     every non-Gaussian component (the inverse-Gamma density is singular
-    there). Exact zeros are not masked before a library fit: the fit gives
-    them to the Gaussian and counts them in its sums, so a masked map's
-    zeros pull the Gaussian onto zero; ``gigmix fit --standardize`` drops
-    them.
+    there). A fit masks exact zeros (``estep.nonzero_values``) instead of
+    scoring them.
     """
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)):

@@ -1,7 +1,7 @@
 """The one E-step kernel shared by all four learners and the initialization.
 
 Each sample competes only between the Gaussian and the activation component
-on its own side of zero; exact zeros belong to the Gaussian. The kernel runs
+on its own side of zero, and an exact zero is masked. The kernel runs
 one two-way softmax per support side, each over its side record (``_Side``,
 built once per fit; the negative side is the positive one mirrored), writes
 the activation responsibilities of each side into the side's buffer, and
@@ -134,13 +134,20 @@ def finite_data(data) -> np.ndarray:
 
 
 def finite_data_and_gamma(data, gamma):
-    """``finite_data(data)`` and ``gamma`` as a float array; ValueError unless
-    ``gamma`` has one row of three responsibilities per value."""
+    """``finite_data(data)`` and ``gamma`` as a float array, its rows at exact
+    zeros 0; ValueError unless ``gamma`` has one row of three per value."""
     x = finite_data(data)
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (x.size, 3):
         raise ValueError(f"gamma must have shape ({x.size}, 3), got {gamma.shape}")
-    return x, gamma
+    return x, np.where((x == 0.0)[:, None], 0.0, gamma)
+
+
+def nonzero_values(x: np.ndarray) -> np.ndarray:
+    """The values of flat ``x`` a fit counts: an exact zero is masked, as
+    outside the mask of a statistic map, so no sum, objective or start counts
+    it and its row is (1, 0, 0). ``x`` itself when it holds no zero."""
+    return x if x.all() else x[x != 0.0]
 
 
 class _Side:
@@ -177,8 +184,8 @@ class _Side:
 
 
 class _DataCache:
-    """Per-fit precomputations: the two support sides, the count of exact
-    zeros and the data totals. The cache alone decides how many rows of the
+    """Per-fit precomputations: the two support sides, the count ``n`` and
+    totals of the nonzero values. The cache alone decides how many rows of the
     side stack (v, v**2, log v, 1/v) it holds, ``height``: 4, with the
     reciprocals 1/v, if ``families`` (the fit's activation families) has an
     ``inverse`` one, whose log-weights and rate update read them, or is None;
@@ -195,15 +202,16 @@ class _DataCache:
     first pass (``worker``) and ends with the cache.
     """
 
-    __slots__ = ("x", "height", "sides", "n_zero", "sum_x", "sum_sq", "coefficients", "passes", "parallel", "worker")
+    __slots__ = ("x", "height", "sides", "n", "sum_x", "sum_sq", "coefficients", "passes", "parallel", "worker")
 
     def __init__(self, x: np.ndarray, families=None):
         self.x = x
         self.height = 4 if families is None or any(fam.inverse for fam in families) else 3
         self.sides = (_Side(x, 1.0, self.height), _Side(x, -1.0, self.height))
-        self.n_zero = x.size - sum(side.rows.size for side in self.sides)
-        self.sum_x = float(x.sum())
-        self.sum_sq = float((x * x).sum())
+        nonzero = nonzero_values(x)
+        self.n = nonzero.size
+        self.sum_x = float(nonzero.sum())
+        self.sum_sq = float((nonzero * nonzero).sum())
         self.coefficients, self.passes = None, 0
         self.parallel = min(len(side.rows) for side in self.sides) >= _BLOCK and _usable_cpus() >= 2
         self.worker = None
@@ -440,10 +448,10 @@ def _responsibility_pass(
     they skip the log and the sum of the per-point log-sum-exp. A pass
     without it finds the same degenerate points.
 
-    Off-support responsibilities are identically zero by construction; data
-    points at exactly zero are assigned to the Gaussian. A point with zero
-    density under every component it can belong to is degenerate: it goes to
-    the Gaussian and is left out of the total LSE.
+    Off-support responsibilities are identically zero by construction, and
+    no side holds an exact zero, so the pass leaves the zeros out. A point
+    with zero density under every component it can belong to is degenerate:
+    it goes to the Gaussian and is left out of the total LSE.
     """
     cache.passes += 1
     cache.coefficients, rows = None, min(rows, cache.height)
@@ -454,11 +462,6 @@ def _responsibility_pass(
         degenerate += bad
         if objective:
             lse_total += lse
-    lse_zero = cache.n_zero * coefficients[0][2] if cache.n_zero else 0.0  # c0
-    if not math.isfinite(lse_zero):
-        degenerate += cache.n_zero
-    elif objective:
-        lse_total += lse_zero
     stats = _statistics(cache, coefficients, sides) if rows else None
     cache.coefficients = e
     return stats, lse_total, degenerate
@@ -466,9 +469,9 @@ def _responsibility_pass(
 
 def _statistics(cache: _DataCache, coefficients: tuple, sides: list) -> SufficientStats:
     """The pass's statistics from its side sums (``_side_pass``)."""
-    # The Gaussian's sums start from the data totals and each side's are
-    # taken off in side order. ``xbar`` holds the signed sums.
-    n1, sx1, sxx1 = cache.x.size, cache.sum_x, cache.sum_sq
+    # The Gaussian's sums start from the nonzero values' totals and each
+    # side's are taken off in side order. ``xbar`` holds the signed sums.
+    n1, sx1, sxx1 = cache.n, cache.sum_x, cache.sum_sq
     # The activation sums of log v and 1/v, positive side first; NaN unless
     # the pass takes them.
     n, xbar, sq, log_recip = [], [], [], [math.nan] * 4
@@ -482,9 +485,9 @@ def _statistics(cache: _DataCache, coefficients: tuple, sides: list) -> Sufficie
         n1 -= nk
         sx1 -= xbar[-1]
         sxx1 -= sqk
-    if n1 < _DIRECT_GAUSSIAN_SHARE * cache.x.size or sxx1 < _DIRECT_GAUSSIAN_SHARE * cache.sum_sq:
+    if n1 < _DIRECT_GAUSSIAN_SHARE * cache.n or sxx1 < _DIRECT_GAUSSIAN_SHARE * cache.sum_sq:
         # The same sweep again, summing the Gaussian's side weights directly.
-        n1, sx1, sxx1 = cache.n_zero, 0.0, 0.0
+        n1, sx1, sxx1 = 0.0, 0.0, 0.0
         direct = _sweep(cache, coefficients, 2, False, True)
         for side, (_, _, (nk, sxk, sqk)) in zip(cache.sides, direct):
             n1 += nk

@@ -27,16 +27,17 @@ class ComparisonTable:
 
 
 def standardize(data) -> np.ndarray:
-    """Drop exact zeros, then scale to zero mean and unit population variance."""
+    """Scale the nonzero values to zero mean and unit population variance;
+    each exact zero, which a fit masks, stays 0. One value per input."""
     x = finite_data(data)
-    x = x[x != 0.0]
-    if x.size < 2:
+    values = x[x != 0.0]
+    if values.size < 2:
         raise ValueError("need at least 2 nonzero values to standardize")
-    mean = x.mean()
-    std = x.std()
+    mean = values.mean()
+    std = values.std()
     if std == 0.0:
         raise ValueError("cannot standardize constant input")
-    return (x - mean) / std
+    return np.where(x != 0.0, (x - mean) / std, 0.0)
 
 
 def activation_map(gamma: np.ndarray, threshold: float = 0.5) -> np.ndarray:

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .evaluation import activation_map, restricted_auc, win_matrix
+from .fitloop import as_integer
 from .io import read_json, write_json, write_table
 from .ml_em import MLFitConfig, fit_ggm, fit_gim
 from .vb_em import VBFitConfig, fit_bggm, fit_bgim
@@ -60,7 +61,9 @@ RUNS_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """One benchmark scenario."""
+    """One benchmark scenario. ``dataset``, ``sparsity``, ``n``, ``repeats``
+    and ``seed`` are integers (``fitloop.as_integer``: a numpy integer too,
+    not a bool)."""
 
     dataset: int
     snr: float
@@ -70,6 +73,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("dataset", "sparsity", "n", "repeats", "seed"):
+            if as_integer(getattr(self, name)) is None:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.dataset not in DATASET_PROPORTIONS:
             raise ValueError(f"dataset must be 1 or 2, got {self.dataset}")
         if self.sparsity not in (1, 2, 3):

@@ -13,13 +13,14 @@ not count as an iteration). The kernel counts the passes
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estep import ExpectationCache, SufficientStats, _DataCache, finite_data, passes_made, responsibilities_at
+from .estep import ExpectationCache, SufficientStats, _DataCache, finite_data, nonzero_values, passes_made, responsibilities_at
 
 
 @dataclass
@@ -36,9 +37,21 @@ class Point:
     expectations: ExpectationCache
 
 
+def as_integer(value) -> int | None:
+    """``value`` as an int when it is an integer, a numpy integer too; None
+    for a bool or anything else."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 @dataclass
 class FitConfig:
-    """``max_iterations`` is an integer >= 1 (a numpy integer too, not a
+    """``max_iterations`` is an integer >= 1 (``as_integer``) and
+    ``rel_tolerance`` a finite real number > 0 (a numpy float too, not a
     bool); ``seed`` is accepted for compatibility; fits do not depend on it."""
 
     max_iterations: int
@@ -46,15 +59,12 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        cap = self.max_iterations
-        try:
-            whole = not isinstance(cap, bool) and operator.index(cap) >= 1
-        except TypeError:
-            whole = False
-        if not whole:
-            raise ValueError(f"max_iterations must be an integer >= 1, got {cap!r}")
-        if not 0 < self.rel_tolerance < math.inf:
-            raise ValueError("rel_tolerance must be finite and > 0")
+        cap = as_integer(self.max_iterations)
+        if cap is None or cap < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        tol = self.rel_tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+            raise ValueError(f"rel_tolerance must be a finite real number > 0, got {tol!r}")
 
 
 @dataclass
@@ -73,8 +83,9 @@ class FitResult:
 
 
 def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascent_only: bool):
-    """Run a learner from ``init``, or when it is None from
-    ``default_start(x, families)`` inside the timer, to its stop.
+    """Run a learner from ``init``, or when it is None from ``default_start``
+    of x's nonzero values if at least three exist, else of x, inside the
+    timer, to its stop.
 
     ``first(cache, init)`` makes the first point, which counts as one pass
     however many it took, and ``cycle(cache, recorded, room)`` the next point
@@ -89,7 +100,8 @@ def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascen
     x = finite_data(data)
     start = time.perf_counter()
     if init is None:
-        init = default_start(x, families)
+        values = nonzero_values(x)
+        init = default_start(values if values.size >= 3 else x, families)
     cache = _DataCache(x, families)
     recorded = first(cache, init)
     base = passes_made(cache) - 1

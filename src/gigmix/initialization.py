@@ -221,12 +221,12 @@ def robust_scale(data) -> float | None:
     """The noise scale of finite data: the MAD, 1.4826 * median|x - median x|,
     which the activation in the tails barely moves.
 
-    When half the data share one value the MAD is 0; masked maps hold many
-    exact zeros, so the scale is then the MAD of the nonzero values. None
-    when no positive finite scale exists: with fewer than three distinct
-    values, or when the nonzero values' MAD is 0 as well. Multiplying the
-    data by a power of two multiplies the scale by the same power exactly,
-    barring under- and overflow.
+    When half the data share one value the MAD is 0, and the scale is then
+    the MAD of the nonzero values (a fit's start skips a masked map's zeros
+    already). None when no positive finite scale exists: with fewer than
+    three distinct values, or when the nonzero values' MAD is 0 as well.
+    Multiplying the data by a power of two multiplies the scale by the same
+    power exactly, barring under- and overflow.
     """
     return _median_and_scale(finite_data(data))[1]
 

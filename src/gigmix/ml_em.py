@@ -17,7 +17,6 @@ not an ascent. Without an initial point a fit starts from the noise core
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,15 +74,15 @@ def m_step(stats: SufficientStats, prev: MixtureParams) -> MixtureParams:
     (``estep.sufficient_stats`` forms them from an N x 3 responsibility
     matrix). Components whose soft count is below one sample keep their
     previous parameters (their mixing proportion still shrinks with the
-    count), which keeps near-empty components well defined.
+    count), which keeps near-empty components well defined; when the counts
+    sum to zero, the proportions are kept too.
     """
     n_k = stats.n.tolist()
     xbar = stats.xbar.tolist()
     sq_x = stats.sq_x.tolist()
-    # numpy's order for the sum of three; a zero total gives NaN proportions,
-    # which MixtureParams refuses.
+    # numpy's order for the sum of three; a map of exact zeros counts none.
     total = (n_k[0] + n_k[1]) + n_k[2]
-    pi = [n / total for n in n_k] if total else [math.nan] * 3
+    pi = [n / total for n in n_k] if total else prev.pi
 
     comp1 = prev.comp1
     if n_k[0] >= _MIN_COMPONENT_MASS:

@@ -9,7 +9,7 @@ import pytest
 
 import gigmix
 import gigmix.experiments as experiments
-from gigmix.cli import main
+from gigmix.cli import _parse_grid, main
 from gigmix.io import write_values_f64le, write_values_txt
 
 
@@ -144,9 +144,9 @@ def test_fit_f64le_and_standardize(tmp_path):
 
 @pytest.mark.parametrize("model", ["bggm", "ggm"])
 def test_standardized_gamma_csv_has_one_row_per_input_value(tmp_path, model):
-    # standardize drops the exact zeros before the fit; the CSV still has one
-    # row per input value, in input order, with the Gaussian's (1, 0, 0) at
-    # each zero and the fit's rows everywhere else.
+    # standardize keeps the exact zeros at 0 and the fit masks them; the CSV
+    # has one row per input value, in input order, with (1, 0, 0) at each
+    # zero, and its other rows are those of a fit of the nonzero values alone.
     x = np.array([0.3, 0.0, -1.2, 4.0, 0.0, -0.1, 2.5, 0.0, 0.8, -3.1, 0.05])
     path = tmp_path / "values.txt"
     write_values_txt(path, x)
@@ -157,9 +157,37 @@ def test_standardized_gamma_csv_has_one_row_per_input_value(tmp_path, model):
     assert rows.shape == (x.size, 3)
     zero = x == 0.0
     assert np.array_equal(rows[zero], np.tile([1.0, 0.0, 0.0], (3, 1)))
-    fitted = experiments.fit(model, gigmix.standardize(x), 0).responsibilities
-    assert np.array_equal(rows[~zero], fitted)
+    z = gigmix.standardize(x)
+    assert np.array_equal(rows, experiments.fit(model, z, 0).responsibilities)
+    assert np.array_equal(rows[~zero], experiments.fit(model, z[~zero], 0).responsibilities)
     assert json.loads(out.read_text())["n"] == 8
+
+
+@pytest.mark.parametrize("model", ["bgim", "gim"])
+def test_unstandardized_gamma_csv_is_the_library_fit_with_zeros_masked(tmp_path, model):
+    # Without --standardize the CLI writes the library fit's rows, each exact
+    # zero's exactly (1, 0, 0), and n counts the values fitted, the nonzero
+    # ones.
+    rng = np.random.default_rng(5)
+    x = rng.normal(rng.choice([-3.0, 0.0, 3.0], 300, p=[0.1, 0.8, 0.1]), 1.0)
+    x[rng.permutation(x.size)[:120]] = 0.0
+    path = tmp_path / "values.txt"
+    write_values_txt(path, x)
+    out, gamma_out = tmp_path / "result.json", tmp_path / "gamma.csv"
+    argv = ["fit", "--model", model, "--input", str(path)]
+    assert main(argv + ["--output", str(out), "--gamma-out", str(gamma_out)]) == 0
+    rows = np.loadtxt(gamma_out, delimiter=",", skiprows=1)
+    assert np.array_equal(rows, experiments.fit(model, x, 0).responsibilities)
+    assert np.array_equal(rows[x == 0.0], np.tile([1.0, 0.0, 0.0], (120, 1)))
+    doc = json.loads(out.read_text())
+    assert doc["n"] == 180 and doc["standardized"] is False
+
+
+def test_default_grid_argument_gives_the_twelve_dataset_1_scenarios():
+    specs = _parse_grid("default", 7, 500, 3)
+    assert specs == experiments.default_grid(seed=7, n=500, repeats=3)
+    assert len({spec.scenario_id for spec in specs}) == 12
+    assert all(spec.dataset == 1 and (spec.n, spec.repeats, spec.seed) == (500, 3, 7) for spec in specs)
 
 
 def test_fit_timing_flag_adds_wall_time(tmp_path, value_file):

@@ -4,10 +4,12 @@ E-step) against a dense oracle.
 The oracle builds the full N x 3 matrix of log pi_k + log p_k(x) from
 ``scipy.stats`` (norm, gamma, invgamma; -inf off the support and for a zero
 proportion), hands rows with zero density under every component to the
-Gaussian, and leaves them out of the log-likelihood. The inputs are hostile:
-proportions with exact zeros, exact-zero data, one-sided data, n = 3, and
-scales of 1e+-150 with parameters scaled to match. The kernel sweeps each side
-in blocks; a block length of 7 makes every case cross block boundaries.
+Gaussian, and leaves them out of the log-likelihood. It masks exact zeros:
+their rows are (1, 0, 0), and no sum and no log-likelihood counts them. The
+inputs are hostile: proportions with exact zeros, exact-zero data, one-sided
+data, n = 3, and scales of 1e+-150 with parameters scaled to match. The
+kernel sweeps each side in blocks; a block length of 7 makes every case cross
+block boundaries.
 """
 
 import math
@@ -55,11 +57,13 @@ def oracle(x, params):
                 dens = invgamma_dist.logpdf(z[on], comp.shape, scale=comp.rate)
             lw[on, k] = log_pi[k] + dens
     lse = logsumexp(lw, axis=1)
-    bad = ~np.isfinite(lse)
+    zero = x == 0
+    bad = ~np.isfinite(lse) & ~zero
+    ok = ~bad & ~zero
     gamma = np.zeros_like(lw)
-    gamma[~bad] = np.exp(lw[~bad] - lse[~bad, None])
-    gamma[bad] = (1.0, 0.0, 0.0)
-    return gamma, float(lse[~bad].sum()), int(bad.sum())
+    gamma[ok] = np.exp(lw[ok] - lse[ok, None])
+    gamma[~ok] = (1.0, 0.0, 0.0)
+    return gamma, float(lse[ok].sum()), int(bad.sum())
 
 
 @st.composite
@@ -117,10 +121,11 @@ def _assert_matches_oracle(x, params):
     assert abs(loglik - want_loglik) <= TOL * max(1.0, abs(want_loglik))
 
     # The sums the M-step reads, each within TOL of its own size. The
-    # Gaussian ones are totals minus sides unless that would cancel.
+    # Gaussian ones are totals minus sides unless that would cancel. No sum
+    # counts an exact zero.
     sq = x * x
     mirrored = [x @ want[:, 1], -(x @ want[:, 2])]
-    assert np.allclose(stats.n, want.sum(axis=0), rtol=TOL, atol=TOL * x.size)
+    assert np.allclose(stats.n, want[x != 0].sum(axis=0), rtol=TOL, atol=TOL * x.size)
     for got, exact, size in (
         (stats.xbar[0], x @ want[:, 0], np.abs(x) @ want[:, 0]),
         (stats.sxx1, sq @ want[:, 0], sq @ want[:, 0]),
@@ -153,15 +158,15 @@ def _with_examples(test):
 def test_ml_kernel_matches_dense_oracle(c):
     _assert_matches_oracle(*c)
 
-    # The two support sides and the exact zeros partition the samples, each
-    # side holds its mirrored values, all positive, and the assembled matrix
-    # leaves each side's off-support activation at exactly 0.
+    # The two support sides partition the nonzero samples, whose count the
+    # cache holds, each side holds its mirrored values, all positive, and the
+    # assembled matrix leaves each side's off-support activation at exactly 0.
     x, params = c
     cache = _DataCache(x)
     rows = np.concatenate([side.rows for side in cache.sides])
-    assert rows.size + cache.n_zero == x.size
+    assert rows.size == cache.n
     assert np.array_equal(np.sort(rows), np.nonzero(x != 0)[0])
-    assert cache.n_zero == np.count_nonzero(x == 0)
+    assert cache.n == np.count_nonzero(x)
     for side in cache.sides:
         assert np.array_equal(side.vals, side.sign * x[side.rows])
         assert np.all(side.vals > 0)

@@ -96,6 +96,15 @@ def _serial(x):
     return cache
 
 
+@pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_an_affinity_call_is_the_cpu_count(monkeypatch, count, usable):
+    # Platforms without os.sched_getaffinity (macOS, Windows) fall back to
+    # os.cpu_count(), which may not know the count.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert estep._usable_cpus() == usable
+
+
 def test_two_sides_engage_the_worker_only_from_a_block_each(x, monkeypatch):
     monkeypatch.setattr(estep, "_usable_cpus", lambda: 2)
     assert all(side.vals.size >= estep._BLOCK for side in estep._DataCache(x).sides)
@@ -276,8 +285,8 @@ def test_reduced_passes_give_the_full_pass_bits(x, two_cpus, n, parallel, famili
     # statistics it takes and the degenerate count, bit for bit: on one
     # thread with BLAS dots (n = 1e4) or einsum rows (n = 1e5), and on two
     # threads; on a cache of the fit's families, which for Gamma fits holds
-    # no 1/v row. The map has exact zeros. Without a Gaussian and a negative
-    # activation, every negative point and every zero is degenerate.
+    # no 1/v row. The map has exact zeros, which no pass counts. Without a
+    # Gaussian and a negative activation, every negative point is degenerate.
     y = x[:n].copy()
     y[::97] = 0.0
     if degenerate:
@@ -287,7 +296,7 @@ def test_reduced_passes_give_the_full_pass_bits(x, two_cpus, n, parallel, famili
     full = estep._DataCache(y)
     full.parallel = parallel
     g, stats, lse, bad = _pass_bytes(full, params)
-    assert bad == (np.count_nonzero(y <= 0) if degenerate else 0)
+    assert bad == (np.count_nonzero(y < 0) if degenerate else 0)
     for rows, objective in REDUCED:
         cache = estep._DataCache(y, families)
         assert len(cache.sides[0].stack) == (3 if families[0].kind == "gamma" else 4)

@@ -18,9 +18,12 @@ from gigmix.evaluation import (
 from helpers import brute_force_restricted_auc
 
 
-def test_standardize_drops_zeros():
+def test_standardize_keeps_zeros_at_zero():
+    # The nonzero values are z-scored; a fit masks the exact zeros, which
+    # stay 0, so there is one value per input.
     out = standardize(np.array([0.0, 1.0, 3.0]))
-    assert np.allclose(out, [-1.0, 1.0])
+    assert np.allclose(out, [0.0, -1.0, 1.0])
+    assert out[0] == 0.0
 
 
 def test_standardize_moments_and_idempotence():

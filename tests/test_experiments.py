@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -38,6 +39,44 @@ def test_spec_validation():
         SyntheticSpec(dataset=1, snr=2.5, sparsity=1)
     with pytest.raises(ValueError):
         SyntheticSpec(dataset=1, snr=5.0, sparsity=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dataset", True),
+        ("dataset", 1.0),
+        ("sparsity", True),
+        ("sparsity", "1"),
+        ("n", 2.5),
+        ("n", True),
+        ("repeats", 2.5),
+        ("seed", 1.5),
+        ("seed", False),
+    ],
+)
+def test_spec_refuses_an_integer_field_that_is_not_an_integer(field, value):
+    # SyntheticSpec(True, 5.0, 1) had the id 'dTrue-snr5-sp1', and a repeats,
+    # n or seed of 2.5 failed later, inside run_benchmark, with TypeError; a
+    # manifest read by load_manifest built its specs the same way.
+    fields = dict(dataset=1, snr=5.0, sparsity=1, n=10, repeats=2, seed=0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SyntheticSpec(**fields)
+
+
+def test_spec_takes_numpy_integers():
+    spec = SyntheticSpec(np.int64(2), 3.0, np.int32(2), n=np.int64(10), repeats=np.uint8(1), seed=np.int16(4))
+    assert spec.scenario_id == "d2-snr3-sp2"
+    assert spec.pi == (0.95, 0.05, 0.0)
+    assert generate(spec, 0).values.size == 10
+
+
+@pytest.mark.parametrize("field", ["n", "repeats"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_spec_refuses_n_or_repeats_below_one(field, value):
+    with pytest.raises(ValueError, match="n and repeats must be >= 1"):
+        SyntheticSpec(dataset=1, snr=5.0, sparsity=1, **{field: value})
 
 
 def test_negative_seed_and_indices_are_refused_by_name():
@@ -236,6 +275,14 @@ def test_manifest_alone_suffices_to_rerun(tmp_path):
         assert a["pos_frac"] == b["pos_frac"]
         assert a["neg_frac"] == b["neg_frac"]
         assert a["iterations"] == b["iterations"]
+
+
+def test_load_manifest_refuses_a_spec_with_a_fractional_repeat_count(tmp_path):
+    spec = dict(dataset=1, snr=5.0, sparsity=1, n=10, repeats=2.5, seed=0)
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({"schema_version": 1, "specs": [spec], "models": ["ggm"], "timing": "off"}))
+    with pytest.raises(ValueError, match="repeats must be an integer"):
+        load_manifest(p)
 
 
 def test_load_manifest_rejects_unknown_schema(tmp_path):

@@ -236,13 +236,20 @@ def test_fit_responsibilities_are_a_pass_at_the_reported_point(
 
 
 @pytest.mark.parametrize("config", [MLFitConfig, VBFitConfig])
-@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, True, "1e-6", None])
 def test_config_rejects_a_tolerance_that_is_not_finite_and_positive(config, tolerance):
     # A NaN tolerance never settles (ML runs to its cap) or settles on any
-    # fall (VB); an infinite one stops every fit after one cycle.
+    # fall (VB); an infinite one stops every fit after one cycle. True was
+    # taken as 1.0, and a string failed in the comparison with TypeError.
     with pytest.raises(ValueError, match="rel_tolerance"):
         config(rel_tolerance=tolerance)
     assert config(rel_tolerance=1e-300).rel_tolerance == 1e-300
+
+
+@pytest.mark.parametrize("config", [MLFitConfig, VBFitConfig])
+@pytest.mark.parametrize("tolerance", [np.float64(1e-4), np.float32(1e-4), 1])
+def test_config_takes_a_numpy_float_or_an_int_tolerance(config, tolerance):
+    assert config(rel_tolerance=tolerance).rel_tolerance == tolerance
 
 
 @pytest.mark.parametrize("config", [MLFitConfig, VBFitConfig])

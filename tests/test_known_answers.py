@@ -19,9 +19,7 @@ Those cases are strict xfails that name the measured value.
 
 A masked map, one with exact zeros outside its mask, has a known answer too:
 the fit of its drawn values alone. Every learner should give the drawn
-values, byte for byte, the responsibilities of that fit; today each counts
-the zeros in its Gaussian, and those cases are strict xfails (ROADMAP item
-25).
+values, byte for byte, the responsibilities of that fit.
 """
 
 import numpy as np
@@ -100,15 +98,6 @@ def test_dense_own_family_parameters_are_recovered(model, mean, var):
         assert abs(rate / truth.rate - 1.0) <= SHAPE_RATE_TOLERANCE, (rate, truth.rate)
 
 
-_MASKED = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 25: the fit counts exact zeros in the Gaussian's sums; at 30 % zeros "
-    "bggm, bgim and ggm declare 98.8-100 % of the drawn values active (gim 11.7 %), at 60 % all "
-    "four 99.3-100 %, against 9.1-9.7 % fitting the drawn values alone",
-)
-
-
-@_MASKED
 @pytest.mark.parametrize("zeros", [0.3, 0.6], ids=["30pct", "60pct"])
 @pytest.mark.parametrize("model", ["bggm", "bgim", "ggm", "gim"])
 def test_masked_zeros_leave_the_fit_of_the_drawn_values_unchanged(model, zeros):

@@ -49,6 +49,23 @@ def test_fit_lines_are_deterministic_and_complete(model):
         assert keys == expected + auc + nfe
 
 
+@pytest.mark.parametrize("model", fit_equivalence.MODELS)
+def test_fit_lines_of_a_map_with_zeros_end_with_the_masking_check(model):
+    # A fit masks exact zeros, so its rows at the nonzero values are those of
+    # the fit of the nonzero values alone; a map without zeros has no field.
+    rng = np.random.default_rng(3)
+    x = rng.normal(rng.choice([-3.0, 0.0, 3.0], 600, p=[0.1, 0.8, 0.1]), 1.0)
+    x[::5] = 0.0
+    line = fit_equivalence.describe_fit(model, x, 1)
+    assert line.split()[-1] == "nonzero_same=True"
+    nonzero = x[x != 0.0]
+    assert "nonzero_same" not in fit_equivalence.describe_fit(model, nonzero, 1)
+    gamma = fit_equivalence.fit(model, nonzero, 1).responsibilities
+    assert fit_equivalence._nonzero_same(model, nonzero, 1, gamma)
+    assert not fit_equivalence._nonzero_same(model, nonzero, 1, gamma[::-1])
+    assert not fit_equivalence._nonzero_same(model, np.array([1.0, np.nan]), 1, gamma[:2])
+
+
 def test_map_lines_fingerprint_the_written_text_files(tmp_path):
     ds = generate(SyntheticSpec(dataset=1, snr=3.0, sparsity=1, n=300, seed=5), 0)
     line = fit_equivalence.describe_map(ds.values, ds.truth)

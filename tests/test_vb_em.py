@@ -328,7 +328,7 @@ def test_update_responsibilities_support_rule():
     assert np.all(gamma[3:, 2] == 0.0)
     assert gamma[2, 0] == 1.0
     assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
-    assert stats.n.sum() == pytest.approx(5.0, rel=1e-12)
+    assert stats.n.sum() == pytest.approx(4.0, rel=1e-12)
 
 
 def _log_rho_reference(x, e, families):
@@ -1106,16 +1106,17 @@ def test_extrapolated_refuses_a_theta_that_is_not_finite_without_a_pass(value, m
     assert passes == []
 
 
-def test_a_degenerate_zero_rejects_the_candidate_and_fails_the_evaluation(monkeypatch):
-    # E[tau] about 4.6e299 and E[mu**2] 1e10 are finite, but the kernel's
-    # Python-float product E[tau] E[mu**2] is inf without a floating-point
-    # error, so the Gaussian's log-weight at an exact zero is -inf and the
-    # zero is degenerate. A candidate whose pass has a degenerate point is
-    # rejected after that pass, and the evaluation at such a state raises.
+def test_a_degenerate_point_rejects_the_candidate_and_fails_the_evaluation(monkeypatch):
+    # b_hat and c_hat of about 1.5e154 are finite, but their Python-float
+    # product E[tau] is inf without a floating-point error, and with E[mu] = 0
+    # the kernel's coefficient E[tau] E[mu] is NaN. numpy carries that NaN
+    # through the sweep without an error either, so every point is
+    # degenerate. A candidate whose pass has a degenerate point is rejected
+    # after that pass, and the evaluation at such a state raises.
     priors = default_hyperpriors(*GAMMA_FAMS)
-    cache = estep._DataCache(np.array([-1.5, -0.5, 0.0, 0.25, 1.0, 2.0]), GAMMA_FAMS)
+    cache = estep._DataCache(np.array([-1.5, -0.5, 0.25, 1.0, 2.0]), GAMMA_FAMS)
     state = dataclasses.replace(
-        prior_state(priors), m_hat=1e5, b_hat=math.exp(345.0), c_hat=math.exp(345.0)
+        prior_state(priors), m_hat=0.0, b_hat=math.exp(355.0), c_hat=math.exp(355.0)
     )
     degenerate, kernel = [], vb_em._responsibility_pass
 
@@ -1126,7 +1127,7 @@ def test_a_degenerate_zero_rejects_the_candidate_and_fails_the_evaluation(monkey
 
     monkeypatch.setattr(vb_em, "_responsibility_pass", spied)
     assert vb_em._extrapolated(cache, vb_em._pack(state).tolist(), priors) is None
-    assert degenerate == [1]
+    assert degenerate == [5]
     with pytest.raises(vb_em.VBNumericError, match="diverged"):
         vb_em._evaluate(cache, state, priors)
-    assert degenerate == [1, 1]
+    assert degenerate == [5, 5]

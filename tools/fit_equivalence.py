@@ -13,9 +13,12 @@ truth of a generated map, and, for VB fits, ``negative_free_energy`` at the
 result. Before its fits, each map gets a line with the SHA-1s of the bytes
 ``io.write_values_txt`` writes for its values and, for a generated map,
 ``io.write_labeled_csv`` for its values and truth (what ``gigmix simulate``
-writes). A small ``run_benchmark`` then prints its rows (without wall times),
-its win table and the SHA-1s of the bytes ``RunManifest.write_runs_csv`` and
-``write_wins_csv`` write for it.
+writes). The fit line of a map with exact zeros ends with ``nonzero_same``:
+whether the fit's responsibilities on the nonzero values are byte-identical
+to those of a fit of the nonzero values alone, which holds when the fit
+masks its zeros. A small ``run_benchmark`` then prints its rows (without
+wall times), its win table and the SHA-1s of the bytes
+``RunManifest.write_runs_csv`` and ``write_wins_csv`` write for it.
 
 Usage: run it on two source trees and compare the outputs byte for byte,
 
@@ -172,7 +175,23 @@ def describe_fit(
         except Exception as exc:  # noqa: BLE001
             nfe = f"{type(exc).__name__}: {exc}"
         fields.append(f"nfe={nfe}")
+    nonzero = x != 0.0
+    if not nonzero.all():
+        fields.append(f"nonzero_same={_nonzero_same(model, x[nonzero], seed, gamma[nonzero])}")
     return " ".join(fields)
+
+
+def _nonzero_same(model: str, values: np.ndarray, seed: int, gamma: np.ndarray) -> bool:
+    """Whether ``gamma``, a fit's responsibilities on the nonzero ``values``
+    of a map with exact zeros, are byte-identical to those of the fit of
+    ``values`` alone; False if that fit is refused."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            alone = fit(model, values, seed).responsibilities
+    except Exception:  # noqa: BLE001 - a refused fit is not the same fit
+        return False
+    return alone.tobytes() == gamma.tobytes()
 
 
 def maps(large: bool):
