@@ -36,6 +36,13 @@ whose objective is read. Only this module reads the data cache
 (``passes_made``). The cache records the coefficients of the pass whose
 responsibilities it holds, and ``responsibilities_at`` gives those or makes
 one more pass. ``log_weights`` gives the kernel's log-weights as N x 3.
+
+A large cache has a binned copy (``binned_cache``): per side, the points are
+the means of narrow bins, and each bin keeps its count and its exact sums of
+the rows. A pass on it weighs each bin's responsibility by those, so it costs
+O(bins) and ends within second order in the bin width of a per-point pass;
+its objective is biased, so the fit loop never compares it with a per-point
+one (``fitloop.fit``).
 """
 
 from __future__ import annotations
@@ -74,6 +81,17 @@ _BLOCK = 32768
 # dots are the faster, and they keep the pinned results of the fits at
 # n = 1e4, whose sides are shorter.
 _BLAS_DOT_MAX = 8192
+
+# The least count of nonzero values whose data cache has a binned copy
+# (``binned_cache``), and the uniform bins per side of that copy. Binned fits
+# saved 2-19 ms at 2e4 values; below this threshold every fit, those of the
+# acceptance maps and the benchmark grid (1e4 values) among them, keeps its
+# direct passes. Near the end point of the fit-large fit (3e5 values), a pass
+# on 2048 bins per side overstated the log-sum-exp by 0.07 nats, a quarter of
+# the bias at 1024, and the update after it moved pi by 1e-7; binning took
+# about 4 ms (BENCH_binned.json).
+_BINNED_MIN = 50_000
+_BINS = 2048
 
 # Floor of the shifted activation log-weight b - m before its exp. Below about
 # -708 exp leaves the normal range, and numpy's exp drops off its vectorised
@@ -151,41 +169,89 @@ def nonzero_values(x: np.ndarray) -> np.ndarray:
 
 
 class _Side:
-    """One support side: the samples with ``sign * x > 0``.
+    """One support side: the samples with ``sign * x > 0``, point by point or
+    in bins.
 
-    ``rows`` are their indices in x, ``vals`` their mirrored values
-    ``sign * x[rows]``, and ``sq``, ``logs`` and, if ``height`` is 4,
-    ``invs`` the square, log and reciprocal of ``vals``: the ``height`` rows
-    of ``stack``, in that order (with 3 rows ``invs`` is None). Each pass
-    writes the side's activation responsibilities to ``g``. ``blocks`` are
-    the side's blocks for the pass, with views of ``g`` and of the side's own
-    work buffers; a side with no points has none.
+    A per-point side (``_Side(x, sign, height)``) holds each sample: ``rows``
+    are their indices in x, ``vals`` their mirrored values ``sign * x[rows]``,
+    and ``sq``, ``logs`` and, if ``height`` is 4, ``invs`` the square, log
+    and reciprocal of ``vals``: the ``height`` rows of ``stack``, in that
+    order (with 3 rows ``invs`` is None). ``counts`` and ``sums`` are None:
+    a pass weights each point once and takes its sums over ``stack``.
+
+    A binned side (``_Side.binned``) has no ``rows``. Its points are the
+    means of the nonempty bins of a per-point side, and ``stack`` holds the
+    rows the log-weights read at those means. ``sums`` holds per bin its
+    count and the exact sums of the per-point side's ``height`` rows, which a
+    pass reads in place of ``stack``; ``counts`` is its first row.
+
+    Each pass writes the side's activation responsibilities to ``g``.
+    ``blocks`` are the side's blocks for the pass, with views of ``g`` and of
+    the side's own work buffers; a side with no points has none.
     """
 
-    __slots__ = ("sign", "rows", "stack", "vals", "sq", "logs", "invs", "g", "blocks")
+    __slots__ = ("sign", "rows", "counts", "sums", "stack", "vals", "sq", "logs", "invs", "g", "blocks")
 
     def __init__(self, x: np.ndarray, sign: float, height: int):
-        self.sign = sign
+        self.sign, self.counts, self.sums = sign, None, None
         # For finite x, -x > 0 exactly when x < 0, and negation is exact.
         self.rows = np.flatnonzero(x > 0) if sign > 0 else np.flatnonzero(x < 0)
-        self.stack = _aligned_rows(height, self.rows.size)
-        self.vals, self.sq, self.logs = self.stack[:3]
-        self.invs = self.stack[3] if height == 4 else None
+        self._allocate(height, self.rows.size)
         # "clip" spares the copy through a buffer that bounds checking makes.
         x.take(self.rows, out=self.vals, mode="clip")
         if sign < 0:
             np.negative(self.vals, out=self.vals)
+        self._derive()
+
+    @classmethod
+    def binned(cls, side: "_Side", bins: int) -> "_Side":
+        """``side`` (per point) in ``bins`` uniform bins over [0, max v], of
+        which the nonempty ones are kept. A bin's point is the mean of its
+        values, kept inside the bin."""
+        self = cls.__new__(cls)
+        self.sign, self.rows = side.sign, None
+        vals, height = side.vals, side.stack.shape[0]
+        keep, width, weighted = np.empty(0, np.intp), 0.0, np.empty((height + 1, 0))
+        if vals.size:
+            # v / max v lies in (0, 1], and the bin index never falls as v
+            # grows: each bin holds a run of the sorted values.
+            index = np.divide(vals, vals.max())
+            index *= bins
+            index = index.astype(np.intp)
+            np.minimum(index, bins - 1, out=index)
+            counts = np.bincount(index, minlength=bins)
+            keep, width = np.flatnonzero(counts), vals.max() / bins
+            rows = (np.bincount(index, weights=row, minlength=bins) for row in side.stack)
+            weighted = np.array([counts, *rows])[:, keep]
+        self.sums, self.counts = weighted, weighted[0]
+        self._allocate(height, keep.size)
+        np.divide(self.sums[1], self.counts, out=self.vals)
+        # The rounded mean of nearly tied values at an edge can fall just
+        # outside the bin.
+        np.clip(self.vals, keep * width, (keep + 1) * width, out=self.vals)
+        self._derive()
+        return self
+
+    def _allocate(self, height: int, size: int):
+        self.stack = _aligned_rows(height, size)
+        self.vals, self.sq, self.logs = self.stack[:3]
+        self.invs = self.stack[3] if height == 4 else None
+
+    def _derive(self):
+        """The rows after ``vals``, the responsibility buffer and the blocks."""
         np.multiply(self.vals, self.vals, out=self.sq)
         np.log(self.vals, out=self.logs)
         if self.invs is not None:
             np.divide(1.0, self.vals, out=self.invs)
-        self.g = _aligned_empty(self.rows.size)
+        self.g = _aligned_empty(self.vals.size)
         self.blocks = _side_blocks(self)
 
 
 class _DataCache:
     """Per-fit precomputations: the two support sides, the count ``n`` and
-    totals of the nonzero values. The cache alone decides how many rows of the
+    totals of the nonzero values. Its sides hold each point; the copy that
+    ``binned_cache`` makes holds them in bins, with the same count and
+    totals. The cache alone decides how many rows of the
     side stack (v, v**2, log v, 1/v) it holds, ``height``: 4, with the
     reciprocals 1/v, if ``families`` (the fit's activation families) has an
     ``inverse`` one, whose log-weights and rate update read them, or is None;
@@ -215,6 +281,22 @@ class _DataCache:
         self.coefficients, self.passes = None, 0
         self.parallel = min(len(side.rows) for side in self.sides) >= _BLOCK and _usable_cpus() >= 2
         self.worker = None
+
+
+def binned_cache(cache: _DataCache) -> _DataCache | None:
+    """A copy of ``cache`` whose sides are binned (``_Side.binned``, with
+    ``_BINS`` bins), with the same height, count and totals; None when the cache
+    holds fewer than ``_BINNED_MIN`` nonzero values. Its passes are counted
+    apart from the full cache's. It holds no per-point responsibilities, so
+    ``responsibilities_at`` does not take it."""
+    if cache.n < _BINNED_MIN:
+        return None
+    binned = _DataCache.__new__(_DataCache)
+    binned.x, binned.height, binned.n = None, cache.height, cache.n
+    binned.sum_x, binned.sum_sq = cache.sum_x, cache.sum_sq
+    binned.sides = tuple(_Side.binned(side, _BINS) for side in cache.sides)
+    binned.coefficients, binned.passes, binned.parallel, binned.worker = None, 0, False, None
+    return binned
 
 
 def _usable_cpus() -> int:
@@ -249,14 +331,16 @@ def _aligned_rows(rows: int, n: int) -> np.ndarray:
 
 def _side_blocks(side: _Side) -> list:
     """One side cut into blocks of ``_BLOCK`` points. A block is (its first
-    point, views of the rows of ``stack``, the block's view of ``stack``,
-    views of the side's four work buffers, and the block's view of ``g``)."""
+    point, views of the rows of ``stack``, the block's view of the rows its
+    sums read, views of the side's four work buffers, and the block's view
+    of ``g``). The rows its sums read are ``stack``, or ``sums`` on a binned
+    side."""
     work = _aligned_rows(4, min(_BLOCK, side.vals.size))
+    summed = side.stack if side.sums is None else side.sums
     blocks = []
     for lo in range(0, side.vals.size, _BLOCK):
         hi = min(lo + _BLOCK, side.vals.size)
-        stack = side.stack[:, lo:hi]
-        blocks.append((lo, tuple(stack), stack, tuple(work[:, : hi - lo]), side.g[lo:hi]))
+        blocks.append((lo, tuple(side.stack[:, lo:hi]), summed[:, lo:hi], tuple(work[:, : hi - lo]), side.g[lo:hi]))
     return blocks
 
 
@@ -331,7 +415,12 @@ def _side_pass(coefficients: tuple, side: _Side, rows: int, objective: bool, dir
     left out of the total) and its sums over the mirrored values v: unless
     ``rows`` is 0, the count and the sums of the first ``rows`` rows of the
     side's stack (v, v**2, log v, 1/v), weighted by the Gaussian's
-    responsibilities on the side if ``direct``, else by the activation's.
+    responsibilities on the side if ``direct``, else by the activation's. On
+    a binned side, a bin's responsibility at its mean weighs the bin's count
+    in the log-sum-exp, the degenerate points and the count, and its exact
+    sums (``_Side.sums``) in the other sums. Within a narrow bin the
+    responsibility is nearly linear in v, so the error of a sum is of second
+    order in the bin width (EM on grouped data; McLachlan & Jones 1988).
     Each sum is taken per block, while the block is in cache (how:
     ``_BLAS_DOT_MAX``), and the block sums are added in block order; a sum
     does not depend on how many rows are taken. With a the Gaussian's and b
@@ -346,7 +435,8 @@ def _side_pass(coefficients: tuple, side: _Side, rows: int, objective: bool, dir
     lse, degenerate = (0.0 if objective else None), 0
     blas = side.vals.size <= _BLAS_DOT_MAX
     sums = [0.0] * (rows + 1)
-    for lo, values, stack, (a, b, m, t), gb in side.blocks:
+    for lo, values, summed, (a, b, m, t), gb in side.blocks:
+        counts = None if side.sums is None else summed[0]
         vals, sq, logs = values[:3]
         np.multiply(sq, c_sq, out=a)
         np.multiply(vals, c_x, out=t)
@@ -369,7 +459,7 @@ def _side_pass(coefficients: tuple, side: _Side, rows: int, objective: bool, dir
         if objective:
             np.log(t, out=t)
             t += m
-            block = float(t.sum())
+            block = float(t.sum()) if counts is None else float(t @ counts)
             clean = math.isfinite(block)
         else:
             clean = bool(np.isfinite(m).all())
@@ -378,18 +468,23 @@ def _side_pass(coefficients: tuple, side: _Side, rows: int, objective: bool, dir
             gb[~ok] = 0.0
             if direct:
                 a[~ok] = 1.0
-            degenerate += ok.size - int(np.count_nonzero(ok))
+            if counts is None:
+                degenerate += ok.size - int(np.count_nonzero(ok))
+            else:
+                degenerate += int(counts[~ok].sum())
             if objective:
-                block = float(t[ok].sum())
+                block = float(t[ok].sum()) if counts is None else float(t[ok] @ counts[ok])
         if objective:
             lse += block
         if not rows:
             continue
         w = a if direct else gb
-        if blas:
-            block_sums = [float(w.sum()), *np.vecdot(stack[:rows], w).tolist()]
+        if counts is not None:
+            block_sums = np.vecdot(summed[: rows + 1], w).tolist()
+        elif blas:
+            block_sums = [float(w.sum()), *np.vecdot(summed[:rows], w).tolist()]
         else:
-            block_sums = [float(w.sum()), *np.einsum("ij,j->i", stack[:rows], w).tolist()]
+            block_sums = [float(w.sum()), *np.einsum("ij,j->i", summed[:rows], w).tolist()]
         sums = block_sums if lo == 0 else [total + part for total, part in zip(sums, block_sums)]
     return lse, degenerate, sums
 

@@ -16,6 +16,7 @@ default CSV output byte-reproducible.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -63,7 +64,8 @@ RUNS_CSV_COLUMNS = (
 class SyntheticSpec:
     """One benchmark scenario. ``dataset``, ``sparsity``, ``n``, ``repeats``
     and ``seed`` are integers (``fitloop.as_integer``: a numpy integer too,
-    not a bool)."""
+    not a bool); ``snr`` is a real number (an int or a numpy float too, not a
+    bool or a string) in ``SNR_LEVELS``."""
 
     dataset: int
     snr: float
@@ -80,6 +82,8 @@ class SyntheticSpec:
             raise ValueError(f"dataset must be 1 or 2, got {self.dataset}")
         if self.sparsity not in (1, 2, 3):
             raise ValueError(f"sparsity must be 1, 2 or 3, got {self.sparsity}")
+        if isinstance(self.snr, bool) or not isinstance(self.snr, numbers.Real):
+            raise ValueError(f"snr must be a real number, got {self.snr!r}")
         if float(self.snr) not in SNR_LEVELS:
             raise ValueError(f"snr must be one of {SNR_LEVELS}, got {self.snr}")
         if self.n < 1 or self.repeats < 1:

@@ -7,7 +7,9 @@ stop rule, which points are recorded, the timer, and the N x 3
 responsibilities of the last recorded point (``estep.responsibilities_at``:
 those of the last pass when it ran there, else of one more pass, which does
 not count as an iteration). The kernel counts the passes
-(``estep.passes_made``); only this loop reads the budget and spends it.
+(``estep.passes_made``); only this loop reads the budget and spends it. A
+variational fit of a large map runs on binned data first and finishes on the
+full data (``fit``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estep import ExpectationCache, SufficientStats, _DataCache, finite_data, nonzero_values, passes_made, responsibilities_at
+from .estep import (
+    ExpectationCache,
+    SufficientStats,
+    _DataCache,
+    binned_cache,
+    finite_data,
+    nonzero_values,
+    passes_made,
+    responsibilities_at,
+)
 
 
 @dataclass
@@ -82,7 +93,7 @@ class FitResult:
     degenerate_rows: int
 
 
-def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascent_only: bool):
+def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascent_only: bool, binned: bool):
     """Run a learner from ``init``, or when it is None from ``default_start``
     of x's nonzero values if at least three exist, else of x, inside the
     timer, to its stop.
@@ -94,8 +105,21 @@ def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascen
     the objective moves by at most ``rel_tolerance * (1 + |current|)`` or the
     passes reach ``max_iterations``. A point is recorded unless
     ``ascent_only`` and its objective falls; such a fall beyond the tolerance
-    stops the fit as "no_ascent". Returns the last recorded point, the recorded objectives
-    and the ``FitResult`` fields as a dict.
+    stops the fit as "no_ascent".
+
+    With ``binned``, and when the data cache has a binned copy
+    (``estep.binned_cache``), the fit runs on two levels. The binned level
+    runs on the copy from the first point to the same stop rule, one pass
+    short of the cap at the latest. Then one cycle on the full cache from
+    its recorded point makes the first full point, and the fit goes on from
+    there on the full cache as above. Both levels spend one budget, and
+    ``iterations`` counts the passes of both. A binned objective is biased,
+    so the recorded objectives start at the first full point. A binned level
+    that fails numerically is dropped, and the fit runs on the full cache
+    alone from its first point.
+
+    Returns the last recorded point, the recorded objectives and the
+    ``FitResult`` fields as a dict.
     """
     x = finite_data(data)
     start = time.perf_counter()
@@ -103,13 +127,46 @@ def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascen
         values = nonzero_values(x)
         init = default_start(values if values.size >= 3 else x, families)
     cache = _DataCache(x, families)
-    recorded = first(cache, init)
-    base = passes_made(cache) - 1
-    passes, degenerate = 1, recorded.degenerate
+    coarse = binned_cache(cache) if binned and cfg.max_iterations > 1 else None
+    level = None
+    if coarse is not None:
+        try:
+            point = first(coarse, init)
+            point, _, passes, degenerate, _ = _level(
+                coarse, point, 1, point.degenerate, cfg.max_iterations - 1, cfg, cycle, ascent_only
+            )
+            point = cycle(cache, point, cfg.max_iterations - passes)
+            level = _level(
+                cache, point, passes + passes_made(cache), degenerate + point.degenerate, cfg.max_iterations, cfg,
+                cycle, ascent_only,
+            )
+        except (ArithmeticError, ValueError, RuntimeError):
+            pass  # the fit runs on the full cache alone
+    if level is None:
+        point = first(cache, init)
+        level = _level(cache, point, 1, point.degenerate, cfg.max_iterations, cfg, cycle, ascent_only)
+    recorded, trace, passes, degenerate, stop_reason = level
+    return recorded, np.asarray(trace), dict(
+        responsibilities=responsibilities_at(cache, recorded.expectations, families),
+        iterations=passes,
+        wall_time_seconds=time.perf_counter() - start,
+        converged=stop_reason != "max_iterations",
+        stop_reason=stop_reason,
+        degenerate_rows=degenerate,
+    )
+
+
+def _level(cache, recorded: Point, passes: int, degenerate: int, cap: int, cfg: FitConfig, cycle, ascent_only: bool):
+    """The fit loop on one cache (``fit``): cycles from ``recorded``, a point
+    made after ``passes`` passes of the fit and ``degenerate`` degenerate
+    points, until the stop rule holds or the passes reach ``cap``. Returns
+    the last recorded point, the recorded objectives from ``recorded`` on,
+    the passes, the degenerate points and the stop reason."""
+    base = passes_made(cache) - passes
     trace = [recorded.objective]
     stop_reason = "max_iterations"
-    while passes < cfg.max_iterations:
-        point = cycle(cache, recorded, cfg.max_iterations - passes)
+    while passes < cap:
+        point = cycle(cache, recorded, cap - passes)
         passes = passes_made(cache) - base
         degenerate += point.degenerate
         tolerance = cfg.rel_tolerance * (1.0 + abs(point.objective))
@@ -123,11 +180,4 @@ def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascen
         if settled:
             stop_reason = "tolerance"
             break
-    return recorded, np.asarray(trace), dict(
-        responsibilities=responsibilities_at(cache, recorded.expectations, families),
-        iterations=passes,
-        wall_time_seconds=time.perf_counter() - start,
-        converged=stop_reason != "max_iterations",
-        stop_reason=stop_reason,
-        degenerate_rows=degenerate,
-    )
+    return recorded, trace, passes, degenerate, stop_reason

@@ -113,7 +113,7 @@ def _fit_ml(
         raise ValueError(f"{label} requires {kind} activation components in init")
     last, trace, common = fitloop.fit(
         data, init, initialization.core_params, cfg, FAMILIES[kind], _point, _cycle,
-        ascent_only=False,
+        ascent_only=False, binned=False,
     )
     return MLFitResult(params=last.params, loglik_trace=trace, **common)
 

@@ -571,12 +571,16 @@ def _cycle(cache: _DataCache, p0: Point, priors: HyperPriors, step_max: float, r
 
 def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
     """Coordinate ascent from the k-means start in SQUAREM cycles (``_cycle``),
-    whose step cap is kept here; ``fitloop.fit`` records a cycle's point only
-    if its NFE does not fall."""
+    whose step cap is kept here, one per data cache, from 1 at the cache's
+    first point or first cycle: the cycles on the full cache after a binned
+    level start from a cap of 1 again, and so does a fit that drops its
+    binned level. ``fitloop.fit`` records a cycle's point only if its NFE
+    does not fall."""
     priors = default_hyperpriors(*families)
-    step_max = 1.0
+    step_caps = {}
 
     def first(cache, init):
+        step_caps[cache] = 1.0
         # The start's pass runs through this module's name for the kernel,
         # ``_responsibility_pass``, so that it is traced like every other.
         # The start's tau and shapes are the E[tau] and E[s] of the first
@@ -587,12 +591,12 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
         return _evaluate(cache, _update_state(stats, priors, e.tau, e.s), priors)
 
     def cycle(cache, recorded, room):
-        nonlocal step_max
-        point, step_max = _cycle(cache, recorded, priors, step_max, room)
+        point, step_caps[cache] = _cycle(cache, recorded, priors, step_caps.get(cache, 1.0), room)
         return point
 
     last, trace, common = fitloop.fit(
-        data, None, initialization.kmeans_params, cfg, families, first, cycle, ascent_only=True
+        data, None, initialization.kmeans_params, cfg, families, first, cycle,
+        ascent_only=True, binned=True,
     )
     return VBFitResult(
         state=last.params, expectations=last.expectations, nfe_trace=trace, priors=priors, **common

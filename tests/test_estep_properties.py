@@ -270,3 +270,154 @@ def test_kernel_arrays_start_on_64_byte_boundaries(n, families):
         for _, rows, _, work, g in side.blocks:
             assert len(rows) == cache.height and len(work) == 4
             assert [a.ctypes.data % 64 for a in (*rows, *work, g)] == [0] * (cache.height + 5)
+
+
+# The binned copy of a data cache (``estep.binned_cache``): per side, the
+# counts and exact sums of uniform bins over [0, max v], and the bin means the
+# log-weights read. ``_BINNED_MIN`` is patched to 0 so that small hostile maps
+# get a binned copy too.
+
+
+@st.composite
+def binned_case(draw):
+    """Hostile maps: heavy tails, ties, one side, exact zeros, n = 1 to 3000
+    and scales of 1e+-150 (heavy tails at 1e-150 only, so that v**2 stays
+    finite)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from((1, 2, 3, 50, 3000)))
+    shape = draw(st.sampled_from(("mixture", "cauchy", "lognormal", "ties", "constant")))
+    if shape == "cauchy":
+        x = rng.standard_cauchy(n)
+    elif shape == "lognormal":
+        x = rng.choice([-1.0, 1.0], n) * rng.lognormal(0.0, 3.0, n)
+    elif shape == "constant":
+        x = np.full(n, 0.1) * rng.choice([-1.0, 1.0], n)
+    else:
+        x = rng.normal(0.0, 1.0, n) + rng.choice([-4.0, 0.0, 4.0], n)
+        if shape == "ties":
+            x = np.round(x, 1)
+    side = draw(st.sampled_from(("both", "positive", "negative")))
+    if side != "both":
+        x = np.abs(x) if side == "positive" else -np.abs(x)
+    x[: draw(st.integers(0, n // 3))] = 0.0
+    heavy = shape in ("cauchy", "lognormal")
+    scale = draw(st.sampled_from((1.0, 1e-150) if heavy else (1.0, 1e150, 1e-150)))
+    families = draw(st.sampled_from(((GAMMA_POS, GAMMA_NEG), (INVGAMMA_POS, INVGAMMA_NEG))))
+    return x * scale, families
+
+
+def _binned(x, families=None):
+    with mock.patch.object(estep, "_BINNED_MIN", 0):
+        cache = _DataCache(x, families)
+        return cache, estep.binned_cache(cache)
+
+
+@SETTINGS
+@given(c=binned_case())
+@example(c=(np.zeros(4), (GAMMA_POS, GAMMA_NEG)))
+@example(c=(np.array([1e-300, 1.0, 1.0, 1.0 + 2**-52]), (INVGAMMA_POS, INVGAMMA_NEG)))
+def test_binned_sides_keep_exact_counts_and_sums_and_means_inside_their_bins(c):
+    x, families = c
+    cache, binned = _binned(x, families)
+    assert (binned.n, binned.sum_x, binned.sum_sq, binned.height) == (cache.n, cache.sum_x, cache.sum_sq, cache.height)
+    for side, coarse in zip(cache.sides, binned.sides):
+        counts = coarse.counts
+        assert coarse.sign == side.sign and coarse.rows is None
+        assert coarse.sums.shape == (cache.height + 1, counts.size) and coarse.stack.shape == (cache.height, counts.size)
+        # The counts are whole, nonzero and add up exactly to the side's points.
+        assert np.all(counts >= 1) and np.array_equal(counts, np.round(counts))
+        assert counts.sum() == side.vals.size
+        if not side.vals.size:
+            assert counts.size == 0
+            continue
+        # Each bin holds a run of the sorted values, all with the bin's index.
+        order = np.argsort(side.vals, kind="stable")
+        values, rows = side.vals[order], side.stack[:, order]
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(int)
+        vmax = side.vals.max()
+        index = np.minimum((values / vmax * estep._BINS).astype(int), estep._BINS - 1)
+        assert np.array_equal(index, np.repeat(index[starts], counts.astype(int)))
+        assert np.all(np.diff(index[starts]) > 0)
+        # Each bin's sums are the sums of its values' rows, and so are the
+        # totals of each row, within 1e-12 of the sum of magnitudes.
+        for got, want, size in (
+            (coarse.sums[1:], np.add.reduceat(rows, starts, axis=1), np.add.reduceat(np.abs(rows), starts, axis=1)),
+            (coarse.sums[1:].sum(axis=1), rows.sum(axis=1), np.abs(rows).sum(axis=1)),
+        ):
+            assert np.all(np.abs(got - want) <= 1e-12 * size + 1e-300)
+        # The bin's point is its mean, inside the bin; the log-weights read
+        # its rows.
+        width, k = vmax / estep._BINS, index[starts]
+        assert np.all((k * width <= coarse.vals) & (coarse.vals <= (k + 1) * width))
+        assert np.array_equal(coarse.vals, np.clip(coarse.sums[1] / counts, k * width, (k + 1) * width))
+        assert np.array_equal(coarse.sq, coarse.vals * coarse.vals)
+        assert np.array_equal(coarse.logs, np.log(coarse.vals))
+        if cache.height == 4:
+            assert np.array_equal(coarse.invs, 1.0 / coarse.vals)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("kind", ["gamma", "invgamma"])
+@pytest.mark.parametrize("empty", ["one_sided", "no_points"])
+def test_a_binned_side_without_points_is_empty_and_a_pass_runs(side, kind, empty):
+    # One-sided data, and data whose every value sits at an exact zero
+    # except on one side, leave the other binned side empty.
+    x = np.abs(np.random.default_rng(side).normal(1.0, 2.0, 500)) * (1.0 if side == 0 else -1.0)
+    if empty == "no_points":
+        x[1::2] = 0.0
+    params = _params((0.6, 0.2, 0.2), kind)
+    cache, binned = _binned(x, params.families)
+    assert binned.sides[1 - side].counts.size == 0 and binned.sides[1 - side].blocks == []
+    assert binned.sides[side].counts.sum() == cache.n
+    with np.errstate(divide="ignore"):
+        stats, lse, degenerate = estep._responsibility_pass(binned, estep.point_coefficients(params), params.families)
+    assert math.isfinite(lse) and degenerate == 0
+    assert stats.n[2 - side] == 0.0 and stats.n.sum() == pytest.approx(cache.n, rel=1e-12)
+
+
+def test_only_a_cache_of_at_least_binned_min_values_has_a_binned_copy():
+    # The threshold sits above the n = 1e4 maps of the acceptance suite and
+    # the benchmark grid; exact zeros do not count.
+    assert estep._BINNED_MIN > 10_000
+    x = np.random.default_rng(0).normal(size=estep._BINNED_MIN)
+    assert estep.binned_cache(_DataCache(x)) is not None
+    x[7] = 0.0
+    assert estep.binned_cache(_DataCache(x)) is None
+
+
+@pytest.mark.parametrize("kind", ["gamma", "invgamma"])
+def test_a_binned_pass_ends_near_the_per_point_pass(kind):
+    # Within a bin the responsibility is nearly linear in v, so a pass on
+    # the bins' exact sums ends within second order in the bin width.
+    rng = np.random.default_rng(1)
+    x = rng.normal(rng.choice([-3.0, 0.0, 3.0], 60_000, p=[0.1, 0.8, 0.1]), 1.0)
+    params = _params((0.8, 0.1, 0.1), kind)
+    cache, binned = _binned(x, params.families)
+    e = estep.point_coefficients(params)
+    full, lse, _ = estep._responsibility_pass(cache, e, params.families)
+    coarse, binned_lse, _ = estep._responsibility_pass(binned, e, params.families)
+    # A Gamma pass takes no sum of 1/v.
+    for name in ("n", "xbar", "sq_x", "log_x", "recip_x")[: 5 if kind == "invgamma" else 4]:
+        want, got = getattr(full, name), getattr(coarse, name)
+        assert np.all(np.abs(got - want) <= 1e-4 * np.abs(want)), name
+    assert abs(coarse.sxx1 - full.sxx1) <= 1e-4 * full.sxx1
+    assert abs(binned_lse - lse) <= 1e-6 * abs(lse)
+
+
+def test_a_binned_pass_across_blocks_weighs_each_block_by_its_counts():
+    # A binned side holds at most ``_BINS`` points, one block; with blocks of
+    # 7 every bin count, sum and log-sum-exp term crosses block boundaries.
+    rng = np.random.default_rng(2)
+    x = np.round(rng.normal(rng.choice([-3.0, 0.0, 3.0], 5000, p=[0.1, 0.8, 0.1]), 1.0), 2)
+    params = _params((0.8, 0.1, 0.1), "invgamma")
+    e = estep.point_coefficients(params)
+    passes = []
+    for block in (estep._BLOCK, 7):
+        with mock.patch.object(estep, "_BLOCK", block):
+            binned = _binned(x, params.families)[1]
+        assert len(binned.sides[0].blocks) == -(-binned.sides[0].counts.size // block)
+        passes.append(estep._responsibility_pass(binned, e, params.families))
+    (one, lse_one, _), (many, lse_many, _) = passes
+    for name in ("n", "xbar", "sq_x", "log_x", "recip_x"):
+        assert np.allclose(getattr(many, name), getattr(one, name), rtol=1e-12, atol=0.0), name
+    assert lse_many == pytest.approx(lse_one, rel=1e-12)

@@ -65,6 +65,19 @@ def test_spec_refuses_an_integer_field_that_is_not_an_integer(field, value):
         SyntheticSpec(**fields)
 
 
+@pytest.mark.parametrize("snr", ["5", "5.0", True, None, b"5", [5.0], 5 + 0j])
+def test_spec_refuses_an_snr_that_is_not_a_real_number(snr):
+    # "5" was accepted (float("5") is a level), and scenario_id then raised
+    # "Unknown format code 'g'"; None raised TypeError from float().
+    with pytest.raises(ValueError, match="snr must be a real number"):
+        SyntheticSpec(1, snr, 1)
+
+
+@pytest.mark.parametrize("snr", [5, np.float64(5.0), np.float32(5.0), np.int64(5)])
+def test_spec_takes_an_int_or_numpy_snr(snr):
+    assert SyntheticSpec(1, snr, 1).scenario_id == "d1-snr5-sp1"
+
+
 def test_spec_takes_numpy_integers():
     spec = SyntheticSpec(np.int64(2), 3.0, np.int32(2), n=np.int64(10), repeats=np.uint8(1), seed=np.int16(4))
     assert spec.scenario_id == "d2-snr3-sp2"

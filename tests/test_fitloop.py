@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gigmix import estep, initialization, ml_em, vb_em
+from gigmix import estep, fitloop, initialization, ml_em, vb_em
+from gigmix.evaluation import restricted_auc
 from gigmix.estep import e_step
 from gigmix.experiments import SyntheticSpec, _fit_seed, fit, generate
 from gigmix.ml_em import MLFitConfig
@@ -187,7 +188,9 @@ def criterion10():
 
 # (n, model, max_iterations or None for the default, stop reason, extra passes)
 # An ML fit records every point, so its last pass is always at the recorded
-# one; a VB fit that stops with "no_ascent" always needs the extra pass.
+# one; a VB fit that stops with "no_ascent" always needs the extra pass. The
+# VB fits at n = 1e5 run on binned data first (``estep._BINNED_MIN``) and
+# finish on the full data.
 FINAL_GAMMA = (
     (10_000, "bggm", None, "tolerance", 1),
     (10_000, "bgim", None, "no_ascent", 1),
@@ -197,7 +200,7 @@ FINAL_GAMMA = (
     (10_000, "bgim", 23, "max_iterations", 1),
     (10_000, "ggm", 9, "max_iterations", 0),
     (10_000, "gim", 23, "max_iterations", 0),
-    (100_000, "bggm", None, "tolerance", 1),
+    (100_000, "bggm", None, "tolerance", 0),
     (100_000, "bgim", None, "tolerance", 0),
     (100_000, "ggm", None, "tolerance", 0),
     (100_000, "gim", None, "tolerance", 0),
@@ -271,3 +274,167 @@ def test_a_numpy_integer_pass_cap_binds_like_an_int(model):
     assert fits[0].iterations == fits[1].iterations <= 5
     assert fits[0].stop_reason == fits[1].stop_reason
     assert np.array_equal(fits[0].responsibilities, fits[1].responsibilities)
+
+
+# The variational fits of a map of at least ``estep._BINNED_MIN`` nonzero
+# values run on binned data first and finish on the full data
+# (``fitloop.fit``). The direct fit of the same map comes from patching the
+# threshold above n.
+BINNED_N = 60_000
+# (snr, sparsity, data seed): the criterion-10 scenario, then four more.
+BINNED_MAPS = ((2.0, 1, 10), (3.0, 2, 3), (5.0, 3, 3), (2.0, 2, 1), (4.0, 1, 2))
+
+
+@pytest.fixture(scope="module")
+def binned_maps():
+    """Each map of ``BINNED_MAPS`` at n = 6e4: its values and activation."""
+    maps = {}
+    for snr, sparsity, seed in BINNED_MAPS:
+        ds = generate(SyntheticSpec(dataset=1, snr=snr, sparsity=sparsity, n=BINNED_N, repeats=1, seed=seed), 0, 0)
+        maps[snr, sparsity, seed] = (ds.values, ds.truth != 1)
+    return maps
+
+
+def _two_fits(monkeypatch, model, x, cfg):
+    """The direct fit of x and the fit that runs a binned level first."""
+    fitter = getattr(vb_em, "fit_" + model)
+    fits = []
+    for threshold in (10**12, 1):
+        monkeypatch.setattr(estep, "_BINNED_MIN", threshold)
+        fits.append(fitter(x, cfg))
+    return fits
+
+
+def _binned_caches(monkeypatch) -> list:
+    """The binned caches ``fitloop.fit`` makes from now on (None for a
+    direct fit)."""
+    made = []
+    binned_cache = estep.binned_cache
+    monkeypatch.setattr(fitloop, "binned_cache", lambda cache: made.append(binned_cache(cache)) or made[-1])
+    return made
+
+
+def _auc(r, active):
+    g = r.responsibilities
+    return restricted_auc(g[:, 1] + g[:, 2], active)
+
+
+@pytest.mark.parametrize("model", VB_MODELS)
+@pytest.mark.parametrize(
+    "key, tolerance", [(BINNED_MAPS[0], 1e-8)] + [(key, 1e-10) for key in BINNED_MAPS]
+)
+def test_a_binned_fit_lands_on_the_direct_fit(binned_maps, key, tolerance, model, monkeypatch):
+    # At a tight tolerance both fits end near their limit: pi within 1e-3
+    # and the restricted AUC within 1e-4. On the criterion-10 map 1e-8
+    # suffices; on d1-snr2-sp2 the direct bggm fit stops 1.8e-3 in pi short
+    # of its limit at 1e-8 (the binned one stops nearer), so the other maps
+    # are fitted at 1e-10.
+    x, active = binned_maps[key]
+    direct, binned = _two_fits(monkeypatch, model, x, VBFitConfig(rel_tolerance=tolerance, max_iterations=5000))
+    assert binned.converged and direct.converged
+    assert np.max(np.abs(binned.expectations.pi - direct.expectations.pi)) <= 1e-3
+    assert abs(_auc(binned, active) - _auc(direct, active)) <= 1e-4
+
+
+@pytest.mark.parametrize("model", VB_MODELS)
+@pytest.mark.parametrize("key", BINNED_MAPS)
+def test_a_binned_fit_at_the_default_tolerance_is_near_or_above_the_direct_fit(binned_maps, key, model, monkeypatch):
+    # The default rule stops a slowly converging fit far from its limit, so
+    # the two fits may stop apart; then the binned one has not stopped lower.
+    x, _ = binned_maps[key]
+    direct, binned = _two_fits(monkeypatch, model, x, VBFitConfig())
+    near = np.max(np.abs(binned.expectations.pi - direct.expectations.pi)) <= 1e-3
+    assert near or binned.nfe_trace[-1] >= direct.nfe_trace[-1]
+
+
+def _hostile_maps():
+    rng = np.random.default_rng(7)
+    base = rng.normal(rng.choice([-3.0, 0.0, 3.0], BINNED_N, p=[0.1, 0.8, 0.1]), 1.0)
+    return {
+        "cauchy": rng.standard_cauchy(BINNED_N),
+        "signed_lognormal": rng.choice([-1.0, 1.0], BINNED_N) * rng.lognormal(0.0, 2.0, BINNED_N),
+        "one_sided": np.abs(base),
+        "rounded_ties": np.round(base, 1),
+        "tiny": base * 1e-150,
+        "two_point_side": np.concatenate([np.abs(base[:-2]), [-1.0, -2.0]]),
+        "half_zeros": np.where(rng.random(BINNED_N) < 0.5, 0.0, base),
+    }
+
+
+HOSTILE = _hostile_maps()
+
+
+@pytest.mark.parametrize("model", VB_MODELS)
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_no_hostile_map_the_direct_fit_accepts_is_refused_binned(name, model, monkeypatch):
+    # The threshold is patched to 1 for the binned fit, so that the map of
+    # 50 % zeros (3e4 nonzero values) takes the binned level too.
+    x = HOSTILE[name]
+    made = _binned_caches(monkeypatch)
+    direct, binned = _two_fits(monkeypatch, model, x, VBFitConfig())
+    assert made[0] is None and estep.passes_made(made[1]) > 0
+    assert binned.iterations <= VBFitConfig().max_iterations
+    g = binned.responsibilities
+    assert np.all(np.isfinite(g)) and np.allclose(g.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.all(g[x <= 0, 1] == 0.0) and np.all(g[x >= 0, 2] == 0.0)
+    assert np.all(np.diff(binned.nfe_trace) >= 0.0)
+
+
+@pytest.mark.parametrize("model", VB_MODELS)
+def test_the_two_levels_share_one_pass_budget(binned_maps, model, monkeypatch):
+    # The binned level stops one pass short of the cap at the latest, so a
+    # capped fit makes at least one full pass and reports "max_iterations";
+    # the recorded objectives are the full level's alone.
+    x, _ = binned_maps[BINNED_MAPS[0]]
+    fitter = getattr(vb_em, "fit_" + model)
+    made = _binned_caches(monkeypatch)
+    for cap in (2, 5, 12, 23):
+        r = fitter(x, VBFitConfig(max_iterations=cap))
+        # The first point counts as one pass however many it took.
+        binned_passes = estep.passes_made(made[-1]) - 1
+        assert 1 <= binned_passes <= cap - 1 and r.iterations <= cap
+        assert 1 <= len(r.nfe_trace) <= r.iterations - binned_passes
+        assert r.converged == (r.stop_reason != "max_iterations")
+        if cap <= 5:
+            assert (r.iterations, r.stop_reason) == (cap, "max_iterations")
+    r = fitter(x, VBFitConfig())
+    nfe = vb_em.negative_free_energy(x, r.responsibilities, r.state, r.priors, r.expectations)
+    assert r.nfe_trace[-1] == pytest.approx(nfe, rel=1e-9)
+    assert r.converged and np.all(np.diff(r.nfe_trace) >= 0.0)
+
+
+@pytest.mark.parametrize("model", VB_MODELS)
+@pytest.mark.parametrize("level, call", [("binned", 3), ("full", 4)])
+def test_a_binned_level_that_fails_leaves_the_direct_fit(binned_maps, model, level, call, monkeypatch):
+    # A numeric failure on the binned level, or on the full level after it
+    # (here in its second cycle, after the first has moved the step cap),
+    # drops the binned level: the fit is the direct fit, bit for bit, and
+    # counts only its own passes.
+    x, _ = binned_maps[BINNED_MAPS[0]]
+    monkeypatch.setattr(estep, "_BINNED_MIN", 10**12)
+    direct = getattr(vb_em, "fit_" + model)(x, VBFitConfig())
+    monkeypatch.undo()
+    binned = _binned_caches(monkeypatch)
+    evaluate, calls = vb_em._evaluate, []
+
+    def failing(cache, state, priors):
+        if (cache is binned[-1]) == (level == "binned"):
+            calls.append(cache)
+            if len(calls) == call:
+                raise vb_em.VBNumericError(f"{level} level failed")
+        return evaluate(cache, state, priors)
+
+    monkeypatch.setattr(vb_em, "_evaluate", failing)
+    r = getattr(vb_em, "fit_" + model)(x, VBFitConfig())
+    assert len(binned) == 1 and len(calls) >= call
+    assert (r.iterations, r.stop_reason) == (direct.iterations, direct.stop_reason)
+    assert r.responsibilities.tobytes() == direct.responsibilities.tobytes()
+    assert r.nfe_trace.tobytes() == direct.nfe_trace.tobytes()
+
+
+@pytest.mark.parametrize("model", ML_MODELS)
+def test_ml_fits_keep_their_full_passes(binned_maps, model, monkeypatch):
+    x, _ = binned_maps[BINNED_MAPS[0]]
+    made = _binned_caches(monkeypatch)
+    fit(model, x, 0)
+    assert made == []
