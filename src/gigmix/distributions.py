@@ -11,6 +11,7 @@ two families by kind.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .special import log_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_PRIOR_MOMENT = 10.0  # the activation prior's (mirrored) mean and variance
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,12 @@ class ComponentFamily:
         if self.inverse:
             return ShapeRateParams(q + 2.0, mean * (q + 1.0), self)
         return ShapeRateParams(q, mean / variance, self)
+
+    @property
+    def prior(self) -> ShapeRateParams:
+        """The activation prior, this family's component with (mirrored) mean and
+        variance 10: the variational priors' base, and a start's empty side."""
+        return self.moments(_PRIOR_MOMENT, _PRIOR_MOMENT)
 
 
 GAMMA_POS = ComponentFamily("gamma", 1)
@@ -139,6 +147,17 @@ class MixtureParams:
         return (self.comp2.family, self.comp3.family)
 
 
+def as_integer(value) -> int | None:
+    """``value`` as an int when it is an integer, a numpy integer too; None
+    for a bool or anything else."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def log_pdf(params, x):
     """Log-density of one component at ``x`` (scalar or array).
 
@@ -181,11 +200,11 @@ def sample(params, n: int, rng: np.random.Generator) -> np.ndarray:
 
     Gamma variates come from numpy's generator (Marsaglia-Tsang rejection
     with the standard shape<1 boost); inverse-Gamma variates are reciprocals
-    of Gamma(shape, rate=scale) draws, an exact transformation.
+    of Gamma(shape, rate=scale) draws, an exact transformation. ``n`` is an
+    integer >= 1 (``as_integer``), else ValueError.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if as_integer(n) is None or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if isinstance(params, GaussianParams):
         return rng.normal(params.mu, 1.0 / math.sqrt(params.tau), size=n)
     if not isinstance(params, ShapeRateParams):

@@ -8,6 +8,7 @@ activation responsibility (gamma2 + gamma3) against "any activation" truth.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -157,9 +158,11 @@ def win_matrix(auc_runs, alpha: float = 0.01) -> ComparisonTable:
     model wins a scenario against another when its mean AUC is higher and the
     paired t-test is significant at ``alpha``. Each unordered pair is tested
     once: swapping the vectors negates every difference exactly, so it negates
-    the mean and t and leaves p as it is. ValueError unless every scenario
-    holds the same models.
+    the mean and t and leaves p as it is. ValueError unless ``alpha`` is a
+    real number in (0, 1) and every scenario holds the same models.
     """
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be a real number in (0, 1), got {alpha!r}")
     scenarios = sorted(auc_runs)
     if not scenarios:
         raise ValueError("no scenarios given")

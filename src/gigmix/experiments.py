@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
+from .distributions import as_integer
 from .evaluation import activation_map, restricted_auc, win_matrix
-from .fitloop import as_integer
 from .io import read_json, write_json, write_table
 from .ml_em import MLFitConfig, fit_ggm, fit_gim
 from .vb_em import VBFitConfig, fit_bggm, fit_bgim
@@ -45,7 +45,16 @@ DATASET_PROPORTIONS = {
     },
 }
 
-MODEL_NAMES = ("bggm", "bgim", "ggm", "gim")
+# Each model's fitter and config class, called on (data, seed). The fitter's
+# name is looked up here at call time and takes positional arguments, so a
+# harness that replaces ``fit_<model>`` in this module sees every fit.
+_MODELS = {
+    "bggm": lambda data, seed: fit_bggm(data, VBFitConfig(seed=seed)),
+    "bgim": lambda data, seed: fit_bgim(data, VBFitConfig(seed=seed)),
+    "ggm": lambda data, seed: fit_ggm(data, None, MLFitConfig(seed=seed)),
+    "gim": lambda data, seed: fit_gim(data, None, MLFitConfig(seed=seed)),
+}
+MODEL_NAMES = tuple(_MODELS)
 
 RUNS_CSV_COLUMNS = (
     "scenario_id",
@@ -63,9 +72,9 @@ RUNS_CSV_COLUMNS = (
 @dataclass(frozen=True)
 class SyntheticSpec:
     """One benchmark scenario. ``dataset``, ``sparsity``, ``n``, ``repeats``
-    and ``seed`` are integers (``fitloop.as_integer``: a numpy integer too,
-    not a bool); ``snr`` is a real number (an int or a numpy float too, not a
-    bool or a string) in ``SNR_LEVELS``."""
+    and ``seed`` are integers (``distributions.as_integer``: a numpy integer
+    too, not a bool); ``snr`` is a real number (an int or a numpy float too,
+    not a bool or a string) in ``SNR_LEVELS``."""
 
     dataset: int
     snr: float
@@ -137,15 +146,9 @@ def fit(model: str, data, seed: int):
     """Fit one model by name from its default start (the noise core for ggm
     and gim, k-means for bggm and bgim); returns the fit result. ``seed`` is
     accepted for compatibility; fits do not depend on it."""
-    if model == "bggm":
-        return fit_bggm(data, VBFitConfig(seed=seed))
-    if model == "bgim":
-        return fit_bgim(data, VBFitConfig(seed=seed))
-    if model == "ggm":
-        return fit_ggm(data, None, MLFitConfig(seed=seed))
-    if model == "gim":
-        return fit_gim(data, None, MLFitConfig(seed=seed))
-    raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
+    return _MODELS[model](data, seed)
 
 
 # ``run_benchmark`` looks this name up at call time, so a test or a tracer can

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import as_integer
 from .estep import (
     ExpectationCache,
     SufficientStats,
@@ -46,17 +46,6 @@ class Point:
     objective: float
     degenerate: int
     expectations: ExpectationCache
-
-
-def as_integer(value) -> int | None:
-    """``value`` as an int when it is an integer, a numpy integer too; None
-    for a bool or anything else."""
-    if isinstance(value, bool):
-        return None
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
 
 
 @dataclass

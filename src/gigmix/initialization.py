@@ -26,17 +26,12 @@ _MAX_LLOYD_ITER = 100
 # 127 candidates make about 8000 cut pairs.
 _BINS = 128
 
-# Fallback prior-style moments for a side cluster whose mirrored mean is not
-# positive (e.g. no negative cluster in very sparse data).
-_FALLBACK_MEAN = 10.0
-_FALLBACK_VAR = 10.0
-
 # 1.4826 times the median absolute deviation estimates a Gaussian's standard
 # deviation.
 _MAD_TO_SD = 1.4826
 # The noise core holds the samples within this many scales of the median.
 _CORE_WIDTH = 3.0
-# A side with fewer samples beyond the core takes the fallback moments.
+# A side with fewer samples beyond the core takes the activation prior.
 _MIN_SIDE = 3
 
 
@@ -164,11 +159,11 @@ def kmeans_1d(data, k: int = 3, seed: int = 0) -> KMeansResult:
 
 def _side_component(mean: float, variance: float, family):
     """The method-of-moments component of ``family`` with this (mirrored)
-    mean and variance, or with the fallback moments when either is not
-    positive."""
+    mean and variance, or its activation prior (``ComponentFamily.prior``)
+    when either is not positive, e.g. for an empty side in very sparse data."""
     if mean > 0 and variance > 0:
         return family.moments(mean, variance)
-    return family.moments(_FALLBACK_MEAN, _FALLBACK_VAR)
+    return family.prior
 
 
 def init_params(km: KMeansResult, families) -> MixtureParams:
@@ -235,7 +230,7 @@ def core_params(data, families) -> MixtureParams:
     """The noise-core start of the ML fitters: the Gaussian at the median
     with precision 1 / ``robust_scale``**2; each activation side by the
     method of moments on the (mirrored) samples more than three scales beyond
-    the median on that side, or by the fallback moments when fewer than three
+    the median on that side, or by the activation prior when fewer than three
     lie there or they have no spread; pi from those counts. Data without a
     scale, or whose core leaves the floating-point range (at scales beyond
     about 1e+-150), get the k-means start, ``kmeans_params``.
@@ -258,7 +253,7 @@ def core_params(data, families) -> MixtureParams:
 
 def _core_side(z: np.ndarray, family):
     """``_side_component`` of the mirrored samples ``z`` beyond the core on
-    one side; fewer than ``_MIN_SIDE`` of them take the fallback moments."""
+    one side; fewer than ``_MIN_SIDE`` of them take the activation prior."""
     if z.size < _MIN_SIDE:
         return _side_component(0.0, 0.0, family)
     return _side_component(float(z.mean()), float(z.var()), family)

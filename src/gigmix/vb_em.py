@@ -76,15 +76,11 @@ class HyperPriors:
     log_a0: tuple
     b0_s: tuple
     c0_s: tuple
-    s0: tuple
-    r0: tuple
     families: tuple
 
     def __post_init__(self):
         # Every entry finite, and all but the locations m0 and log_a0 > 0.
-        for name in (
-            "lambda0", "m0", "tau0", "c0_tau", "b0_tau", "d0", "e0", "log_a0", "b0_s", "c0_s", "s0", "r0"
-        ):
+        for name in ("lambda0", "m0", "tau0", "c0_tau", "b0_tau", "d0", "e0", "log_a0", "b0_s", "c0_s"):
             value, positive = getattr(self, name), name not in ("m0", "log_a0")
             if not all(math.isfinite(v) and (v > 0 or not positive) for v in np.atleast_1d(value)):
                 raise ValueError(f"hyper-prior {name} must be finite{' and > 0' if positive else ''}, got {value}")
@@ -134,21 +130,21 @@ def default_hyperpriors(pos_family: ComponentFamily, neg_family: ComponentFamily
 
     The Gaussian block gets a zero-mean unit-precision mean prior and a flat
     precision prior (shape 0.01, scale 100). Each activation shape/rate block
-    is built so that the implied component has prior mean and variance 10:
-    the method of moments fixes (s0, r0), the rate prior is Gamma(d0=r0,
-    e0=1), and the shape functional is centered so its Laplace mean and
-    variance equal s0 (b0 = c0 = 1/(s0 trigamma(s0))).
+    is built from the family's activation prior (``ComponentFamily.prior``),
+    the component with mean and variance 10, of shape s and rate r: the rate
+    prior is Gamma(d0=r, e0=1), and the shape functional is centered so its
+    Laplace mean and variance equal s (b0 = c0 = 1/(s trigamma(s))).
     """
     families = (pos_family, neg_family)
     sides = []
     for fam in families:
-        base = fam.moments(10.0, 10.0)
+        base = fam.prior
         b0 = 1.0 / (base.shape * trigamma(base.shape))
         la0 = b0 * digamma(base.shape) - b0 * math.log(base.rate)
         if fam.inverse:
             la0 = -la0
-        sides.append((base.rate, 1.0, la0, b0, b0, base.shape, base.rate))
-    d0, e0, log_a0, b0_s, c0_s, s0, r0 = zip(*sides)
+        sides.append((base.rate, 1.0, la0, b0, b0))
+    d0, e0, log_a0, b0_s, c0_s = zip(*sides)
     return HyperPriors(
         lambda0=5.0,
         m0=0.0,
@@ -160,8 +156,6 @@ def default_hyperpriors(pos_family: ComponentFamily, neg_family: ComponentFamily
         log_a0=log_a0,
         b0_s=b0_s,
         c0_s=c0_s,
-        s0=s0,
-        r0=r0,
         families=families,
     )
 

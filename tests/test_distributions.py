@@ -234,3 +234,11 @@ def test_sampler_deterministic_given_seed():
 def test_sampler_rejects_bad_n():
     with pytest.raises(ValueError):
         sample(GaussianParams(0.0, 1.0), 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3", np.float64(2.0)])
+def test_sampler_refuses_an_n_that_is_not_an_integer(n):
+    # int() took these: 2.5 drew 2 values, True 1 and "3" three.
+    with pytest.raises(ValueError, match="n must be an integer"):
+        sample(GaussianParams(0.0, 1.0), n, np.random.default_rng(0))
+    assert sample(GaussianParams(0.0, 1.0), np.int64(3), np.random.default_rng(0)).size == 3

@@ -404,6 +404,20 @@ def test_a_binned_pass_ends_near_the_per_point_pass(kind):
     assert abs(binned_lse - lse) <= 1e-6 * abs(lse)
 
 
+@pytest.mark.parametrize("kind", ["gamma", "invgamma"])
+def test_a_binned_pass_counts_the_degenerate_points_of_its_bins(kind):
+    # With pi = (0, 0, 1) no component can hold a positive value, so each is
+    # degenerate: the binned pass weighs its degenerate bins by their counts
+    # and gives them no activation, as the per-point pass does each point.
+    rng = np.random.default_rng(1)
+    x = rng.normal(rng.choice([-3.0, 0.0, 3.0], 60_000, p=[0.1, 0.8, 0.1]), 1.0)
+    params = _params((0.0, 0.0, 1.0), kind)
+    cache, binned = _binned(x, params.families)
+    full, coarse = estep.point_pass(cache, params), estep.point_pass(binned, params)
+    assert full[2] == coarse[2] == np.count_nonzero(x > 0)
+    assert np.all(binned.sides[0].g == 0.0) and np.all(cache.sides[0].g == 0.0)
+
+
 def test_a_binned_pass_across_blocks_weighs_each_block_by_its_counts():
     # A binned side holds at most ``_BINS`` points, one block; with blocks of
     # 7 every bin count, sum and log-sum-exp term crosses block boundaries.

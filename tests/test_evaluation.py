@@ -266,6 +266,15 @@ def test_win_matrix_tests_each_unordered_pair_once(monkeypatch):
     assert any(table.wins.values()) and not all(table.wins.values())
 
 
+@pytest.mark.parametrize("alpha", [2.0, 1.0, 0.0, -1.0, math.nan, True, "0.01"])
+def test_win_matrix_refuses_an_alpha_outside_the_unit_interval(alpha):
+    # alpha = 2 counted any higher mean as a significant win, and alpha = -1
+    # or NaN counted none.
+    runs = {"sc": {"a": [0.5, 0.6, 0.7], "b": [0.6, 0.7, 0.9]}}
+    with pytest.raises(ValueError, match="alpha"):
+        win_matrix(runs, alpha=alpha)
+
+
 def test_win_matrix_requires_repeats():
     with pytest.raises(ValueError):
         win_matrix({"sc": {"a": np.array([0.5]), "b": np.array([0.6])}})

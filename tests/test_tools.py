@@ -1,14 +1,16 @@
-"""The fit-equivalence tool (tools/fit_equivalence.py) runs on this tree, the
-package metadata (pyproject.toml) names what the tree needs, only the E-step
-module reads its data cache, only the fit loop reads the pass budget, only
-the io module opens a file, and only the distributions module names the
-activation families."""
+"""The fit-equivalence tool (tools/fit_equivalence.py) and the line tracer
+(tools/line_trace.py) run on this tree, the package metadata (pyproject.toml)
+names what the tree needs, only the E-step module reads its data cache, only
+the fit loop reads the pass budget, only the io module opens a file, only the
+distributions module names the activation families and their prior, and the
+model names are written once."""
 
 import ast
 import hashlib
 import importlib.util
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -17,10 +19,17 @@ from gigmix.estep import _DataCache
 from gigmix.experiments import SyntheticSpec, generate
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
-_PATH = _ROOT / "tools" / "fit_equivalence.py"
-_SPEC = importlib.util.spec_from_file_location("fit_equivalence", _PATH)
-fit_equivalence = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(fit_equivalence)
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, _ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+fit_equivalence = _load_tool("fit_equivalence")
+line_trace = _load_tool("line_trace")
 
 
 def test_map_set_has_34_maps_and_35_with_the_large_one():
@@ -275,3 +284,85 @@ def test_only_the_distributions_module_names_the_activation_families():
                 if name == "ComponentFamily":
                     named.append(f"{path.name}:{node.lineno}: ComponentFamily()")
     assert named == []
+
+
+def _src_trees():
+    for path in sorted((_ROOT / "src" / "gigmix").glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_each_model_name_is_written_once():
+    # experiments' model table is the one list of models; MODEL_NAMES and fit
+    # read it.
+    names = {"bggm", "bgim", "ggm", "gim"}
+    written = [
+        f"{path.name}:{node.lineno}: {node.value}"
+        for path, tree in _src_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in names
+    ]
+    assert sorted(w.split(": ")[1] for w in written) == sorted(names), written
+    assert all(w.startswith("experiments.py:") for w in written), written
+
+
+def test_only_the_distributions_module_states_the_activation_prior():
+    # ComponentFamily.prior is the one statement of the prior's moments:
+    # no other module calls ``moments`` with a number.
+    stated = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _src_trees()
+        if path.name != "distributions.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "moments"
+        and any(isinstance(a, ast.Constant) for a in node.args)
+    ]
+    assert stated == []
+
+
+_TOY = """import threading
+
+
+def taken(x):
+    if x > 0:
+        return 1
+    return -1
+
+
+def in_a_thread():
+    out = []
+    worker = threading.Thread(target=lambda: out.append(2))
+    worker.start()
+    worker.join(10)
+    return out[0]
+
+
+class Toy:
+    def never(self):
+        return 3
+"""
+
+
+def test_line_trace_prints_the_lines_a_run_did_not_execute(tmp_path, monkeypatch, capsys):
+    # The toy's test takes one branch, and runs a thread, but never calls
+    # Toy.never: the other branch and never's body are all that is missed.
+    package = tmp_path / "line_trace_toy"
+    package.mkdir()
+    (package / "__init__.py").write_text(_TOY, encoding="utf-8")
+    (tmp_path / "test_toy.py").write_text(
+        "from line_trace_toy import in_a_thread, taken\n\n\n"
+        "def test_toy():\n    assert taken(1) == 1 and in_a_thread() == 2\n",
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.delitem(sys.modules, "line_trace_toy", raising=False)
+    code = line_trace.main(["--package", "line_trace_toy", "--", "-q", "-p", "no:cacheprovider", "test_toy.py"])
+    sys.modules.pop("line_trace_toy", None)
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[-3:] == [
+        "line_trace_toy/__init__.py:7: return -1",
+        "line_trace_toy/__init__.py:20: return 3",
+        "12 of 14 executable lines ran; 2 did not",
+    ]

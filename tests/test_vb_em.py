@@ -98,7 +98,7 @@ def test_default_hyperpriors_gamma_block():
     pr = default_hyperpriors(*GAMMA_FAMS)
     assert pr.lambda0 == 5.0
     assert (pr.m0, pr.tau0, pr.c0_tau, pr.b0_tau) == (0.0, 1.0, 0.01, 100.0)
-    assert pr.s0[0] == 10.0 and pr.r0[0] == 1.0
+    assert GAMMA_FAMS[0].prior.shape == 10.0 and GAMMA_FAMS[0].prior.rate == 1.0
     assert pr.d0[0] == 1.0 and pr.e0[0] == 1.0
     b0_expected = 1.0 / (10.0 * polygamma(1, 10.0))
     assert pr.b0_s[0] == pytest.approx(b0_expected, rel=1e-12)
@@ -108,7 +108,7 @@ def test_default_hyperpriors_gamma_block():
 
 def test_default_hyperpriors_invgamma_block():
     pr = default_hyperpriors(*INVGAMMA_FAMS)
-    assert pr.s0[0] == 12.0 and pr.r0[0] == 110.0
+    assert INVGAMMA_FAMS[0].prior.shape == 12.0 and INVGAMMA_FAMS[0].prior.rate == 110.0
     assert pr.d0[0] == 110.0 and pr.e0[0] == 1.0
     b0 = 1.0 / (12.0 * polygamma(1, 12.0))
     assert pr.b0_s[0] == pytest.approx(b0, rel=1e-12)
@@ -121,7 +121,7 @@ def test_default_hyperpriors_prior_laplace_mean_is_s0():
     for fams, k_exp in ((GAMMA_FAMS, 10.0), (INVGAMMA_FAMS, 12.0)):
         pr = default_hyperpriors(*fams)
         sign = 1.0 if fams[0].kind == "gamma" else -1.0
-        arg = (sign * pr.log_a0[0] + pr.c0_s[0] * math.log(pr.r0[0])) / pr.b0_s[0]
+        arg = (sign * pr.log_a0[0] + pr.c0_s[0] * math.log(fams[0].prior.rate)) / pr.b0_s[0]
         assert arg == pytest.approx(psi(k_exp), rel=1e-12)
 
 
@@ -142,7 +142,7 @@ def test_hyperpriors_refuse_a_shape_functional_that_is_not_finite(log_a0):
         _replaced_priors(log_a0=log_a0)
 
 
-@pytest.mark.parametrize("field", ["s0", "r0"])
+@pytest.mark.parametrize("field", ["d0", "e0"])
 @pytest.mark.parametrize("value", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0), (1.0, -2.0)])
 def test_hyperpriors_refuse_a_shape_or_rate_that_is_not_finite_and_positive(field, value):
     with pytest.raises(ValueError, match=field):
@@ -903,6 +903,16 @@ def test_expectations_refuse_an_overflowing_rate_mean():
             expectations(st, pr)
         with np.errstate(over="raise"), pytest.raises(vb_em.VBNumericError):
             expectations(st, pr)
+
+
+@pytest.mark.parametrize("fams", [GAMMA_FAMS, INVGAMMA_FAMS], ids=["gamma", "invgamma"])
+def test_expectations_refuse_a_shape_laplace_argument_that_is_not_finite(fams):
+    # An infinite log_a_hat makes the argument (+-log_a + c log r) / b of the
+    # inverse digamma infinite; no other test reaches this guard.
+    pr = default_hyperpriors(*fams)
+    st = dataclasses.replace(prior_state(pr), log_a_hat=np.array([math.inf, 0.0]))
+    with pytest.raises(vb_em.VBNumericError, match="Laplace argument is not finite"):
+        expectations(st, pr)
 
 
 def test_step_length_refuses_overflowing_differences():
