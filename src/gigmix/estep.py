@@ -619,14 +619,22 @@ def passes_made(cache: _DataCache) -> int:
 def responsibilities_at(cache: _DataCache, e: ExpectationCache, families) -> np.ndarray:
     """The N x 3 responsibilities under ``e``: the cache's own when its last
     pass ran under ``e``, else those of one more pass, which takes no sums
-    and no objective."""
+    and no objective. Each side's activation responsibilities are scattered
+    once into one vector a (0 at an exact zero), the first column, and the
+    columns are written whole: a [x > 0], a [x < 0], then 1 - a. A pass
+    leaves each g finite and at least 0 (0 at a degenerate point), so each
+    product is exactly a or 0."""
     if cache.coefficients is not e:
         _responsibility_pass(cache, e, families, 0, False)
-    gamma = np.zeros((cache.x.size, 3))
-    gamma[:, 0] = 1.0
-    for k, side in enumerate(cache.sides):
-        gamma[side.rows, 0] = 1.0 - side.g
-        gamma[side.rows, k + 1] = side.g
+    x = cache.x
+    gamma = np.empty((x.size, 3))
+    a = gamma[:, 0]
+    a.fill(0.0)
+    for side in cache.sides:
+        a[side.rows] = side.g
+    np.multiply(a, x > 0, out=gamma[:, 1])
+    np.multiply(a, x < 0, out=gamma[:, 2])
+    np.subtract(1.0, a, out=a)
     return gamma
 
 

@@ -8,8 +8,9 @@ responsibilities of the last recorded point (``estep.responsibilities_at``:
 those of the last pass when it ran there, else of one more pass, which does
 not count as an iteration). The kernel counts the passes
 (``estep.passes_made``); only this loop reads the budget and spends it. A
-variational fit of a large map runs on binned data first and finishes on the
-full data (``fit``).
+variational fit of a large map runs on binned data first, to a stop rule of
+its own, then hands over to the full data in one pass and finishes there
+(``fit``).
 """
 
 from __future__ import annotations
@@ -82,6 +83,13 @@ class FitResult:
     degenerate_rows: int
 
 
+# The binned level's stop rule is this fraction of the full level's (``fit``).
+# At 0.3 bgim on the criterion-10 map at n = 1e6 ended farther from its
+# limit than with the full level's rule; at 0.1 bggm on d1-snr2-sp2 (n = 6e4)
+# took about 1.5 times as long (BENCH_binlimit.json).
+_BINNED_TOLERANCE_FACTOR = 0.2
+
+
 def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascent_only: bool, binned: bool):
     """Run a learner from ``init``, or when it is None from ``default_start``
     of x's nonzero values if at least three exist, else of x, inside the
@@ -98,9 +106,12 @@ def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascen
 
     With ``binned``, and when the data cache has a binned copy
     (``estep.binned_cache``), the fit runs on two levels. The binned level
-    runs on the copy from the first point to the same stop rule, one pass
-    short of the cap at the latest. Then one cycle on the full cache from
-    its recorded point makes the first full point, and the fit goes on from
+    runs on the copy from the first point, one pass short of the cap at the
+    latest, to its own stop rule: the objective moves by at most
+    ``_BINNED_TOLERANCE_FACTOR * rel_tolerance * (1 + |current|)``. A binned
+    pass costs O(bins), so this level runs near its limit. Then one plain
+    step on the full cache from its recorded point, ``cycle(cache, recorded,
+    1)``, one pass, makes the first full point, and the fit goes on from
     there on the full cache as above. Both levels spend one budget, and
     ``iterations`` counts the passes of both. A binned objective is biased,
     so the recorded objectives start at the first full point. A binned level
@@ -122,18 +133,19 @@ def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascen
         try:
             point = first(coarse, init)
             point, _, passes, degenerate, _ = _level(
-                coarse, point, 1, point.degenerate, cfg.max_iterations - 1, cfg, cycle, ascent_only
+                coarse, point, 1, point.degenerate, cfg.max_iterations - 1,
+                _BINNED_TOLERANCE_FACTOR * cfg.rel_tolerance, cycle, ascent_only,
             )
-            point = cycle(cache, point, cfg.max_iterations - passes)
+            point = cycle(cache, point, 1)
             level = _level(
-                cache, point, passes + passes_made(cache), degenerate + point.degenerate, cfg.max_iterations, cfg,
-                cycle, ascent_only,
+                cache, point, passes + passes_made(cache), degenerate + point.degenerate, cfg.max_iterations,
+                cfg.rel_tolerance, cycle, ascent_only,
             )
         except (ArithmeticError, ValueError, RuntimeError):
             pass  # the fit runs on the full cache alone
     if level is None:
         point = first(cache, init)
-        level = _level(cache, point, 1, point.degenerate, cfg.max_iterations, cfg, cycle, ascent_only)
+        level = _level(cache, point, 1, point.degenerate, cfg.max_iterations, cfg.rel_tolerance, cycle, ascent_only)
     recorded, trace, passes, degenerate, stop_reason = level
     return recorded, np.asarray(trace), dict(
         responsibilities=responsibilities_at(cache, recorded.expectations, families),
@@ -145,12 +157,14 @@ def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascen
     )
 
 
-def _level(cache, recorded: Point, passes: int, degenerate: int, cap: int, cfg: FitConfig, cycle, ascent_only: bool):
+def _level(cache, recorded: Point, passes: int, degenerate: int, cap: int, rel_tolerance: float, cycle,
+           ascent_only: bool):
     """The fit loop on one cache (``fit``): cycles from ``recorded``, a point
     made after ``passes`` passes of the fit and ``degenerate`` degenerate
-    points, until the stop rule holds or the passes reach ``cap``. Returns
-    the last recorded point, the recorded objectives from ``recorded`` on,
-    the passes, the degenerate points and the stop reason."""
+    points, until the objective moves by at most ``rel_tolerance * (1 +
+    |current|)`` or the passes reach ``cap``. Returns the last recorded
+    point, the recorded objectives from ``recorded`` on, the passes, the
+    degenerate points and the stop reason."""
     base = passes_made(cache) - passes
     trace = [recorded.objective]
     stop_reason = "max_iterations"
@@ -158,7 +172,7 @@ def _level(cache, recorded: Point, passes: int, degenerate: int, cap: int, cfg: 
         point = cycle(cache, recorded, cap - passes)
         passes = passes_made(cache) - base
         degenerate += point.degenerate
-        tolerance = cfg.rel_tolerance * (1.0 + abs(point.objective))
+        tolerance = rel_tolerance * (1.0 + abs(point.objective))
         settled = abs(point.objective - recorded.objective) <= tolerance
         if not ascent_only or point.objective >= recorded.objective:
             trace.append(point.objective)

@@ -258,6 +258,45 @@ def test_inverse_gamma_floor_keeps_exp_in_range(monkeypatch):
     assert np.array_equal(g[0], gamma[x > 0, 1]) and np.array_equal(g[1], gamma[x < 0, 2])
 
 
+def _gamma_by_rows(cache):
+    """The N x 3 responsibilities of the cache's last pass, written row set by
+    row set: a column of ones, then each side's rows of two columns."""
+    gamma = np.zeros((cache.x.size, 3))
+    gamma[:, 0] = 1.0
+    for k, side in enumerate(cache.sides):
+        gamma[side.rows, 0] = 1.0 - side.g
+        gamma[side.rows, k + 1] = side.g
+    return gamma
+
+
+_HALF_NORMAL = np.abs(np.random.default_rng(5).normal(0.0, 2.0, 50))
+
+
+@pytest.mark.parametrize(
+    "x, pi, kind",
+    [
+        # n = 3, and the negative side degenerate (both its components have
+        # a zero proportion)
+        (np.array([-1.0, 0.5, 2.0]), (0.0, 1.0, 0.0), "gamma"),
+        (np.array([-1.0, 0.0, 2.0, 0.0, -3.0, 0.0]), (0.4, 0.3, 0.3), "invgamma"),
+        (_HALF_NORMAL, (0.5, 0.3, 0.2), "gamma"),
+        (-_HALF_NORMAL, (0.5, 0.3, 0.2), "invgamma"),
+        (np.zeros(4), (0.4, 0.3, 0.3), "gamma"),
+    ],
+    ids=["n3_degenerate", "exact_zeros", "positive_only", "negative_only", "all_zero"],
+)
+def test_responsibilities_are_the_bytes_of_the_per_side_writes(x, pi, kind):
+    # responsibilities_at writes whole columns from one scattered activation
+    # vector; the bytes are those of writing each side's rows into a matrix
+    # of (1, 0, 0) rows.
+    params = _params(pi, kind)
+    cache = _DataCache(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = responsibilities_at(cache, estep.point_coefficients(params), params.families)
+    assert gamma.tobytes() == _gamma_by_rows(cache).tobytes()
+    assert np.all(gamma[x == 0] == (1.0, 0.0, 0.0))
+
+
 @pytest.mark.parametrize("n", [10_000, 100_000])
 @pytest.mark.parametrize("families", [(GAMMA_POS, GAMMA_NEG), (INVGAMMA_POS, INVGAMMA_NEG)], ids=["gamma", "invgamma"])
 def test_kernel_arrays_start_on_64_byte_boundaries(n, families):

@@ -404,16 +404,21 @@ def test_the_two_levels_share_one_pass_budget(binned_maps, model, monkeypatch):
 
 
 @pytest.mark.parametrize("model", VB_MODELS)
-@pytest.mark.parametrize("level, call", [("binned", 3), ("full", 4)])
+@pytest.mark.parametrize("level, call", [("binned", 3), ("full", 5)])
 def test_a_binned_level_that_fails_leaves_the_direct_fit(binned_maps, model, level, call, monkeypatch):
     # A numeric failure on the binned level, or on the full level after it
     # (here in its second cycle, after the first has moved the step cap),
     # drops the binned level: the fit is the direct fit, bit for bit, and
-    # counts only its own passes.
+    # counts only its own passes. The full level's first point is one pass,
+    # and at the default rules its first cycle ends the fit on this map; a
+    # binned level stopped by a rule 1e3 times the full one's leaves the
+    # full level more cycles, and call 5 is its second cycle's first pass.
     x, _ = binned_maps[BINNED_MAPS[0]]
     monkeypatch.setattr(estep, "_BINNED_MIN", 10**12)
     direct = getattr(vb_em, "fit_" + model)(x, VBFitConfig())
     monkeypatch.undo()
+    if level == "full":
+        monkeypatch.setattr(fitloop, "_BINNED_TOLERANCE_FACTOR", 1e3)
     binned = _binned_caches(monkeypatch)
     evaluate, calls = vb_em._evaluate, []
 
@@ -430,6 +435,49 @@ def test_a_binned_level_that_fails_leaves_the_direct_fit(binned_maps, model, lev
     assert (r.iterations, r.stop_reason) == (direct.iterations, direct.stop_reason)
     assert r.responsibilities.tobytes() == direct.responsibilities.tobytes()
     assert r.nfe_trace.tobytes() == direct.nfe_trace.tobytes()
+
+
+@pytest.mark.parametrize("model", VB_MODELS)
+def test_the_binned_level_stops_by_its_own_rule_and_hands_over_in_one_pass(binned_maps, model, monkeypatch):
+    # The binned level stops when a step moves the binned NFE by at most
+    # _BINNED_TOLERANCE_FACTOR times the full level's rule; on this map its
+    # last step is recorded. The first full point is one plain step from
+    # the binned level's recorded point: one pass on the full cache.
+    x, _ = binned_maps[BINNED_MAPS[0]]
+    made = _binned_caches(monkeypatch)
+    level, levels = fitloop._level, []
+
+    def recording(cache, *args):
+        levels.append((cache, estep.passes_made(cache)))
+        result = level(cache, *args)
+        levels[-1] += (result,)
+        return result
+
+    monkeypatch.setattr(fitloop, "_level", recording)
+    cfg = VBFitConfig()
+    getattr(vb_em, "fit_" + model)(x, cfg)
+    (coarse, _, (_, trace, _, _, stop_reason)), (full, full_passes, _) = levels
+    assert coarse is made[0] and full is not coarse and stop_reason == "tolerance"
+    rule = fitloop._BINNED_TOLERANCE_FACTOR * cfg.rel_tolerance * (1.0 + abs(trace[-1]))
+    assert abs(trace[-1] - trace[-2]) <= rule
+    assert full_passes == 1
+
+
+def test_the_full_level_after_a_binned_level_has_little_left_to_do(monkeypatch):
+    # d1-snr3-sp2 (data seed 3) at n = 1e5: a binned level stopped by the
+    # full level's rule left bggm's full level 106 passes to climb to
+    # pi_1 ~ 0.92. Run to its own rule, it leaves a few, and the fit ends
+    # within 2e-3 in sum |d pi| of the direct fit at tolerance 1e-10.
+    x = generate(SyntheticSpec(dataset=1, snr=3.0, sparsity=2, n=100_000, repeats=1, seed=3), 0, 0).values
+    fitter = vb_em.fit_bggm
+    monkeypatch.setattr(estep, "_BINNED_MIN", 10**12)
+    limit = fitter(x, VBFitConfig(rel_tolerance=1e-10, max_iterations=5000))
+    monkeypatch.undo()
+    made = _binned_caches(monkeypatch)
+    r = fitter(x, VBFitConfig())
+    binned_passes = estep.passes_made(made[0]) - 1
+    assert r.converged and r.iterations - binned_passes <= 10
+    assert np.abs(r.expectations.pi - limit.expectations.pi).sum() <= 2e-3
 
 
 @pytest.mark.parametrize("model", ML_MODELS)

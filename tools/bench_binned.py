@@ -1,10 +1,12 @@
 """Measurements behind the binned variational fits (``estep.binned_cache``,
-``fitloop.fit``), written to ``BENCH_binned.json``.
+``fitloop.fit``): the binned level runs to its own stop rule, a fixed
+fraction ``fitloop._BINNED_TOLERANCE_FACTOR`` of the full level's, and one
+plain step on the full data hands over to the full level.
 
 Run it from the root of the changed checkout, with a second checkout of the
 parent commit:
 
-    python tools/bench_binned.py --parent /path/to/parent --pairs 10 --out BENCH_binned.json
+    python tools/bench_binned.py --parent /path/to/parent --pairs 10 --out BENCH_binlimit.json
 
 It records:
 
@@ -13,14 +15,19 @@ It records:
   even pairs, seeds ``--seed`` on; per metric the quartiles on each side, the
   pairs where the change was better and whether the median gap exceeds the
   parent's quartile distance;
-- ``criterion_10_n_1e6``: per tree, the median of 5 fits of bggm, bgim and
-  ggm (k-means start) on the criterion-10 map at n = 1e6, as
-  ``tests/test_acceptance.py`` times them;
-- ``levels``: the passes of each level of the bggm and bgim fits of that map
-  at n = 3e5 (fit-large) and 1e6, against the direct fit's;
-- ``thresholds``: direct against binned fits (medians of 3) at
-  n = 2e4, 5e4, 1e5 and 3e5 on three scenarios (data seed 3), which fix
-  ``_BINNED_MIN``, and the bin counts 512 to 4096 on the fit-large map
+- ``criterion_10_n_1e6``: per tree and worker, the median of 5 fits of
+  bggm, bgim and ggm (k-means start) on the criterion-10 map at n = 1e6, as
+  ``tests/test_acceptance.py`` times them, and the workers in which its
+  ordering failed; ``ROUNDS`` workers per tree, run in alternation;
+- ``limit``: per tree, per map of ``LIMIT_MAPS`` and VB model, the passes
+  of each level, the median time of the fit and its distance to the direct
+  fit at tolerance 1e-10 (sum |d pi| and max |d gamma|); on a tree with a
+  binned stop factor, at the factors 0.1, 0.2 and 0.3, which the timed fits
+  alternate between; the times are pooled over ``ROUNDS`` workers per tree,
+  run in alternation;
+- ``thresholds`` (not run by default): direct against binned fits (medians
+  of 3) at n = 2e4, 5e4, 1e5 and 3e5 on three scenarios (data seed 3), which
+  fix ``_BINNED_MIN``, and the bin counts 512 to 4096 on the fit-large map
   (the bias of one pass near the limit, the time to bin, whole fits), which
   fix ``_BINS``.
 
@@ -43,6 +50,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("fit-large", "grid-small")
+# The maps of the ``limit`` part: (name, n, snr, sparsity, data seed, fits
+# timed per model). fit-large and the criterion-10 map at 1e6, the map of
+# ROADMAP item 23's FOUND at 3e5 and 1e5, and the 6e4 maps of
+# ``tests/test_fitloop.py``'s ``BINNED_MAPS`` other than the criterion-10 one.
+LIMIT_MAPS = (
+    ("fit-large", 300_000, 2.0, 1, 10, 11),
+    ("criterion-10", 1_000_000, 2.0, 1, 10, 5),
+    ("d1-snr3-sp2", 300_000, 3.0, 2, 3, 5),
+    ("d1-snr3-sp2", 100_000, 3.0, 2, 3, 7),
+    ("d1-snr3-sp2", 60_000, 3.0, 2, 3, 11),
+    ("d1-snr5-sp3", 60_000, 5.0, 3, 3, 11),
+    ("d1-snr2-sp2", 60_000, 2.0, 2, 1, 11),
+    ("d1-snr4-sp1", 60_000, 4.0, 1, 2, 11),
+)
+# Workers per tree for the ``criterion10`` and ``limit`` parts, alternating
+# between the trees.
+ROUNDS = 4
 LOWER_IS_BETTER = {"auc_mean": False}
 
 
@@ -60,7 +84,7 @@ def _worker(kind: str) -> dict:
     def data(n, snr=2.0, sparsity=1, seed=10):
         return generate(SyntheticSpec(dataset=1, snr=snr, sparsity=sparsity, n=n, repeats=1, seed=seed), 0, 0).values
 
-    made = []
+    made, default_min = [], estep._BINNED_MIN
     if hasattr(estep, "binned_cache"):
         binned_cache = estep.binned_cache
         fitloop.binned_cache = lambda cache: made.append(binned_cache(cache)) or made[-1]
@@ -93,15 +117,42 @@ def _worker(kind: str) -> dict:
                 times.append(time.perf_counter() - start)
             out[model] = {"median_s": round(statistics.median(times), 4), "passes": int(r.iterations)}
         return out
-    if kind == "levels":
-        out = {}
-        for n in (300_000, 1_000_000):
-            x = data(n)
+    if kind == "limit":
+        # Per probe map and model: each level's passes, the times of fits that
+        # alternate between the models (on a tree with a binned stop factor,
+        # at each factor in turn), and the distance to the direct fit at
+        # tolerance 1e-10: sum |d pi| and max |d gamma|.
+        default_factor = getattr(fitloop, "_BINNED_TOLERANCE_FACTOR", None)
+        factors = (None,) if default_factor is None else (0.1, 0.2, 0.3)
+        rows = []
+        for name, n, snr, sparsity, seed, repeats in LIMIT_MAPS:
+            x = data(n, snr, sparsity, seed)
+            limits = {}
+            estep._BINNED_MIN = 10**12
             for model in ("bggm", "bgim"):
-                r, seconds, levels = timed(getattr(vb_em, "fit_" + model), x, vb_cfg(), 3)
-                out[f"n{n}/{model}"] = {**levels, "median_s": round(seconds, 4), "pi": r.expectations.pi.round(6).tolist(),
-                                        "nfe": round(float(r.nfe_trace[-1]), 3)}
-        return out
+                limits[model] = getattr(vb_em, "fit_" + model)(x, vb_cfg(rel_tolerance=1e-10, max_iterations=5000))
+            estep._BINNED_MIN = default_min
+            times, fits = {}, {}
+            for _ in range(repeats):
+                for factor in factors:
+                    for model in ("bggm", "bgim"):
+                        if factor is not None:
+                            fitloop._BINNED_TOLERANCE_FACTOR = factor
+                        r, seconds, levels = timed(getattr(vb_em, "fit_" + model), x, vb_cfg(), 1)
+                        times.setdefault((model, factor), []).append(seconds)
+                        fits[model, factor] = r, levels
+            for (model, factor), (r, levels) in fits.items():
+                limit = limits[model]
+                rows.append({
+                    "map": name, "n": n, "model": model, "binned_tolerance_factor": factor,
+                    "default": factor == default_factor, **levels,
+                    "times_ms": [round(t * 1e3, 2) for t in times[model, factor]],
+                    "stop_reason": r.stop_reason,
+                    "sum_abs_dpi": float(f"{np.abs(r.expectations.pi - limit.expectations.pi).sum():.2e}"),
+                    "max_abs_dgamma": float(f"{np.abs(r.responsibilities - limit.responsibilities).max():.2e}"),
+                    "limit_passes": int(limit.iterations),
+                })
+        return rows
     if kind == "thresholds":
         rows = []
         for n in (20_000, 50_000, 100_000, 300_000):
@@ -160,6 +211,42 @@ def _worker(kind: str) -> dict:
     raise ValueError(kind)
 
 
+def _alternating(trees: dict, kind: str) -> dict:
+    """Per tree, the outputs of ``ROUNDS`` workers of ``kind``, run parent,
+    change, change, parent, ..."""
+    out = {side: [] for side in trees}
+    for i in range(ROUNDS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            out[side].append(_run_worker(trees[side], kind))
+    return out
+
+
+def _criterion10(trees: dict) -> dict:
+    """Per tree, each worker's medians and the runs in which criterion 10's
+    ordering (bggm no slower than bgim and ggm) failed."""
+    out = {}
+    for side, runs in _alternating(trees, "criterion10").items():
+        failed = sum(r["bggm"]["median_s"] > min(r["bgim"]["median_s"], r["ggm"]["median_s"]) for r in runs)
+        ratios = [round(r["bggm"]["median_s"] / r["bgim"]["median_s"], 3) for r in runs]
+        out[side] = {"runs": runs, "bggm_over_bgim": ratios, "runs_where_the_ordering_failed": failed}
+    return out
+
+
+def _limit(trees: dict) -> dict:
+    """The ``limit`` rows of each tree (``_alternating``); each row's median
+    time is over the fits of every round."""
+    out = {}
+    for side, runs in _alternating(trees, "limit").items():
+        rows, times = {}, {}
+        for row in (row for worker in runs for row in worker):
+            key = row["map"], row["n"], row["model"], row["binned_tolerance_factor"]
+            times.setdefault(key, []).extend(row.pop("times_ms"))
+            rows[key] = row
+        out[side] = [dict(row, median_ms=round(statistics.median(times[key]), 1), fits_timed=len(times[key]))
+                     for key, row in rows.items()]
+    return out
+
+
 def _run_worker(tree: Path, kind: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     out = subprocess.run([sys.executable, __file__, "--worker", kind], env=env, check=True,
@@ -205,8 +292,8 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=3501, help="first perfbench seed")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_binned.json")
-    ap.add_argument("--parts", default="perfbench,criterion10,levels,thresholds")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_binlimit.json")
+    ap.add_argument("--parts", default="perfbench,criterion10,limit")
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
@@ -216,7 +303,8 @@ def main(argv=None) -> int:
     parts = args.parts.split(",")
     record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     record["topic"] = ("Variational fits of maps of at least 5e4 nonzero values run on 2048 uniform bins per "
-                       "side first, then finish on the full data (estep.binned_cache, fitloop.fit)")
+                       "side to the binned level's own stop rule, then hand over to the full data in one plain "
+                       "step (estep.binned_cache, fitloop.fit)")
     for workload in WORKLOADS if "perfbench" in parts else ():
         runs = []
         for i in range(args.pairs):
@@ -232,9 +320,9 @@ def main(argv=None) -> int:
             "metrics": _compare(runs),
         }
     if "criterion10" in parts:
-        record["criterion_10_n_1e6"] = {side: _run_worker(tree, "criterion10") for side, tree in trees.items()}
-    if "levels" in parts:
-        record["levels"] = {side: _run_worker(tree, "levels") for side, tree in trees.items()}
+        record["criterion_10_n_1e6"] = _criterion10(trees)
+    if "limit" in parts:
+        record["limit"] = _limit(trees)
     if "thresholds" in parts:
         record["thresholds"] = _run_worker(ROOT, "thresholds")
     if "perfbench_fit_large" in record:
