@@ -204,8 +204,8 @@ class _Side:
         self._derive()
 
     @classmethod
-    def binned(cls, side: "_Side", bins: int) -> "_Side":
-        """``side`` (per point) in ``bins`` uniform bins over [0, max v], of
+    def binned(cls, side: "_Side") -> "_Side":
+        """``side`` (per point) in ``_BINS`` uniform bins over [0, max v], of
         which the nonempty ones are kept. A bin's point is the mean of its
         values, kept inside the bin."""
         self = cls.__new__(cls)
@@ -216,12 +216,12 @@ class _Side:
             # v / max v lies in (0, 1], and the bin index never falls as v
             # grows: each bin holds a run of the sorted values.
             index = np.divide(vals, vals.max())
-            index *= bins
+            index *= _BINS
             index = index.astype(np.intp)
-            np.minimum(index, bins - 1, out=index)
-            counts = np.bincount(index, minlength=bins)
-            keep, width = np.flatnonzero(counts), vals.max() / bins
-            rows = (np.bincount(index, weights=row, minlength=bins) for row in side.stack)
+            np.minimum(index, _BINS - 1, out=index)
+            counts = np.bincount(index, minlength=_BINS)
+            keep, width = np.flatnonzero(counts), vals.max() / _BINS
+            rows = (np.bincount(index, weights=row, minlength=_BINS) for row in side.stack)
             weighted = np.array([counts, *rows])[:, keep]
         self.sums, self.counts = weighted, weighted[0]
         self._allocate(height, keep.size)
@@ -271,31 +271,28 @@ class _DataCache:
     __slots__ = ("x", "height", "sides", "n", "sum_x", "sum_sq", "coefficients", "passes", "parallel", "worker")
 
     def __init__(self, x: np.ndarray, families=None):
-        self.x = x
-        self.height = 4 if families is None or any(fam.inverse for fam in families) else 3
-        self.sides = (_Side(x, 1.0, self.height), _Side(x, -1.0, self.height))
-        nonzero = nonzero_values(x)
-        self.n = nonzero.size
-        self.sum_x = float(nonzero.sum())
-        self.sum_sq = float((nonzero * nonzero).sum())
-        self.coefficients, self.passes = None, 0
-        self.parallel = min(len(side.rows) for side in self.sides) >= _BLOCK and _usable_cpus() >= 2
-        self.worker = None
+        height = 4 if families is None or any(fam.inverse for fam in families) else 3
+        nonzero, sides = nonzero_values(x), (_Side(x, 1.0, height), _Side(x, -1.0, height))
+        self._start(x, sides, nonzero.size, float(nonzero.sum()), float((nonzero * nonzero).sum()))
+
+    def _start(self, x, sides: tuple, n: int, sum_x: float, sum_sq: float):
+        """The state over ``sides`` and the totals of their values before a first pass."""
+        self.x, self.sides, self.n, self.sum_x, self.sum_sq = x, sides, n, sum_x, sum_sq
+        self.height = sides[0].stack.shape[0]
+        self.coefficients, self.passes, self.worker = None, 0, None
+        self.parallel = min(side.vals.size for side in sides) >= _BLOCK and _usable_cpus() >= 2
 
 
 def binned_cache(cache: _DataCache) -> _DataCache | None:
-    """A copy of ``cache`` whose sides are binned (``_Side.binned``, with
-    ``_BINS`` bins), with the same height, count and totals; None when the cache
-    holds fewer than ``_BINNED_MIN`` nonzero values. Its passes are counted
-    apart from the full cache's. It holds no per-point responsibilities, so
-    ``responsibilities_at`` does not take it."""
+    """A copy of ``cache`` whose sides are binned (``_Side.binned``), with the
+    same height, count and totals; None when the cache holds fewer than
+    ``_BINNED_MIN`` nonzero values. Its passes are counted apart, and its sides,
+    of at most ``_BINS`` < ``_BLOCK`` points, are swept in turn. It holds no
+    per-point responsibilities, so ``responsibilities_at`` does not take it."""
     if cache.n < _BINNED_MIN:
         return None
     binned = _DataCache.__new__(_DataCache)
-    binned.x, binned.height, binned.n = None, cache.height, cache.n
-    binned.sum_x, binned.sum_sq = cache.sum_x, cache.sum_sq
-    binned.sides = tuple(_Side.binned(side, _BINS) for side in cache.sides)
-    binned.coefficients, binned.passes, binned.parallel, binned.worker = None, 0, False, None
+    binned._start(None, tuple(map(_Side.binned, cache.sides)), cache.n, cache.sum_x, cache.sum_sq)
     return binned
 
 

@@ -1,16 +1,17 @@
 """The one fit loop of all four learners.
 
-A learner supplies its default start, its first point and its cycle; ``fit``
-does the rest: the start when no initial point is given (the noise core for
-the ML learners, k-means for the variational ones), the pass budget, the
-stop rule, which points are recorded, the timer, and the N x 3
-responsibilities of the last recorded point (``estep.responsibilities_at``:
-those of the last pass when it ran there, else of one more pass, which does
-not count as an iteration). The kernel counts the passes
-(``estep.passes_made``); only this loop reads the budget and spends it. A
-variational fit of a large map runs on binned data first, to a stop rule of
-its own, then hands over to the full data in one pass and finishes there
-(``fit``).
+A learner supplies its default start, its first point, its cycle and two
+flags, both set for the variational learners only: with ``ascent_only`` a
+point whose objective falls goes unrecorded, and with ``binned`` a large map
+first runs on binned data to a stop rule of its own, then hands over to the
+full data in one pass (``fit``). ``fit`` does the rest: the start when no
+initial point is given (the noise core for the ML learners, k-means for the
+variational ones), the pass budget, the stop rule, which points are recorded,
+the timer, and the N x 3 responsibilities of the last recorded point
+(``estep.responsibilities_at``: those of the last pass when it ran there,
+else of one more pass, which does not count as an iteration). The kernel
+counts the passes (``estep.passes_made``); only this loop reads the budget
+and spends it.
 """
 
 from __future__ import annotations

@@ -359,6 +359,10 @@ def test_binned_sides_keep_exact_counts_and_sums_and_means_inside_their_bins(c):
     x, families = c
     cache, binned = _binned(x, families)
     assert (binned.n, binned.sum_x, binned.sum_sq, binned.height) == (cache.n, cache.sum_x, cache.sum_sq, cache.height)
+    # A fresh pass state, no per-point data, and sides of at most ``_BINS``
+    # points, too short for the two-thread sweep.
+    assert (binned.coefficients, binned.passes, binned.worker, binned.x) == (None, 0, None, None)
+    assert binned.parallel is False
     for side, coarse in zip(cache.sides, binned.sides):
         counts = coarse.counts
         assert coarse.sign == side.sign and coarse.rows is None
@@ -455,6 +459,32 @@ def test_a_binned_pass_counts_the_degenerate_points_of_its_bins(kind):
     full, coarse = estep.point_pass(cache, params), estep.point_pass(binned, params)
     assert full[2] == coarse[2] == np.count_nonzero(x > 0)
     assert np.all(binned.sides[0].g == 0.0) and np.all(cache.sides[0].g == 0.0)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "gamma",
+        pytest.param(
+            "invgamma",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="FOUND 78: the binned log-sum-exp is -351073.7 against -1084564.7 per point; "
+                "a bin's 1/v is taken at its mean, so the -r/v term of the values near 0 is lost",
+            ),
+        ),
+    ],
+)
+def test_a_binned_pass_with_degenerate_points_ends_near_the_per_point_objective(kind):
+    # The map and the proportions of the test above: only the negative
+    # activation has weight, so it holds every negative value, those near 0
+    # among them (Gamma: -54819.7 against -54840.0).
+    rng = np.random.default_rng(1)
+    x = rng.normal(rng.choice([-3.0, 0.0, 3.0], 60_000, p=[0.1, 0.8, 0.1]), 1.0)
+    params = _params((0.0, 0.0, 1.0), kind)
+    cache, binned = _binned(x, params.families)
+    lse, binned_lse = estep.point_pass(cache, params)[1], estep.point_pass(binned, params)[1]
+    assert abs(binned_lse - lse) <= 1e-3 * abs(lse)
 
 
 def test_a_binned_pass_across_blocks_weighs_each_block_by_its_counts():
