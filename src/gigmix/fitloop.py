@@ -3,15 +3,15 @@
 A learner supplies its default start, its first point, its cycle and two
 flags, both set for the variational learners only: with ``ascent_only`` a
 point whose objective falls goes unrecorded, and with ``binned`` a large map
-first runs on binned data to a stop rule of its own, then hands over to the
-full data in one pass (``fit``). ``fit`` does the rest: the start when no
-initial point is given (the noise core for the ML learners, k-means for the
-variational ones), the pass budget, the stop rule, which points are recorded,
-the timer, and the N x 3 responsibilities of the last recorded point
-(``estep.responsibilities_at``: those of the last pass when it ran there,
-else of one more pass, which does not count as an iteration). The kernel
-counts the passes (``estep.passes_made``); only this loop reads the budget
-and spends it.
+first runs on binned data to a stop rule of its own, then finishes on the
+full data in plain steps of one pass each (``fit``). ``fit`` does the rest:
+the start when no initial point is given (the noise core for the ML
+learners, k-means for the variational ones), the pass budget, the stop
+rule, which points are recorded, the timer, and the N x 3 responsibilities
+of the last recorded point (``estep.responsibilities_at``: those of the
+last pass when it ran there, else of one more pass, which does not count as
+an iteration). The kernel counts the passes (``estep.passes_made``); only
+this loop reads the budget and spends it.
 """
 
 from __future__ import annotations
@@ -110,14 +110,14 @@ def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascen
     runs on the copy from the first point, one pass short of the cap at the
     latest, to its own stop rule: the objective moves by at most
     ``_BINNED_TOLERANCE_FACTOR * rel_tolerance * (1 + |current|)``. A binned
-    pass costs O(bins), so this level runs near its limit. Then one plain
-    step on the full cache from its recorded point, ``cycle(cache, recorded,
-    1)``, one pass, makes the first full point, and the fit goes on from
-    there on the full cache as above. Both levels spend one budget, and
-    ``iterations`` counts the passes of both. A binned objective is biased,
-    so the recorded objectives start at the first full point. A binned level
-    that fails numerically is dropped, and the fit runs on the full cache
-    alone from its first point.
+    pass costs O(bins), so this level runs near its limit, and each step of
+    the full level is one plain step, ``cycle(cache, recorded, 1)``, of one
+    pass: the first, from the binned level's recorded point, makes the first
+    full point, and the fit goes on in such steps to the stop rule above.
+    Both levels spend one budget, and ``iterations`` counts the passes of
+    both. A binned objective is biased, so the recorded objectives start at
+    the first full point. A binned level that fails numerically is dropped,
+    and the fit runs on the full cache alone from its first point.
 
     Returns the last recorded point, the recorded objectives and the
     ``FitResult`` fields as a dict.
@@ -140,7 +140,7 @@ def fit(data, init, default_start, cfg: FitConfig, families, first, cycle, ascen
             point = cycle(cache, point, 1)
             level = _level(
                 cache, point, passes + passes_made(cache), degenerate + point.degenerate, cfg.max_iterations,
-                cfg.rel_tolerance, cycle, ascent_only,
+                cfg.rel_tolerance, lambda cache, recorded, room: cycle(cache, recorded, 1), ascent_only,
             )
         except (ArithmeticError, ValueError, RuntimeError):
             pass  # the fit runs on the full cache alone

@@ -111,8 +111,9 @@ class VBState:
 class VBFitResult(FitResult):
     """A variational fit. ``iterations`` counts every E-step pass but the one
     at the k-means start, those of rejected SQUAREM candidates included: 3 or
-    4 per full cycle (see ``_cycle``). ``nfe_trace`` holds the start and one
-    NFE per recorded cycle."""
+    4 per full SQUAREM cycle (see ``_cycle``), 1 per plain step after a
+    binned level. ``nfe_trace`` holds the start and one NFE per recorded
+    cycle or step."""
 
     state: VBState
     expectations: ExpectationCache
@@ -565,16 +566,17 @@ def _cycle(cache: _DataCache, p0: Point, priors: HyperPriors, step_max: float, r
 
 def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
     """Coordinate ascent from the k-means start in SQUAREM cycles (``_cycle``),
-    whose step cap is kept here, one per data cache, from 1 at the cache's
-    first point or first cycle: the cycles on the full cache after a binned
-    level start from a cap of 1 again, and so does a fit that drops its
-    binned level. ``fitloop.fit`` records a cycle's point only if its NFE
-    does not fall."""
+    whose step cap is kept here, one per fit, from 1 at the first point: a
+    fit that drops its binned level starts its direct cycles from a cap of 1
+    again. The full level after a binned level takes plain steps, which
+    leave the cap as it is. ``fitloop.fit`` records a cycle's point only if
+    its NFE does not fall."""
     priors = default_hyperpriors(*families)
-    step_caps = {}
+    step_cap = 1.0
 
     def first(cache, init):
-        step_caps[cache] = 1.0
+        nonlocal step_cap
+        step_cap = 1.0
         # The start's pass runs through this module's name for the kernel,
         # ``_responsibility_pass``, so that it is traced like every other.
         # The start's tau and shapes are the E[tau] and E[s] of the first
@@ -585,7 +587,8 @@ def _fit_vb(data, families, cfg: VBFitConfig) -> VBFitResult:
         return _evaluate(cache, _update_state(stats, priors, e.tau, e.s), priors)
 
     def cycle(cache, recorded, room):
-        point, step_caps[cache] = _cycle(cache, recorded, priors, step_caps.get(cache, 1.0), room)
+        nonlocal step_cap
+        point, step_cap = _cycle(cache, recorded, priors, step_cap, room)
         return point
 
     last, trace, common = fitloop.fit(

@@ -404,21 +404,18 @@ def test_the_two_levels_share_one_pass_budget(binned_maps, model, monkeypatch):
 
 
 @pytest.mark.parametrize("model", VB_MODELS)
-@pytest.mark.parametrize("level, call", [("binned", 3), ("full", 5)])
+@pytest.mark.parametrize("level, call", [("binned", 3), ("full", 2)])
 def test_a_binned_level_that_fails_leaves_the_direct_fit(binned_maps, model, level, call, monkeypatch):
     # A numeric failure on the binned level, or on the full level after it
-    # (here in its second cycle, after the first has moved the step cap),
-    # drops the binned level: the fit is the direct fit, bit for bit, and
-    # counts only its own passes. The full level's first point is one pass,
-    # and at the default rules its first cycle ends the fit on this map; a
-    # binned level stopped by a rule 1e3 times the full one's leaves the
-    # full level more cycles, and call 5 is its second cycle's first pass.
+    # (here in its first plain step after the hand-over, call 1 being the
+    # hand-over), drops the binned level: the fit is the direct fit, bit for
+    # bit, and counts only its own passes. The binned level has grown the
+    # fit's SQUAREM step cap by then, so the direct fit's cycles start from
+    # a cap of 1 again only because its first point resets it.
     x, _ = binned_maps[BINNED_MAPS[0]]
     monkeypatch.setattr(estep, "_BINNED_MIN", 10**12)
     direct = getattr(vb_em, "fit_" + model)(x, VBFitConfig())
     monkeypatch.undo()
-    if level == "full":
-        monkeypatch.setattr(fitloop, "_BINNED_TOLERANCE_FACTOR", 1e3)
     binned = _binned_caches(monkeypatch)
     evaluate, calls = vb_em._evaluate, []
 
@@ -461,6 +458,49 @@ def test_the_binned_level_stops_by_its_own_rule_and_hands_over_in_one_pass(binne
     rule = fitloop._BINNED_TOLERANCE_FACTOR * cfg.rel_tolerance * (1.0 + abs(trace[-1]))
     assert abs(trace[-1] - trace[-2]) <= rule
     assert full_passes == 1
+
+
+@pytest.mark.parametrize("model", VB_MODELS)
+@pytest.mark.parametrize("key", BINNED_MAPS)
+def test_each_full_step_after_a_hand_over_is_one_pass(binned_maps, key, model, monkeypatch):
+    # The binned level runs near its limit, so the full level after it takes
+    # plain steps, one pass each, and no SQUAREM cycles; the fit counts the
+    # binned passes, the hand-over and these steps.
+    x, _ = binned_maps[key]
+    made = _binned_caches(monkeypatch)
+    level, steps = fitloop._level, []
+
+    def recording(cache, recorded, passes, degenerate, cap, rel_tolerance, cycle, ascent_only):
+        def step(cache, point, room):
+            before = estep.passes_made(cache)
+            point = cycle(cache, point, room)
+            steps.append((cache, estep.passes_made(cache) - before))
+            return point
+
+        return level(cache, recorded, passes, degenerate, cap, rel_tolerance, step, ascent_only)
+
+    monkeypatch.setattr(fitloop, "_level", recording)
+    r = getattr(vb_em, "fit_" + model)(x, VBFitConfig())
+    full = [passes for cache, passes in steps if cache is not made[0]]
+    assert made[0] is not None and len(full) >= 1
+    assert full == [1] * len(full)
+    # The binned passes (the first point's two count as one), the hand-over
+    # and the steps.
+    assert r.iterations == (estep.passes_made(made[0]) - 1) + 1 + len(full)
+
+
+@pytest.mark.parametrize("model", VB_MODELS)
+@pytest.mark.parametrize("key", BINNED_MAPS)
+def test_a_binned_fit_mirrors(binned_maps, key, model, monkeypatch):
+    # x and -x bin alike with their sides swapped, so both fits make the same
+    # passes on both levels, stop alike and swap the activation columns.
+    x, _ = binned_maps[key]
+    made = _binned_caches(monkeypatch)
+    fitter = getattr(vb_em, "fit_" + model)
+    r, m = fitter(x, VBFitConfig()), fitter(-x, VBFitConfig())
+    assert all(cache is not None for cache in made)
+    assert (m.iterations, m.stop_reason) == (r.iterations, r.stop_reason)
+    assert np.max(np.abs(m.responsibilities[:, [0, 2, 1]] - r.responsibilities)) <= 1e-6
 
 
 def test_the_full_level_after_a_binned_level_has_little_left_to_do(monkeypatch):

@@ -1,5 +1,6 @@
-"""The fit-equivalence tool (tools/fit_equivalence.py) and the line tracer
-(tools/line_trace.py) run on this tree, the package metadata (pyproject.toml)
+"""The fit-equivalence tool (tools/fit_equivalence.py), the line tracer
+(tools/line_trace.py) and the binned-fit bench's record keeping
+(tools/bench_binned.py) run on this tree, the package metadata (pyproject.toml)
 names what the tree needs, only the E-step module reads its data cache, only
 the fit loop reads the pass budget, only the io module opens a file, only the
 distributions module names the activation families and their prior, and the
@@ -8,6 +9,7 @@ model names are written once."""
 import ast
 import hashlib
 import importlib.util
+import json
 import pathlib
 import re
 import sys
@@ -30,6 +32,7 @@ def _load_tool(name):
 
 fit_equivalence = _load_tool("fit_equivalence")
 line_trace = _load_tool("line_trace")
+bench_binned = _load_tool("bench_binned")
 
 
 def test_map_set_has_34_maps_and_35_with_the_large_one():
@@ -199,6 +202,24 @@ def test_compare_reports_numeric_drift_stop_mismatches_and_missing_fits(tmp_path
     assert not ok
     assert lines[1] == f"m.bggm.npz missing from {dumps['same']}"
     assert lines[3].startswith("summary: 3 fits, 0 mismatched, 1 missing")
+
+
+def test_bench_pairs_keep_their_values_and_a_record_keeps_its_topic(tmp_path):
+    # Each pair's two values stay beside the quartiles, so a wide quartile
+    # can be traced to its runs; a record made for another change keeps the
+    # topic it was given.
+    runs = [{"parent": {"metrics": {"fit_s.bgim": p}}, "change": {"metrics": {"fit_s.bgim": c}}}
+            for p, c in ((0.05, 0.04), (0.06, 0.07), (0.05, 0.05))]
+    row = bench_binned._compare(runs)["fit_s.bgim"]
+    assert row["parent_change_pairs"] == [[0.05, 0.04], [0.06, 0.07], [0.05, 0.05]]
+    assert (row["change_better_pairs"], row["pairs"]) == (1, 3)
+    out = tmp_path / "BENCH_other.json"
+    out.write_text('{"topic": "another change"}', encoding="utf-8")
+    assert bench_binned.main(["--parent", str(tmp_path), "--parts", "", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8")) == {"topic": "another change"}
+    fresh = tmp_path / "BENCH_new.json"
+    bench_binned.main(["--parent", str(tmp_path), "--parts", "", "--out", str(fresh)])
+    assert json.loads(fresh.read_text(encoding="utf-8"))["topic"].startswith("Variational fits")
 
 
 def test_numpy_floor_has_vecdot():

@@ -1,7 +1,7 @@
 """Measurements behind the binned variational fits (``estep.binned_cache``,
 ``fitloop.fit``): the binned level runs to its own stop rule, a fixed
-fraction ``fitloop._BINNED_TOLERANCE_FACTOR`` of the full level's, and one
-plain step on the full data hands over to the full level.
+fraction ``fitloop._BINNED_TOLERANCE_FACTOR`` of the full level's, and the
+fit finishes on the full data in plain steps of one pass each.
 
 Run it from the root of the changed checkout, with a second checkout of the
 parent commit:
@@ -32,7 +32,8 @@ It records:
   fix ``_BINS``.
 
 ``--parts`` runs some of these and updates the other entries of ``--out``
-in place.
+in place. A record that has no ``topic`` gets the binned level's; write a
+``{"topic": ...}`` into ``--out`` first to measure another change.
 
 Library fits run in fresh interpreters on each tree's ``src/`` with
 ``OPENBLAS_NUM_THREADS=1``; perfbench sets its own thread count.
@@ -271,8 +272,8 @@ def _quartiles(values):
 
 
 def _compare(runs: list) -> dict:
-    """Per metric: quartiles per side, better pairs, median gap against the
-    parent's quartile distance."""
+    """Per metric: each pair's parent and change values, quartiles per side,
+    better pairs, median gap against the parent's quartile distance."""
     out = {}
     for name in runs[0]["parent"]["metrics"]:
         parent = [r["parent"]["metrics"][name] for r in runs]
@@ -280,7 +281,8 @@ def _compare(runs: list) -> dict:
         lower = LOWER_IS_BETTER.get(name, True)
         better = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         pq, cq = _quartiles(parent), _quartiles(change)
-        out[name] = {"parent_q1_median_q3": pq, "change_q1_median_q3": cq,
+        out[name] = {"parent_change_pairs": [[p, c] for p, c in zip(parent, change)],
+                     "parent_q1_median_q3": pq, "change_q1_median_q3": cq,
                      "change_over_parent_median": round(cq[1] / pq[1], 4) if pq[1] else None,
                      "change_better_pairs": better, "pairs": len(runs),
                      "median_gap_exceeds_parent_iqr": abs(cq[1] - pq[1]) > pq[2] - pq[0]}
@@ -302,9 +304,9 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     parts = args.parts.split(",")
     record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
-    record["topic"] = ("Variational fits of maps of at least 5e4 nonzero values run on 2048 uniform bins per "
-                       "side to the binned level's own stop rule, then hand over to the full data in one plain "
-                       "step (estep.binned_cache, fitloop.fit)")
+    record.setdefault("topic", "Variational fits of maps of at least 5e4 nonzero values run on 2048 uniform bins "
+                      "per side to the binned level's own stop rule, then hand over to the full data in one "
+                      "plain step (estep.binned_cache, fitloop.fit)")
     for workload in WORKLOADS if "perfbench" in parts else ():
         runs = []
         for i in range(args.pairs):
