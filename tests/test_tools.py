@@ -1,6 +1,6 @@
 """The fit-equivalence tool (tools/fit_equivalence.py), the line tracer
-(tools/line_trace.py) and the binned-fit bench's record keeping
-(tools/bench_binned.py) run on this tree, the package metadata (pyproject.toml)
+(tools/line_trace.py) and the A/B tool's record keeping and verdict rule
+(tools/ab.py) run on this tree, the package metadata (pyproject.toml)
 names what the tree needs, only the E-step module reads its data cache, only
 the fit loop reads the pass budget, only the io module opens a file, only the
 distributions module names the activation families and their prior, and the
@@ -32,7 +32,8 @@ def _load_tool(name):
 
 fit_equivalence = _load_tool("fit_equivalence")
 line_trace = _load_tool("line_trace")
-bench_binned = _load_tool("bench_binned")
+ab = _load_tool("ab")
+BENCHMARK = json.loads((_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def test_map_set_has_34_maps_and_35_with_the_large_one():
@@ -210,16 +211,99 @@ def test_bench_pairs_keep_their_values_and_a_record_keeps_its_topic(tmp_path):
     # topic it was given.
     runs = [{"parent": {"metrics": {"fit_s.bgim": p}}, "change": {"metrics": {"fit_s.bgim": c}}}
             for p, c in ((0.05, 0.04), (0.06, 0.07), (0.05, 0.05))]
-    row = bench_binned._compare(runs)["fit_s.bgim"]
+    row = ab._compare(runs, BENCHMARK)["fit_s.bgim"]
     assert row["parent_change_pairs"] == [[0.05, 0.04], [0.06, 0.07], [0.05, 0.05]]
     assert (row["change_better_pairs"], row["pairs"]) == (1, 3)
     out = tmp_path / "BENCH_other.json"
     out.write_text('{"topic": "another change"}', encoding="utf-8")
-    assert bench_binned.main(["--parent", str(tmp_path), "--parts", "", "--out", str(out)]) == 0
+    assert ab.main(["--parent", str(tmp_path), "--parts", "", "--out", str(out)]) == 0
     assert json.loads(out.read_text(encoding="utf-8")) == {"topic": "another change"}
     fresh = tmp_path / "BENCH_new.json"
-    bench_binned.main(["--parent", str(tmp_path), "--parts", "", "--out", str(fresh)])
-    assert json.loads(fresh.read_text(encoding="utf-8"))["topic"].startswith("Variational fits")
+    ab.main(["--parent", str(tmp_path), "--parts", "", "--out", str(fresh)])
+    assert json.loads(fresh.read_text(encoding="utf-8")) == {}
+
+
+def test_the_ab_tool_needs_an_out_file_and_states_no_fact_of_the_benchmark(tmp_path):
+    # Without --out a run would rewrite some committed record in place; the
+    # workloads and metrics are BENCHMARK.json's alone.
+    with pytest.raises(SystemExit):
+        ab.main(["--parent", str(tmp_path), "--parts", ""])
+    text = (_ROOT / "tools" / "ab.py").read_text(encoding="utf-8")
+    names = [w["name"] for w in BENCHMARK["workloads"]] + [m["name"] for m in BENCHMARK["end_to_end"]]
+    assert [name for name in names if name in text] == []
+
+
+_TIGHT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+_WIDE = [0.60, 0.62, 0.64, 0.66, 0.68, 1.20, 1.30, 1.40, 1.50, 1.60]
+_NO_FAILURES = {"parent": 0.0, "change": 0.0}
+
+
+@pytest.mark.parametrize(
+    "parent, change, expected",
+    [
+        (_TIGHT, [v - 0.2 for v in _TIGHT], "gain"),
+        (_TIGHT, [v * 1.5 for v in _TIGHT], "regression"),
+        (_WIDE, _WIDE[::-1], "unresolved"),
+        (_TIGHT, _TIGHT[::-1], "within bound"),
+        # Every change run is better than every parent run, and the median
+        # gap is inside the parent's wide quartile distance: not a gain, and
+        # not unresolved either.
+        (_WIDE, [0.55 + 0.004 * i for i in range(10)], "within bound"),
+        # One change run above the parent's lowest: the spread decides.
+        (_WIDE, [0.55 + 0.004 * i for i in range(9)] + [0.61], "unresolved"),
+        # Ties count for neither side: 8 better pairs of 10 are no gain.
+        (_TIGHT, [v - 0.2 for v in _TIGHT[:8]] + _TIGHT[8:], "within bound"),
+        # Runs that gave no value: fewer than two on a side cannot be judged.
+        ([1.0, None, None], [0.5, 0.5, 0.5], "unresolved"),
+    ],
+)
+def test_each_verdict_of_the_ab_rule(parent, change, expected):
+    row = ab._verdict(list(zip(parent, change)), "lower", 0.25, _NO_FAILURES)
+    assert row["verdict"] == expected
+
+
+def test_a_higher_failed_share_voids_a_gain():
+    pairs = list(zip(_TIGHT, [v - 0.2 for v in _TIGHT]))
+    assert ab._verdict(pairs, "lower", 0.25, _NO_FAILURES)["verdict"] == "gain"
+    more_failed = {"parent": 0.0, "change": 0.01}
+    assert ab._verdict(pairs, "lower", 0.25, more_failed)["verdict"] == "within bound"
+
+
+def test_a_metric_where_higher_is_better_is_judged_that_way():
+    runs = [{"parent": {"metrics": {"auc_mean": p}, "attempted": 10, "failed": 0},
+             "change": {"metrics": {"auc_mean": p + 0.1}, "attempted": 10, "failed": 0}} for p in _TIGHT]
+    for better, expected in (("higher", "gain"), ("lower", "regression")):
+        benchmark = {"end_to_end": [{"name": "auc_mean", "better": better, "bound": 0.05}]}
+        assert ab._compare(runs, benchmark)["auc_mean"]["verdict"] == expected
+
+
+def test_perfbench_pairs_run_the_benchmark_command_and_keep_a_failed_run(tmp_path, monkeypatch):
+    # The command and run length are BENCHMARK.json's; a run that exits
+    # non-zero is kept with its exit code, and the pairs around it are not
+    # lost.
+    benchmark = {"command": ["python3", "perfbench/run.py"], "run_seconds": 7,
+                 "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+    trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    calls = []
+
+    def fake_run(command, cwd):
+        calls.append((cwd.name, command))
+        if len(calls) == 2:
+            return 3, None, ["Traceback", "MemoryError"]
+        result = {"correct": True, "attempted": 4, "failed": int(cwd.name == "change"),
+                  "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+        return 0, result, []
+
+    monkeypatch.setattr(ab, "_run", fake_run)
+    record = ab._perfbench(trees, benchmark, "w", 3, 11)
+    assert [side for side, _ in calls] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert calls[0][1] == ["python3", "perfbench/run.py", "--workload", "w", "--seed", "11",
+                           "--seconds", "7", "--trace", "0"]
+    assert record["runs"][0]["change"] == {"exit_code": 3, "errors": ["Traceback", "MemoryError"]}
+    assert record["runs"][1]["change"]["attempted"] == 4
+    assert record["failed_share"] == {"parent": 0.0, "change": 0.25}
+    assert record["metrics"]["wall_s"]["parent_change_pairs"] == [[1.0, None], [1.0, 1.0], [1.0, 1.0]]
+    assert record["metrics"]["wall_s"]["verdict"] == "within bound"
 
 
 def test_numpy_floor_has_vecdot():
