@@ -116,10 +116,6 @@ class ExpectationCache:
     log_r: np.ndarray
     s: np.ndarray
     log_gamma_s: np.ndarray
-    # Not a field, so the result document leaves it out. On a cache that
-    # ``vb_em.expectations`` made: the state it was made for, digamma(d_hat),
-    # digamma(c_hat) and trigamma(E[s]), which the KL reads again.
-    kl_terms = None
 
 
 @dataclass

@@ -2,10 +2,13 @@
 
 All functions take a single positive float and use only the ``math`` module,
 so importing them loads nothing beyond the standard library. Log-gamma is
-``math.lgamma``. The digamma family shifts the argument upward with the
-standard recurrences until it is large enough for the Bernoulli-number
-asymptotic series (Bernardo 1976, AS 103). Over the whole domain every
-function stays within about 1e-15 * max(1, |value|) of ``scipy.special``.
+``math.lgamma``. One upward recurrence (``_shifted``) serves the digamma
+family: it shifts the argument until it is large enough for the
+Bernoulli-number asymptotic series (Bernardo 1976, AS 103) and sums the
+digamma, trigamma and tetragamma terms on the way; each function, and each
+Newton step of ``inv_digamma``, adds its own series to those sums. Over the
+whole domain every function stays within about 1e-15 * max(1, |value|) of
+``scipy.special``.
 
 Near zero the recurrence terms are formed from the reciprocal 1/x, so that
 where the true value exceeds the float range they overflow to +/-inf rather
@@ -117,44 +120,44 @@ def _tetragamma_tail(acc: float, x: float, t: float) -> float:
     return acc + series
 
 
+def _shifted(x) -> tuple:
+    """x checked and shifted up to ``_SHIFT`` by the upward recurrence: the
+    shifted z, t = 1/z**2, and the sums the recurrence adds to digamma,
+    trigamma and tetragamma."""
+    x = _checked(x, "x")
+    psi = tri = tetra = 0.0
+    while x < _SHIFT:
+        r = 1.0 / x
+        rr = r * r
+        psi -= r
+        tri += rr
+        tetra -= 2.0 * rr * r  # 2.0 * r * r * r to the bit: doubling is exact
+        x += 1.0
+    return x, 1.0 / (x * x), psi, tri, tetra
+
+
 def digamma(x: float) -> float:
     """Digamma function, the derivative of ``log_gamma``, for x > 0."""
-    x = _checked(x, "x")
-    acc = 0.0
-    while x < _SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    return _digamma_tail(acc, x, 1.0 / (x * x))
+    z, t, psi, _, _ = _shifted(x)
+    return _digamma_tail(psi, z, t)
 
 
 def trigamma(x: float) -> float:
     """First derivative of digamma; strictly positive on x > 0."""
-    x = _checked(x, "x")
-    acc = 0.0
-    while x < _SHIFT:
-        r = 1.0 / x
-        acc += r * r
-        x += 1.0
-    return _trigamma_tail(acc, x, 1.0 / (x * x))
+    z, t, _, tri, _ = _shifted(x)
+    return _trigamma_tail(tri, z, t)
 
 
 def tetragamma(x: float) -> float:
     """Second derivative of digamma; strictly negative on x > 0."""
-    return trigamma_tetragamma(x)[1]
+    z, t, _, _, tetra = _shifted(x)
+    return _tetragamma_tail(tetra, z, t)
 
 
 def trigamma_tetragamma(x: float) -> tuple:
-    """``(trigamma(x), tetragamma(x))`` from one upward recurrence, bit for
-    bit the two functions' values."""
-    x = _checked(x, "x")
-    tri = tetra = 0.0
-    while x < _SHIFT:
-        r = 1.0 / x
-        tri += r * r
-        tetra -= 2.0 * r * r * r
-        x += 1.0
-    t = 1.0 / (x * x)
-    return _trigamma_tail(tri, x, t), _tetragamma_tail(tetra, x, t)
+    """``(trigamma(x), tetragamma(x))`` from one upward recurrence."""
+    z, t, _, tri, tetra = _shifted(x)
+    return _trigamma_tail(tri, z, t), _tetragamma_tail(tetra, z, t)
 
 
 def inv_digamma(y: float) -> float:
@@ -176,16 +179,8 @@ def inv_digamma(y: float) -> float:
     else:
         x = -1.0 / (y + EULER_GAMMA)
     for _ in range(50):
-        # digamma(x) and trigamma(x) from one upward recurrence, bit for bit
-        # the two functions' values; trigamma's series only if a step follows.
-        z = _checked(x, "x")
-        psi = tri = 0.0
-        while z < _SHIFT:
-            r = 1.0 / z
-            psi -= r
-            tri += r * r
-            z += 1.0
-        t = 1.0 / (z * z)
+        # Trigamma's series only if a step follows.
+        z, t, psi, tri, _ = _shifted(x)
         f = _digamma_tail(psi, z, t) - y
         if abs(f) < 1e-12:
             return x

@@ -45,23 +45,6 @@ class VBNumericError(RuntimeError):
     """Raised when a variational quantity leaves the representable range."""
 
 
-class _PriorTerms:
-    """What the KL takes from the priors alone: log Gamma(3 lambda0), 3 log
-    Gamma(lambda0), log Gamma(c0_tau), log b0_tau, and per activation log
-    Gamma(d0) and log e0. The rows a pass takes are the data cache's alone
-    (``estep._DataCache.height``)."""
-
-    __slots__ = ("lg_3lam0", "three_lg_lam0", "lg_c0_tau", "log_b0_tau", "lg_d0", "log_e0")
-
-    def __init__(self, priors: HyperPriors):
-        self.lg_3lam0 = log_gamma(3 * priors.lambda0)
-        self.three_lg_lam0 = 3 * log_gamma(priors.lambda0)
-        self.lg_c0_tau = log_gamma(priors.c0_tau)
-        self.log_b0_tau = math.log(priors.b0_tau)
-        self.lg_d0 = tuple(map(log_gamma, priors.d0))
-        self.log_e0 = tuple(map(math.log, priors.e0))
-
-
 @dataclass(frozen=True)
 class HyperPriors:
     """Fixed hyper-prior parameters; per-activation entries are (comp2, comp3)."""
@@ -86,9 +69,6 @@ class HyperPriors:
                 raise ValueError(f"hyper-prior {name} must be finite{' and > 0' if positive else ''}, got {value}")
         if tuple(getattr(fam, "sign", 0) for fam in self.families) != (1, -1):
             raise ValueError("hyper-prior families must be (positive-support, negative-support)")
-        # Set here, not on first use: an attribute added to the instance
-        # later slows every attribute lookup on it in this Python.
-        object.__setattr__(self, "_terms", _PriorTerms(self))
 
 
 @dataclass
@@ -236,8 +216,7 @@ def _taylor_log_gamma_mean(mu: float, b: float, tri: float, tetra: float) -> flo
 def expectations(state: VBState, priors: HyperPriors) -> ExpectationCache:
     """All posterior expectations entering the responsibility update and NFE.
     The scalar work runs on Python floats, each state array read once; a
-    non-finite E[r] or E[log Gamma(s)] raises VBNumericError. The cache's
-    ``kl_terms`` carry the special-function values the KL reads again."""
+    non-finite E[r] or E[log Gamma(s)] raises VBNumericError."""
     lam = state.lambda_hat.tolist()
     d_hat, e_hat = state.d_hat.tolist(), state.e_hat.tolist()
     log_a, b_s, c_s = state.log_a_hat.tolist(), state.b_hat_s.tolist(), state.c_hat_s.tolist()
@@ -248,20 +227,19 @@ def expectations(state: VBState, priors: HyperPriors) -> ExpectationCache:
     log_pi = [digamma(lam[0]) - psi_tot, digamma(lam[1]) - psi_tot, digamma(lam[2]) - psi_tot]
     psi_d = [digamma(d_hat[0]), digamma(d_hat[1])]
     log_r = [psi_d[0] - math.log(e_hat[0]), psi_d[1] - math.log(e_hat[1])]
-    s, log_gamma_s, tri_s = [], [], []
+    s, log_gamma_s = [], []
     for k, fam in enumerate(priors.families):
         mu = _shape_laplace_mean(log_a[k], b_s[k], c_s[k], log_r[k], fam)
         tri, tetra = trigamma_tetragamma(mu)
         s.append(mu)
         log_gamma_s.append(_taylor_log_gamma_mean(mu, b_s[k], tri, tetra))
-        tri_s.append(tri)
     psi_c = digamma(state.c_hat)
     r = [d_hat[0] / e_hat[0], d_hat[1] / e_hat[1]]
     if not math.isfinite(r[0] + r[1]):
         raise VBNumericError(f"E[r] is not finite: d_hat={d_hat}, e_hat={e_hat}")
     pi = [lam[0] / lam_tot, lam[1] / lam_tot, lam[2] / lam_tot]
     flat = np.array(pi + log_pi + r + log_r + s + log_gamma_s)
-    e = ExpectationCache(
+    return ExpectationCache(
         pi=flat[0:3],
         log_pi=flat[3:6],
         mu=state.m_hat,
@@ -273,14 +251,12 @@ def expectations(state: VBState, priors: HyperPriors) -> ExpectationCache:
         s=flat[10:12],
         log_gamma_s=flat[12:14],
     )
-    e.kl_terms = (state, psi_d, psi_c, tri_s)
-    return e
 
 
-def _kl_dirichlet(lam_hat: list, lam0: float, log_pi: list, terms: _PriorTerms) -> float:
+def _kl_dirichlet(lam_hat: list, lam0: float, log_pi: list) -> float:
     """``log_pi`` is E[log pi] under ``lam_hat``, as ``expectations`` gives it."""
     tot_hat = (lam_hat[0] + lam_hat[1]) + lam_hat[2]
-    out = log_gamma(tot_hat) - terms.lg_3lam0 + terms.three_lg_lam0
+    out = log_gamma(tot_hat) - log_gamma(3 * lam0) + 3 * log_gamma(lam0)
     for v, lp in zip(lam_hat, log_pi):
         out += -log_gamma(v) + (v - lam0) * lp
     return out
@@ -304,15 +280,15 @@ def _kl_gamma(d_q, psi_q, e_q, log_e_q, d_p, lg_p, e_p, log_e_p) -> float:
     )
 
 
-def _kl_shape(b_s: list, s: list, tri_s: list, log_r: list, priors: HyperPriors) -> float:
+def _kl_shape(b_s: list, s: list, log_r: list, priors: HyperPriors) -> float:
     """KL between the Laplace Gaussians of the posterior and prior shape
     functionals; the prior functional is evaluated at the current posterior
     mean of log r (its rate coupling), so the divergence vanishes exactly at
-    prior recovery. ``tri_s`` is trigamma at the posterior means ``s``."""
+    prior recovery."""
     out = 0.0
     for k, fam in enumerate(priors.families):
         mu_q = s[k]
-        prec_q = b_s[k] * tri_s[k]
+        prec_q = b_s[k] * trigamma(mu_q)
         mu_p = _shape_laplace_mean(
             priors.log_a0[k], priors.b0_s[k], priors.c0_s[k], log_r[k], fam
         )
@@ -327,34 +303,25 @@ def _kl_shape(b_s: list, s: list, tri_s: list, log_r: list, priors: HyperPriors)
 
 
 def _kl_total(state: VBState, priors: HyperPriors, e: ExpectationCache) -> float:
-    """The KL of every factor from its prior. digamma of d_hat and c_hat and
-    trigamma of E[s] are ``e.kl_terms`` when ``expectations`` made ``e`` for
-    this state."""
+    """The KL of every factor from its prior. It reads E[log pi], E[s] and
+    E[log r] from ``e`` and computes its own special-function values."""
     d_hat, e_hat = state.d_hat.tolist(), state.e_hat.tolist()
     s = e.s.tolist()
-    if e.kl_terms is not None and e.kl_terms[0] is state:
-        psi_d, psi_c, tri_s = e.kl_terms[1:]
-    else:
-        psi_d, psi_c = [digamma(v) for v in d_hat], digamma(state.c_hat)
-        tri_s = [trigamma(v) for v in s]
-    terms = priors._terms
     try:
-        kl = _kl_dirichlet(
-            state.lambda_hat.tolist(), priors.lambda0, e.log_pi.tolist(), terms
-        )
+        kl = _kl_dirichlet(state.lambda_hat.tolist(), priors.lambda0, e.log_pi.tolist())
         kl += _kl_gaussian(state.m_hat, state.tau_hat, priors.m0, priors.tau0)
         # tau's factors have scales: a rate ratio is the inverse scale ratio,
         # so the prior's scale takes the posterior's rate slot and vice versa.
         kl += _kl_gamma(
-            state.c_hat, psi_c, priors.b0_tau, terms.log_b0_tau,
-            priors.c0_tau, terms.lg_c0_tau, state.b_hat, math.log(state.b_hat),
+            state.c_hat, digamma(state.c_hat), priors.b0_tau, math.log(priors.b0_tau),
+            priors.c0_tau, log_gamma(priors.c0_tau), state.b_hat, math.log(state.b_hat),
         )
         for k in range(2):
             kl += _kl_gamma(
-                d_hat[k], psi_d[k], e_hat[k], math.log(e_hat[k]),
-                priors.d0[k], terms.lg_d0[k], priors.e0[k], terms.log_e0[k],
+                d_hat[k], digamma(d_hat[k]), e_hat[k], math.log(e_hat[k]),
+                priors.d0[k], log_gamma(priors.d0[k]), priors.e0[k], math.log(priors.e0[k]),
             )
-        kl += _kl_shape(state.b_hat_s.tolist(), s, tri_s, e.log_r.tolist(), priors)
+        kl += _kl_shape(state.b_hat_s.tolist(), s, e.log_r.tolist(), priors)
     except OverflowError as exc:
         raise VBNumericError(f"KL divergence overflowed: {exc}") from exc
     return kl

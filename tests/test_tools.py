@@ -3,8 +3,9 @@
 (tools/ab.py) run on this tree, the package metadata (pyproject.toml)
 names what the tree needs, only the E-step module reads its data cache, only
 the fit loop reads the pass budget, only the io module opens a file, only the
-distributions module names the activation families and their prior, and the
-model names are written once."""
+distributions module names the activation families and their prior, the
+model names are written once, and the digamma family runs one upward
+recurrence."""
 
 import ast
 import hashlib
@@ -233,6 +234,15 @@ def test_the_ab_tool_needs_an_out_file_and_states_no_fact_of_the_benchmark(tmp_p
     assert [name for name in names if name in text] == []
 
 
+def test_the_ab_tool_needs_a_parent_checkout_unless_it_runs_a_worker(tmp_path, capsys):
+    out = tmp_path / "BENCH_new.json"
+    with pytest.raises(SystemExit) as exc:
+        ab.main(["--parts", "", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--parent" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _TIGHT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
 _WIDE = [0.60, 0.62, 0.64, 0.66, 0.68, 1.20, 1.30, 1.40, 1.50, 1.60]
 _NO_FAILURES = {"parent": 0.0, "change": 0.0}
@@ -423,6 +433,18 @@ def test_only_the_distributions_module_states_the_activation_prior():
         and any(isinstance(a, ast.Constant) for a in node.args)
     ]
     assert stated == []
+
+
+def test_the_digamma_family_runs_one_upward_recurrence():
+    # digamma, trigamma, tetragamma and each Newton step of inv_digamma take
+    # their sums from one loop that shifts the argument up to _SHIFT.
+    path = _ROOT / "src" / "gigmix" / "special.py"
+    loops = [
+        f"special.py:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.While) and "_SHIFT" in ast.unparse(node.test)
+    ]
+    assert len(loops) == 1, loops
 
 
 _TOY = """import threading

@@ -863,10 +863,10 @@ def test_candidate_overflowing_in_its_scalar_work_is_rejected(monkeypatch, fitte
     assert _fit_bytes(res) == _fit_bytes(want)
 
 
-def test_kl_takes_shared_values_only_for_their_state_and_cache():
-    # expectations leaves digamma(d_hat), digamma(c_hat) and trigamma(E[s])
-    # for the KL. They are the values the KL computes itself, bit for bit,
-    # and are taken only with the state and the cache they were made for.
+def test_the_kl_depends_only_on_its_state_priors_and_expectations():
+    # The KL computes its own special-function values: a copy of the cache
+    # gives the same KL bit for bit, with the state the cache was made for
+    # and with another state, and another state gives another KL.
     pr = default_hyperpriors(*GAMMA_FAMS)
     st = dataclasses.replace(prior_state(pr), d_hat=np.array([3.0, 4.0]), c_hat=2.0)
     e = expectations(st, pr)
@@ -875,6 +875,14 @@ def test_kl_takes_shared_values_only_for_their_state_and_cache():
     other = dataclasses.replace(st, d_hat=np.array([5.0, 6.0]), c_hat=3.0)
     assert vb_em._kl_total(other, pr, e) == vb_em._kl_total(other, pr, dataclasses.replace(e))
     assert vb_em._kl_total(other, pr, e) != shared
+
+
+def test_expectations_and_hyperpriors_hold_only_their_fields():
+    # Neither carries a value for the KL beside its dataclass fields.
+    pr = default_hyperpriors(*GAMMA_FAMS)
+    e = expectations(prior_state(pr), pr)
+    for obj in (e, pr):
+        assert vars(obj).keys() == {f.name for f in dataclasses.fields(obj)}
 
 
 @pytest.mark.parametrize("fitter", [fit_bggm, fit_bgim])

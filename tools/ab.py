@@ -294,6 +294,8 @@ def main(argv=None) -> int:
     if args.worker:
         print(json.dumps(_worker(args.worker)))
         return 0
+    if args.parent is None:
+        ap.error("the following arguments are required: --parent")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     parts = args.parts.split(",")
